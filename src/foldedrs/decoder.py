@@ -61,6 +61,8 @@ class DecodeStats:
     n_points: int
     matrix_rows: int
     matrix_cols: int
+    rank: int  # pivots before the first free column; equals free_col
+    free_col: int  # the interpolation column given coefficient 1 in Q
     substituted_degree: int
     t: int
     candidates_found: int
@@ -96,6 +98,8 @@ def _run_pipeline(params: FRSParams, points, D: int, t: int, keep, seed: int) ->
         n_points=len(points),
         matrix_rows=report.rows,
         matrix_cols=report.cols,
+        rank=report.rank,
+        free_col=report.pivot_cols,
         substituted_degree=report.substituted_degree,
         t=t,
         candidates_found=len(found),

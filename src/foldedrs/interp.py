@@ -5,14 +5,22 @@ The interpolation step finds a nonzero Q(X, Y_1, ..., Y_s) of
 point.  Each point contributes C(r+s, s+1) homogeneous linear conditions
 (one per shift monomial of total degree < r); a feasible D makes the
 monomial count exceed the condition count, so the system has a nonzero
-kernel vector, found by Gaussian elimination mod q.
+kernel vector.
 
-Kernel extraction is deterministic: columns are scanned in a fixed order,
-pivots take the first nonzero row, the first free column gets coefficient 1
-and all later columns 0.  Columns are ordered by the degree the monomial
-acquires after the root-finding substitution Y_t -> Y^(q^(t-1)), so the
-chosen Q keeps that substituted degree as small as the system allows; this
-both fixes reproducibility and keeps the root-finding step cheap.
+The kernel vector is fixed by the matrix alone: c0 is the first column in
+the span of the columns before it, x[c0] = 1, every later column gets 0,
+and since the columns before c0 are independent the remaining entries are
+unique.  Columns are ordered by the degree the monomial acquires after the
+root-finding substitution Y_t -> Y^(q^(t-1)), so the chosen Q keeps that
+substituted degree as small as the system allows; this both fixes
+reproducibility and keeps the root-finding step cheap.
+
+Because x does not depend on the pivot rows, it is found by blocked forward
+elimination (panels of _PANEL columns, lazy int64 reduction inside a panel,
+one float64 matmul per panel for the trailing rows) and back-substitution,
+the scheme of Dumas, Giorgi and Pernet (FFLAS-FFPACK, 2008) for word-size
+prime fields.  The float64 products are exact while _PANEL * (q-1)^2 < 2^53,
+which _kernel_vector checks.
 """
 
 from __future__ import annotations
@@ -23,11 +31,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .galois import PrimeField
-from .poly import Monomial, MultiPoly, count_weighted_monomials, enumerate_weighted_monomials
+from .poly import (
+    Monomial,
+    MultiPoly,
+    ParameterError,
+    _check_float_exact,
+    _pascal_mod,
+    count_weighted_monomials,
+    enumerate_weighted_monomials,
+)
 
-
-class ParameterError(ValueError):
-    """Decoding parameters were rejected (infeasible or outside supported range)."""
+_PANEL = 32  # columns per elimination panel; see _kernel_vector
 
 
 def _integer_root(value: int, degree: int) -> int:
@@ -101,7 +115,12 @@ class InterpolationProblem:
 
 @dataclass(frozen=True)
 class InterpReport:
-    """Dimensions and diagnostics of the solved linear system."""
+    """Dimensions and diagnostics of the solved linear system.
+
+    ``pivot_cols`` is the index c0 of the first free column, the one given
+    coefficient 1 in Q.  ``rank`` counts the pivots before it; every column
+    before c0 is a pivot, so the two are always equal.
+    """
 
     rows: int
     cols: int
@@ -138,73 +157,106 @@ def _assemble_matrix(problem: InterpolationProblem, cols: list[Monomial]) -> np.
     """One row per (point, shift monomial) pair; entries are Hasse shift coefficients.
 
     The coefficient of the shift monomial b in the translate of X^e0 Y^e is
-    prod_t C(e_t, b_t) * a_t^(e_t - b_t), so each row is a product of per-
-    coordinate binomial and power table lookups, vectorized over columns.
+    prod_t C(e_t, b_t) * a_t^(e_t - b_t).  The binomial part depends on the
+    column only and the power part is a lookup in per-point power tables, so
+    each shift monomial fills its rows for all points at once.  Rows are
+    point-major: row p * len(shifts) + i belongs to point p and shift i.
     """
     q = problem.field.q
     s = problem.s
     exps = np.array([c.exponents for c in cols], dtype=np.int64)  # (ncols, s+1)
     max_e = int(exps.max())
-    from .poly import _pascal_mod
-
     pascal = _pascal_mod(q, max_e)
+    # pows[p, t, e] = a_t^e for coordinate t of point p
+    coords = np.array(problem.points, dtype=np.int64).reshape(-1, s + 1) % q
+    pows = np.ones((len(coords), s + 1, max_e + 1), dtype=np.int64)
+    for e in range(1, max_e + 1):
+        pows[:, :, e] = pows[:, :, e - 1] * coords % q
     dmons = _derivative_monomials(problem.r, s)
-    rows = np.zeros((len(problem.points) * len(dmons), len(cols)), dtype=np.int64)
-    row = 0
-    for pt in problem.points:
-        # power tables a_t^e for e = 0..max_e, one per coordinate
-        pows = np.ones((s + 1, max_e + 1), dtype=np.int64)
-        for t in range(s + 1):
-            a = int(pt[t]) % q
-            for e in range(1, max_e + 1):
-                pows[t, e] = pows[t, e - 1] * a % q
-        for b in dmons:
-            entry = np.ones(len(cols), dtype=np.int64)
-            for t in range(s + 1):
-                et = exps[:, t]
-                bt = b[t]
-                ok = et >= bt
-                binom = np.where(ok, pascal[et, np.minimum(bt, et)], 0)
-                power = np.where(ok, pows[t, np.maximum(et - bt, 0)], 0)
-                entry = entry * binom % q * power % q
-            rows[row] = entry
-            row += 1
-    return rows
+    rows = np.empty((len(coords), len(dmons), len(cols)), dtype=np.int64)
+    for i, b in enumerate(dmons):
+        entry = (exps >= np.array(b)).all(axis=1).astype(np.int64)
+        for t in range(s + 1):  # the power factors broadcast entry over the points
+            et, bt = exps[:, t], b[t]
+            binom = pascal[et, np.minimum(bt, et)]
+            power = pows[:, t, np.maximum(et - bt, 0)]
+            entry = entry * binom % q * power % q
+        rows[:, i] = entry
+    return rows.reshape(-1, len(cols))
+
+
+def _forward_eliminate(A: np.ndarray, q: int) -> list[int]:
+    """Blocked forward elimination of A (reduced mod q) in place, up to the first free column.
+
+    Returns the inverses of the pivots, one per column before the first free
+    column c0, so c0 is the length of the list.  Afterwards rows 0..c0-1 of
+    A hold the pivot rows: their entries in columns i..c0 (row i) form the
+    upper-triangular block U and the column of c0, reduced mod q.
+
+    Columns go in panels of _PANEL.  Inside a panel the pivot (the first
+    unused row with a nonzero entry) is swapped into place, the rows below
+    are updated on the panel's columns only, and entries are reduced mod q
+    lazily in int64: a column when it is searched, a row when it becomes a
+    pivot.  A new pivot row takes the updates of the panel's earlier pivots
+    on the trailing columns at once; the rows below the panel receive them
+    as one float64 matmul of the panel's multipliers by its pivot rows, a
+    sum of _PANEL products of residues below q per entry.
+    """
+    nrows, ncols = A.shape
+    inverses = []
+    for j0 in range(0, ncols, _PANEL):
+        pe = min(j0 + _PANEL, ncols)
+        for j in range(j0, pe):
+            col = A[j:, j] % q
+            A[j:, j] = col
+            nz = np.flatnonzero(col)
+            if len(nz) == 0:
+                return inverses
+            p = j + int(nz[0])
+            if p != j:
+                A[[j, p]] = A[[p, j]]
+                col[[0, nz[0]]] = col[[nz[0], 0]]
+            A[j, j + 1 : pe] %= q
+            A[j, pe:] = (A[j, pe:] - A[j, j0:j] @ A[j0:j, pe:]) % q
+            inverses.append(pow(int(col[0]), q - 2, q))
+            mult = col[1:] * inverses[-1] % q
+            A[j + 1 :, j] = mult
+            A[j + 1 :, j + 1 : pe] -= np.outer(mult, A[j, j + 1 : pe])
+        if pe < ncols and pe < nrows:
+            prod = A[pe:, j0:pe].astype(np.float64) @ A[j0:pe, pe:].astype(np.float64)
+            trailing = A[pe:, pe:]
+            np.subtract(trailing, prod, out=trailing, casting="unsafe")
+            np.remainder(trailing, q, out=trailing)
+    raise AssertionError("no free column: the system was not underdetermined")
 
 
 def _kernel_vector(matrix: np.ndarray, q: int) -> tuple[np.ndarray, int, int]:
     """First-free-column kernel vector of a matrix over F_q.
 
-    Columns are processed left to right; each pivot is the first unused row
-    with a nonzero entry, and rows are fully reduced so that when the first
-    pivotless column c0 appears, setting x[c0] = 1, every later column 0 and
-    x[p] = -M[row_p, c0] for the pivot columns p gives a kernel vector.
-    Returns (vector, rank_so_far, c0).
+    Let c0 be the first column that lies in the span of the columns before
+    it.  Columns 0..c0-1 are then linearly independent, so there is exactly
+    one kernel vector x with x[c0] = 1 and x[c] = 0 for c > c0.  Both c0 and
+    x depend on the matrix only, not on which rows serve as pivots, so
+    forward elimination over the unused rows (_forward_eliminate) finds c0,
+    and back-substitution through the c0 x c0 upper-triangular pivot block U
+    solves U x[:c0] = -(column c0 of the pivot rows).  Returns (x, c0, c0):
+    the rank of the columns before c0, which is c0, and c0 itself.
+
+    The elimination multiplies residues in float64 sums of _PANEL products,
+    exact while _PANEL * (q-1)^2 < 2^53; a larger q raises ParameterError.
+    Raises AssertionError when every column is a pivot.
     """
-    M = matrix % q
-    nrows, ncols = M.shape
-    pivot_rows: list[int] = []
-    pivot_cols: list[int] = []
-    used = np.zeros(nrows, dtype=bool)
-    for col in range(ncols):
-        candidates = np.flatnonzero((M[:, col] != 0) & ~used)
-        if len(candidates) == 0:
-            x = np.zeros(ncols, dtype=np.int64)
-            x[col] = 1
-            for pr, pc in zip(pivot_rows, pivot_cols):
-                x[pc] = (-M[pr, col]) % q
-            return x, len(pivot_cols), col
-        prow = int(candidates[0])
-        used[prow] = True
-        inv = pow(int(M[prow, col]), q - 2, q)
-        M[prow] = M[prow] * inv % q
-        others = np.flatnonzero(M[:, col] != 0)
-        others = others[others != prow]
-        if len(others):
-            M[others] = (M[others] - np.outer(M[others, col], M[prow])) % q
-        pivot_rows.append(prow)
-        pivot_cols.append(col)
-    raise AssertionError("no free column: the system was not underdetermined")
+    _check_float_exact(_PANEL, q, "interpolation kernel")
+    A = matrix % q
+    inverses = _forward_eliminate(A, q)
+    c0 = len(inverses)
+    x = np.zeros(A.shape[1], dtype=np.int64)
+    x[c0] = 1
+    rhs = A[:c0, c0].copy()
+    for i in range(c0 - 1, -1, -1):
+        x[i] = -int(rhs[i]) * inverses[i] % q
+        rhs[:i] = (rhs[:i] + A[:i, i] * x[i]) % q
+    return x, c0, c0
 
 
 def interpolate_with_report(problem: InterpolationProblem) -> tuple[MultiPoly, InterpReport]:

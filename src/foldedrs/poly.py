@@ -36,6 +36,23 @@ from .galois import (
 )
 
 
+class ParameterError(ValueError):
+    """Decoding parameters were rejected (infeasible or outside supported range)."""
+
+
+def _check_float_exact(terms: int, q: int, what: str) -> None:
+    """Refuse q when a sum of ``terms`` products of residues mod q can reach 2^53.
+
+    The numpy paths multiply residues in float64 (BLAS matmul) and reduce the
+    result mod q afterwards; that is exact only while every such sum, at most
+    terms * (q-1)^2, stays below 2^53.
+    """
+    if terms * (q - 1) ** 2 >= 2**53:
+        raise ParameterError(
+            f"{what}: {terms} * (q-1)^2 >= 2^53 with q = {q}, float64 products would not be exact"
+        )
+
+
 # ---------------------------------------------------------------------------
 # UniPoly
 # ---------------------------------------------------------------------------
@@ -488,6 +505,10 @@ class _ExtCtx:
     dim: int
     gamma: int  # X^dim = gamma; irrelevant when dim == 1
 
+    def __post_init__(self):
+        # _yp_mul, _yp_scalar_mul and _yp_divmod sum dim products per entry
+        _check_float_exact(self.dim, self.q, "extension-field arithmetic")
+
     @property
     def size(self) -> int:
         return self.q**self.dim
@@ -696,6 +717,8 @@ class FrobeniusReducer:
         self.R = _yp_monic(ctx, R)
         if self.R.shape[0] < 2:
             raise ValueError("modulus must have degree at least 1")
+        # step() contracts the table over deg R rows and dim columns at once
+        _check_float_exact((self.R.shape[0] - 1) * ctx.dim, ctx.q, "Frobenius step")
         self._table: np.ndarray | None = None
 
     def _build_table(self):

@@ -10,9 +10,16 @@ from foldedrs.decoder import (
     shifted_error_budget,
     suggest_params,
 )
-from foldedrs.frs import FRSParams, RecoverySets, encode, folded_agreement
+from foldedrs.frs import (
+    FRSParams,
+    RecoverySets,
+    encode,
+    folded_agreement,
+    interpolation_points,
+    unfold,
+)
 from foldedrs.harness import ChannelSpec, apply_channel, oracle_decode
-from foldedrs.interp import ParameterError
+from foldedrs.interp import InterpolationProblem, ParameterError, choose_D, interpolate_with_report
 from foldedrs.poly import UniPoly
 
 P13 = FRSParams(q=13, m=3, k=2, s=2, r=3)
@@ -66,6 +73,18 @@ def test_decode_stats_shape():
     assert st.matrix_cols > st.matrix_rows
     assert st.t == res.t
     assert st.candidates_kept == len(res.messages)
+
+
+def test_decode_stats_report_the_interpolation_solve():
+    msg = UniPoly.from_ints(P13.field, [5, 0, 9])
+    word = apply_channel(encode(P13, msg), ChannelSpec(kind="uniform", e=2, seed=4), q=13)
+    st = list_decode(P13, word, seed=0).stats
+    points = tuple(interpolation_points(P13, unfold(P13, word)))
+    D = choose_D(P13.k, len(points), P13.r, P13.s)
+    problem = InterpolationProblem(field=P13.field, points=points, r=P13.r, k=P13.k, s=P13.s, D=D)
+    _, report = interpolate_with_report(problem)
+    assert (st.rank, st.free_col) == (report.rank, report.pivot_cols)
+    assert st.rank == st.free_col < st.matrix_cols
 
 
 def test_list_recover_l1_equals_list_decode():

@@ -1,19 +1,28 @@
+import hashlib
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from foldedrs import decoder
+from foldedrs.frs import FRSParams, RecoverySets, encode
 from foldedrs.galois import PrimeField
+from foldedrs.harness import ChannelSpec, apply_channel
 from foldedrs.interp import (
+    _PANEL,
     InterpolationProblem,
     ParameterError,
     _derivative_monomials,
+    _kernel_vector,
     choose_D,
     constraints_per_point,
     degree_bound_formula,
     interpolate,
     interpolate_with_report,
 )
-from foldedrs.poly import count_weighted_monomials, hasse_coefficient
+from foldedrs.poly import UniPoly, count_weighted_monomials, hasse_coefficient
 
 
 def test_degree_bound_formula_examples():
@@ -94,7 +103,7 @@ def test_interpolate_postconditions_random():
         for pt in problem.points:
             for b in dmons:
                 assert hasse_coefficient(Q, pt, b) == problem.field.zero()
-        assert report.cols > report.rows or report.rank < report.pivot_cols + 1
+        assert report.rank == report.pivot_cols < report.cols
         done += 1
 
 
@@ -148,3 +157,169 @@ def test_vanishing_on_uncorrupted_curve():
     )
     Q = interpolate(problem)
     assert len(compose_message(Q, [2, 5, 1], p.gamma.value)) == 0
+
+
+# ---------------------------------------------------------------------------
+# the elimination kernel against plain Gauss-Jordan
+# ---------------------------------------------------------------------------
+
+
+def _reference_kernel_vector(matrix: np.ndarray, q: int) -> tuple[np.ndarray, int, int]:
+    """Unblocked Gauss-Jordan: every pivot is normalized and cleared from all rows."""
+    M = matrix % q
+    nrows, ncols = M.shape
+    pivot_rows: list[int] = []
+    pivot_cols: list[int] = []
+    used = np.zeros(nrows, dtype=bool)
+    for col in range(ncols):
+        candidates = np.flatnonzero((M[:, col] != 0) & ~used)
+        if len(candidates) == 0:
+            x = np.zeros(ncols, dtype=np.int64)
+            x[col] = 1
+            for pr, pc in zip(pivot_rows, pivot_cols):
+                x[pc] = (-M[pr, col]) % q
+            return x, len(pivot_cols), col
+        prow = int(candidates[0])
+        used[prow] = True
+        inv = pow(int(M[prow, col]), q - 2, q)
+        M[prow] = M[prow] * inv % q
+        others = np.flatnonzero(M[:, col] != 0)
+        others = others[others != prow]
+        if len(others):
+            M[others] = (M[others] - np.outer(M[others, col], M[prow])) % q
+        pivot_rows.append(prow)
+        pivot_cols.append(col)
+    raise AssertionError("no free column")
+
+
+KERNEL_QS = [2, 3, 13, 31, 101, 65521]
+
+
+def _assert_kernel_matches_reference(M: np.ndarray, q: int):
+    try:
+        expect = _reference_kernel_vector(M, q)
+    except AssertionError:
+        with pytest.raises(AssertionError):
+            _kernel_vector(M, q)
+        return None
+    x, rank, c0 = _kernel_vector(M, q)
+    assert (rank, c0) == expect[1:]
+    assert np.array_equal(x, expect[0])
+    assert not (M @ x % q).any()
+    return c0
+
+
+def _matrix_with_free_col(rng, q: int, nrows: int, ncols: int, c0: int, duplicate: bool):
+    """Random matrix whose first c0 columns are independent and whose column c0
+    lies in their span (a copy of one of them when duplicate is set)."""
+    U = np.triu(rng.integers(0, q, size=(nrows, c0)))
+    U[np.arange(c0), np.arange(c0)] = rng.integers(1, q, size=c0)
+    L = np.tril(rng.integers(0, q, size=(nrows, nrows)), -1) + np.eye(nrows, dtype=np.int64)
+    C = (L @ U % q)[rng.permutation(nrows)]  # invertible row operations keep the column span
+    if duplicate and c0:
+        dep = C[:, rng.integers(c0)]
+    else:
+        dep = C @ rng.integers(0, q, size=c0) % q
+    rest = rng.integers(0, q, size=(nrows, ncols - c0 - 1))
+    return np.column_stack([C, dep, rest]).astype(np.int64)
+
+
+@pytest.mark.parametrize("q", KERNEL_QS)
+@pytest.mark.parametrize("c0", [0, _PANEL - 1, _PANEL, _PANEL + 1, 2 * _PANEL])
+def test_kernel_vector_free_column_at_panel_edges(q, c0):
+    rng = np.random.default_rng([q, c0])
+    for nrows, ncols in [(c0 + 3, c0 + 9), (c0 + 12, c0 + 4), (c0, c0 + 1)]:
+        for duplicate in (False, True):
+            for zero_rows in (0, 2):
+                M = _matrix_with_free_col(rng, q, nrows, ncols, c0, duplicate)
+                M = np.insert(M, rng.integers(0, nrows + 1, size=zero_rows), 0, axis=0)
+                assert _assert_kernel_matches_reference(M, q) == c0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    q=st.sampled_from(KERNEL_QS),
+    nrows=st.integers(min_value=1, max_value=80),
+    ncols=st.integers(min_value=1, max_value=80),
+    zero_rows=st.integers(min_value=0, max_value=3),
+    duplicate=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_kernel_vector_matches_reference_random(q, nrows, ncols, zero_rows, duplicate, seed):
+    # tall and wide shapes; tall full-rank ones have no free column at all
+    rng = np.random.default_rng(seed)
+    M = rng.integers(0, q, size=(nrows, ncols))
+    M[rng.integers(0, nrows, size=zero_rows)] = 0
+    if duplicate and ncols > 1:
+        src, dst = sorted(rng.choice(ncols, size=2, replace=False))
+        M[:, dst] = M[:, src]
+    _assert_kernel_matches_reference(M, q)
+
+
+def test_kernel_vector_rejects_inexact_field_size():
+    # 16777259 is the least prime above 2^24, where _PANEL * (q-1)^2 reaches 2^53
+    with pytest.raises(ParameterError):
+        _kernel_vector(np.zeros((1, 2), dtype=np.int64), 16777259)
+    x, rank, c0 = _kernel_vector(np.array([[1, 1]]), 16777213)  # largest prime below 2^24
+    assert (x.tolist(), rank, c0) == ([16777212, 1], 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# frozen Q for benchmark-shaped problems
+# ---------------------------------------------------------------------------
+
+
+class _Captured(Exception):
+    pass
+
+
+def _captured_problem(monkeypatch, call) -> InterpolationProblem:
+    """The InterpolationProblem the decoder builds inside call()."""
+    seen = []
+
+    def grab(problem):
+        seen.append(problem)
+        raise _Captured
+
+    with monkeypatch.context() as patch:
+        patch.setattr(decoder, "interpolate_with_report", grab)
+        with pytest.raises(_Captured):
+            call()
+    return seen[0]
+
+
+def _random_message(params: FRSParams, rng: random.Random) -> UniPoly:
+    return UniPoly.from_ints(params.field, [rng.randrange(params.q) for _ in range(params.k + 1)])
+
+
+def _q_digest(Q) -> str:
+    return hashlib.sha256(repr(sorted(Q.terms.items())).encode()).hexdigest()
+
+
+def test_frozen_Q_unfolded_decode_shape(monkeypatch):
+    # list_decode at q=101 m=5 k=8 s=1 r=3 with e = 13 of 20: a 600 x 612 system
+    p = FRSParams(q=101, m=5, k=8, s=1, r=3)
+    rng = random.Random(2)
+    word = apply_channel(
+        encode(p, _random_message(p, rng)), ChannelSpec(kind="uniform", e=13), rng, q=p.q
+    )
+    problem = _captured_problem(monkeypatch, lambda: decoder.list_decode(p, word))
+    Q, report = interpolate_with_report(problem)
+    assert (report.rows, report.cols, report.rank, report.substituted_degree) == (600, 612, 587, 9)
+    assert _q_digest(Q) == "581ba19426ff7f1ee14594533c65fb9ca316fd856c37838d0c172082eaaa250c"
+
+
+def test_frozen_Q_list_recovery_shape(monkeypatch):
+    # list_recover at q=31 m=5 k=2 s=2 r=3 l=2, two planted codewords and 4 of
+    # 6 sets replaced by junk: a 480 x 506 system
+    p = FRSParams(q=31, m=5, k=2, s=2, r=3)
+    rng = random.Random(3)
+    cws = [encode(p, _random_message(p, rng)) for _ in range(2)]
+    sets = [{cws[0][j], cws[1][j]} for j in range(p.N)]
+    for j in rng.sample(range(p.N), 4):
+        sets[j] = {tuple(rng.randrange(p.q) for _ in range(p.m)) for _ in range(2)}
+    recovery = RecoverySets.from_iterables(sets, 2)
+    problem = _captured_problem(monkeypatch, lambda: decoder.list_recover(p, recovery))
+    Q, report = interpolate_with_report(problem)
+    assert (report.rows, report.cols, report.rank, report.substituted_degree) == (480, 506, 473, 189)
+    assert _q_digest(Q) == "fa971095682eacaaf0eaf36569965461ab9717256af2ebd013b64838b004077e"

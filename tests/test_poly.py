@@ -11,12 +11,15 @@ from foldedrs.poly import (
     FrobeniusReducer,
     Monomial,
     MultiPoly,
+    ParameterError,
     UniPoly,
     _ctx_for,
+    _ExtCtx,
     _half_field_power,
     _roots_arr,
     _yp_mod,
     _yp_monic,
+    _yp_monomial,
     _yp_pow_mod,
     _yp_trim,
     compose_message,
@@ -319,6 +322,19 @@ def test_frobenius_reducer_untabled_path_matches():
     untabled._TABLE_LIMIT = 0
     u = _yp_mod(ctx, _random_yp(rng, ctx, 12), tabled.R)
     assert np.array_equal(tabled.step(u), untabled.step(u))
+
+
+def test_float64_paths_refuse_inexact_sizes():
+    # with q - 1 = 2^20, a sum of 2^13 products of residues reaches 2^53
+    q = 2**20 + 1
+    _ExtCtx(q, 2**13 - 1, 3)
+    with pytest.raises(ParameterError):
+        _ExtCtx(q, 2**13, 3)
+    # a Frobenius step sums deg R * dim products: 2^7 * 2^6 reaches the bound
+    ctx = _ExtCtx(q, 2**6, 3)
+    FrobeniusReducer(ctx, _yp_monomial(ctx, 2**7 - 1))
+    with pytest.raises(ParameterError):
+        FrobeniusReducer(ctx, _yp_monomial(ctx, 2**7))
 
 
 def test_half_field_power_matches_generic_power():
