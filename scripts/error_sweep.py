@@ -9,10 +9,9 @@ with agreement >= t, so success degrades gracefully rather than abruptly.
 
 import argparse
 
-from foldedrs.decoder import agreement_threshold
-from foldedrs.frs import FRSParams, interpolation_index_set
+from foldedrs.decoder import _threshold_plan
+from foldedrs.frs import FRSParams
 from foldedrs.harness import simulate, simulate_csv
-from foldedrs.interp import choose_D
 
 
 def main() -> None:
@@ -31,9 +30,7 @@ def main() -> None:
     args = ap.parse_args()
 
     params = FRSParams(q=args.q, m=args.m, k=args.k, s=args.s, r=args.r)
-    n0 = len(interpolation_index_set(params))
-    D = choose_D(params.k, n0, params.r, params.s)
-    t = agreement_threshold(D, params.m, params.s, params.r)
+    _, D, t = _threshold_plan(params)
     e_star = params.N - t
     print(f"n={params.n} N={params.N} D={D} t={t} certified e* = {e_star}")
 

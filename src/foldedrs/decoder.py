@@ -28,6 +28,7 @@ from .frs import (
     UnsupportedVariantError,
     encode,
     folded_agreement,
+    interpolation_index_set,
     interpolation_points,
     unfold,
     validate_recovery_sets,
@@ -78,7 +79,9 @@ class DecodeResult:
     stats: DecodeStats
 
 
-def _run_pipeline(params: FRSParams, points, D: int, t: int, keep, seed: int) -> DecodeResult:
+def _run_pipeline(
+    params: FRSParams, points, n0: int, D: int, t: int, keep, seed: int
+) -> DecodeResult:
     problem = InterpolationProblem(
         field=params.field,
         points=tuple(points),
@@ -94,7 +97,7 @@ def _run_pipeline(params: FRSParams, points, D: int, t: int, keep, seed: int) ->
     kept = tuple(f for f in found if keep(f))
     stats = DecodeStats(
         D=D,
-        D_formula=degree_bound_formula(params.k, len(points), params.r, params.s),
+        D_formula=degree_bound_formula(params.k, n0, params.r, params.s),
         n_points=len(points),
         matrix_rows=report.rows,
         matrix_cols=report.cols,
@@ -121,6 +124,26 @@ def shifted_error_budget(params: FRSParams, D: int) -> tuple[int, int]:
     return t_windows, e_max
 
 
+def _threshold_plan(params: FRSParams, l: int = 1) -> tuple[int, int, int]:
+    """(n0, D, t): the interpolation count, degree bound and agreement threshold.
+
+    n0 counts the interpolation windows, times l for list recovery, where
+    each of the l tuples in a set contributes its own windows.  Raises
+    ParameterError when the shifted point set cannot certify even the
+    error-free case.
+    """
+    n0 = l * len(interpolation_index_set(params))
+    D = choose_D(params.k, n0, params.r, params.s)
+    if params.variant == SHIFTED:
+        _, e_max = shifted_error_budget(params, D)
+        if e_max < 0:
+            raise ParameterError(
+                "shifted variant cannot certify even the error-free case here"
+            )
+        return n0, D, params.N - e_max
+    return n0, D, agreement_threshold(D, params.m, params.s, params.r)
+
+
 def list_decode(params: FRSParams, received, seed: int = 0) -> DecodeResult:
     """All messages whose encoding agrees with the received word on >= t symbols.
 
@@ -131,22 +154,12 @@ def list_decode(params: FRSParams, received, seed: int = 0) -> DecodeResult:
     received = validate_word(params, received)
     y = unfold(params, received)
     points = interpolation_points(params, y)
-    n0 = len(points)
-    D = choose_D(params.k, n0, params.r, params.s)
-    if params.variant == SHIFTED:
-        t_windows, e_max = shifted_error_budget(params, D)
-        if e_max < 0:
-            raise ParameterError(
-                "shifted variant cannot certify even the error-free case here"
-            )
-        t = max(params.N - e_max, 0)
-    else:
-        t = agreement_threshold(D, params.m, params.s, params.r)
+    n0, D, t = _threshold_plan(params)
 
     def keep(f: UniPoly) -> bool:
         return folded_agreement(encode(params, f), received) >= t
 
-    return _run_pipeline(params, points, D, t, keep, seed)
+    return _run_pipeline(params, points, n0, D, t, keep, seed)
 
 
 def list_recover(params: FRSParams, sets: RecoverySets, seed: int = 0) -> DecodeResult:
@@ -154,8 +167,9 @@ def list_recover(params: FRSParams, sets: RecoverySets, seed: int = 0) -> Decode
 
     Every candidate tuple in every per-position set contributes its m-s+1
     interpolation windows; duplicate points are merged before constraint
-    generation.  Feasibility is computed with n0 replaced by n0 * l.  With
-    l = 1 this reduces exactly to list decoding.
+    generation.  Feasibility is computed with n0 replaced by n0 * l, and the
+    reported D_formula uses that n0 too.  With l = 1 this reduces exactly to
+    list decoding.
     """
     if params.variant != STANDARD:
         raise UnsupportedVariantError("list recovery is defined for the standard point set")
@@ -172,15 +186,13 @@ def list_recover(params: FRSParams, sets: RecoverySets, seed: int = 0) -> Decode
                 if pt not in seen:
                     seen.add(pt)
                     points.append(pt)
-    n0_effective = sets.l * params.n * (m - s + 1) // m
-    D = choose_D(params.k, n0_effective, params.r, s)
-    t = agreement_threshold(D, m, s, params.r)
+    n0, D, t = _threshold_plan(params, sets.l)
 
     def keep(f: UniPoly) -> bool:
         cw = encode(params, f)
         return sum(1 for j in range(params.N) if cw[j] in sets.sets[j]) >= t
 
-    return _run_pipeline(params, points, D, t, keep, seed)
+    return _run_pipeline(params, points, n0, D, t, keep, seed)
 
 
 # ---------------------------------------------------------------------------

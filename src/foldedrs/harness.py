@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoder import (
-    agreement_threshold,
+    _threshold_plan,
     decoding_bounds,
     list_decode,
     list_recover,
@@ -32,13 +32,12 @@ from .frs import (
     RecoverySets,
     ShapeError,
     encode,
-    interpolation_index_set,
     read_message,
     read_word,
     validate_word,
     write_word,
 )
-from .interp import ParameterError, choose_D
+from .interp import ParameterError
 from .poly import UniPoly
 
 UNIFORM = "uniform"
@@ -184,15 +183,7 @@ def oracle_decode(params: FRSParams, received, t: int) -> set[UniPoly]:
 
 def pipeline_threshold(params: FRSParams) -> int:
     """The agreement threshold list_decode will use for these parameters."""
-    from .decoder import shifted_error_budget
-    from .frs import SHIFTED
-
-    n0 = len(interpolation_index_set(params))
-    D = choose_D(params.k, n0, params.r, params.s)
-    if params.variant == SHIFTED:
-        _, e_max = shifted_error_budget(params, D)
-        return max(params.N - e_max, 0)
-    return agreement_threshold(D, params.m, params.s, params.r)
+    return _threshold_plan(params)[2]
 
 
 def simulate(

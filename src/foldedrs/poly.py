@@ -671,14 +671,9 @@ def _yp_monic(ctx: _ExtCtx, a: np.ndarray) -> np.ndarray:
     a = _yp_trim(a)
     if a.shape[0] == 0:
         return a
-    lead = a[-1]
-    if ctx.dim == 1 and lead[0] == 1:
+    if _sc_is_one(ctx, a[-1]):
         return a
-    if ctx.dim > 1 and lead[0] == 1 and not lead[1:].any():
-        return a
-    inv = _sc_inv(ctx, lead)
-    out = _yp_scalar_mul(ctx, a, inv)
-    return out
+    return _yp_scalar_mul(ctx, a, _sc_inv(ctx, a[-1]))
 
 
 def _yp_gcd(ctx: _ExtCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -705,9 +700,13 @@ class FrobeniusReducer:
 
     In characteristic q the q-th power of sum(c_j Y^j) is
     sum(c_j^q Y^(q j)); coefficientwise the q-th power is the cheap
-    gamma-scaling map, so each step is a sparse substitution Y -> Y^q
-    followed by reduction mod R.  Substitutions reuse a lazily built table
-    of Y^(q j) mod R when the modulus is small enough to afford it.
+    gamma-scaling map, so each step is the substitution Y -> Y^q followed by
+    reduction mod R.  Up to deg R = _TABLE_LIMIT the first step builds a
+    table of Y^(q j) mod R for j < deg R, and every step is one contraction
+    of that table with the scaled coefficients.  Above the limit the table
+    would not fit in memory, so each step writes the coefficients into rows
+    0, q, 2q, ... of a zero array (the substituted polynomial) and reduces it
+    mod R once.
     """
 
     _TABLE_LIMIT = 600
@@ -724,7 +723,7 @@ class FrobeniusReducer:
     def _build_table(self):
         ctx = self.ctx
         lr = self.R.shape[0] - 1  # residues have at most lr rows
-        table = np.zeros((lr, lr, ctx.dim), dtype=np.int64)
+        table = np.zeros((lr, lr, ctx.dim), dtype=np.float64)
         cur = np.zeros((1, ctx.dim), dtype=np.int64)
         cur[0, 0] = 1
         table[0, : cur.shape[0]] = cur
@@ -735,16 +734,6 @@ class FrobeniusReducer:
             table[j, : cur.shape[0]] = cur
         self._table = table
 
-    def monomial_mod(self, e: int) -> np.ndarray:
-        """Y^e mod R."""
-        ctx = self.ctx
-        lr = self.R.shape[0]
-        if e < lr - 1:
-            return _yp_monomial(ctx, e)
-        if e + 1 <= 4 * lr:
-            return _yp_mod(ctx, _yp_monomial(ctx, e), self.R)
-        return _yp_pow_mod(ctx, _yp_monomial(ctx, 1), e, self.R)
-
     def step(self, u: np.ndarray) -> np.ndarray:
         """u^q mod R for a residue u (shape (<= deg R, dim))."""
         ctx = self.ctx
@@ -753,23 +742,16 @@ class FrobeniusReducer:
             return u
         if ctx.dim > 1:
             u = (u * ctx.gamma_pows[None, :]) % ctx.q
-        nz = np.flatnonzero(u.any(axis=1))
-        if len(nz) == 1:
-            e0 = int(nz[0])
-            return _yp_scalar_mul(ctx, self.monomial_mod(ctx.q * e0), u[e0])
-        lr = self.R.shape[0] - 1
-        if lr <= self._TABLE_LIMIT:
-            if self._table is None:
-                self._build_table()
-            n = u.shape[0]
-            mats = _sc_matrices(ctx, u).astype(np.float64)
-            prod = np.tensordot(self._table[:n].astype(np.float64), mats, axes=([0, 2], [0, 1]))
-            return _yp_trim(prod.astype(np.int64) % ctx.q)
-        # modulus too large to table: substitute term by term
-        acc = _yp_zero(ctx)
-        for j in nz:
-            acc = _yp_add(ctx, acc, _yp_scalar_mul(ctx, self.monomial_mod(ctx.q * int(j)), u[j]))
-        return acc
+        n = u.shape[0]
+        if self.R.shape[0] - 1 > self._TABLE_LIMIT:
+            sub = np.zeros((ctx.q * (n - 1) + 1, ctx.dim), dtype=np.int64)
+            sub[:: ctx.q] = u
+            return _yp_mod(ctx, sub, self.R)
+        if self._table is None:
+            self._build_table()
+        mats = _sc_matrices(ctx, u).astype(np.float64)
+        prod = np.tensordot(self._table[:n], mats, axes=([0, 2], [0, 1]))
+        return _yp_trim(prod.astype(np.int64) % ctx.q)
 
     def field_power_residue(self) -> np.ndarray:
         """Y^(q^dim) mod R, by dim successive q-th powers."""

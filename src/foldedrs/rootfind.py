@@ -160,7 +160,7 @@ def candidates_from_Q(
     # vanishing polynomial of that subspace (the other roots are pruned anyway)
     reducer = FrobeniusReducer(ctx, R)
     a = low_degree_vanishing_coeffs(q, gamma, k)
-    u = _yp_trim(_yp_mod_small(ctx, _yp_monomial(ctx, 1), reducer))
+    u = _yp_mod(ctx, _yp_monomial(ctx, 1), reducer.R)
     w = _yp_zero(ctx)
     for i, ai in enumerate(a):
         if ai:
@@ -189,13 +189,6 @@ def candidates_from_Q(
             out.append(UniPoly.from_ints(params.field, msg_coeffs))
     out.sort(key=lambda f: f.int_coeffs(pad_to=k + 1))
     return tuple(out)
-
-
-def _yp_mod_small(ctx, arr, reducer: FrobeniusReducer):
-    """arr mod the reducer's modulus (cheap helper for the chain start)."""
-    if arr.shape[0] < reducer.R.shape[0]:
-        return arr
-    return _yp_mod(ctx, arr, reducer.R)
 
 
 def exhaustive_candidates(Q0: MultiPoly, params) -> tuple[UniPoly, ...]:

@@ -19,7 +19,13 @@ from foldedrs.frs import (
     unfold,
 )
 from foldedrs.harness import ChannelSpec, apply_channel, oracle_decode
-from foldedrs.interp import InterpolationProblem, ParameterError, choose_D, interpolate_with_report
+from foldedrs.interp import (
+    InterpolationProblem,
+    ParameterError,
+    choose_D,
+    degree_bound_formula,
+    interpolate_with_report,
+)
 from foldedrs.poly import UniPoly
 
 P13 = FRSParams(q=13, m=3, k=2, s=2, r=3)
@@ -119,6 +125,20 @@ def test_list_recover_two_planted_codewords():
     )
     res = list_recover(p, sets, seed=0)
     assert f in res.messages and g in res.messages
+
+
+def test_list_recover_D_formula_uses_the_n0_that_chose_D():
+    # D comes from n0 = l * (interpolation windows) = 48, not from the 24
+    # merged points, so D_formula must be computed from 48 as well
+    p = FRSParams(q=31, m=5, k=2, s=2, r=3)
+    msg = UniPoly.from_ints(p.field, [3, 1, 4])
+    sets = RecoverySets.from_iterables([[sym] for sym in encode(p, msg)], l=2)
+    res = list_recover(p, sets, seed=0)
+    st = res.stats
+    assert (st.n_points, st.D) == (24, 20)
+    assert st.D_formula == degree_bound_formula(p.k, 48, p.r, p.s)
+    assert st.D <= st.D_formula
+    assert msg in res.messages
 
 
 def test_list_recover_rejects_shifted():

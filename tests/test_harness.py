@@ -1,5 +1,9 @@
 import dataclasses
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -290,3 +294,22 @@ def test_pipeline_threshold_matches_decode():
     from foldedrs.decoder import list_decode
 
     assert list_decode(P13, encode(P13, msg)).t == res_t
+
+
+def test_error_sweep_script_smoke(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "sweep.csv"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in [str(root / "src"), env.get("PYTHONPATH")] if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "error_sweep.py"), "--trials", "1",
+         "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=300, check=True,
+    )
+    t = pipeline_threshold(P13)
+    first = proc.stdout.splitlines()[0]
+    assert first.startswith(f"n={P13.n} N={P13.N} D=")
+    assert f" t={t} certified e* = {P13.N - t}" in first
+    assert out.read_text().splitlines()[0] == SIMULATE_HEADER

@@ -287,7 +287,7 @@ def _random_yp(rng, ctx, max_deg):
 
 def test_frobenius_reducer_step_matches_generic_power():
     # u -> u^q mod R via the reducer must agree with square-and-multiply,
-    # across the monomial, tabled, and untabled code paths
+    # for monomial and general inputs
     rng = random.Random(17)
     for q in [5, 7]:
         ext = standard_extension(q)
@@ -311,17 +311,32 @@ def test_frobenius_reducer_step_matches_generic_power():
 
 
 def test_frobenius_reducer_untabled_path_matches():
+    # the direct path (substitute Y -> Y^q, reduce once) runs above
+    # _TABLE_LIMIT; both paths must equal generic powering, also on single-row
+    # inputs: Y, Y^q mod R (one row when deg R > q) and a top-row-only u
     rng = random.Random(23)
-    ext = standard_extension(5)
-    ctx = _ctx_for(ext)
-    R = _random_yp(rng, ctx, 8)
-    while R.shape[0] < 4:
-        R = _random_yp(rng, ctx, 8)
-    tabled = FrobeniusReducer(ctx, R)
-    untabled = FrobeniusReducer(ctx, R)
-    untabled._TABLE_LIMIT = 0
-    u = _yp_mod(ctx, _random_yp(rng, ctx, 12), tabled.R)
-    assert np.array_equal(tabled.step(u), untabled.step(u))
+    for q, deg in [(5, 3), (5, 7), (5, 12), (7, 9)]:
+        ctx = _ctx_for(standard_extension(q))
+        R = np.array([[rng.randrange(q) for _ in range(ctx.dim)] for _ in range(deg + 1)])
+        R[deg, 0] = rng.randrange(1, q)
+        tabled = FrobeniusReducer(ctx, R)
+        untabled = FrobeniusReducer(ctx, R)
+        untabled._TABLE_LIMIT = 0
+        y_q = _yp_mod(ctx, _yp_monomial(ctx, q), tabled.R)
+        assert (np.count_nonzero(y_q.any(axis=1)) == 1) == (deg > q)
+        top = np.zeros((deg, ctx.dim), dtype=np.int64)
+        top[-1] = [rng.randrange(q) for _ in range(ctx.dim)]
+        top[-1, 0] = rng.randrange(1, q)
+        inputs = [
+            _yp_mod(ctx, _random_yp(rng, ctx, 2 * deg), tabled.R),
+            _yp_monomial(ctx, 1),
+            y_q,
+            top,
+        ]
+        for u in inputs:
+            expect = _yp_pow_mod(ctx, u, q, tabled.R)
+            assert np.array_equal(tabled.step(u), expect)
+            assert np.array_equal(untabled.step(u), expect)
 
 
 def test_float64_paths_refuse_inexact_sizes():
