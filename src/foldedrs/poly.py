@@ -32,7 +32,6 @@ from .galois import (
     FieldElem,
     PrimeField,
     _ppow_mod,
-    _ptrim,
 )
 
 
@@ -562,19 +561,40 @@ def _sc_matrices(ctx: _ExtCtx, cs: np.ndarray) -> np.ndarray:
     return v[:, _window_index(dim)]
 
 
-def _sc_inv(ctx: _ExtCtx, c: np.ndarray) -> np.ndarray:
-    from .galois import _pext_euclid_inverse
+def _sc_frobenius(ctx: _ExtCtx, c: np.ndarray, i: int) -> np.ndarray:
+    """c^(q^i): X^q = gamma X when dim = q-1, so coefficient j scales by gamma^(i j)."""
+    return c * _gamma_pows(ctx.q, ctx.dim, pow(ctx.gamma, i, ctx.q)) % ctx.q
 
+
+def _sc_inv(ctx: _ExtCtx, c: np.ndarray) -> np.ndarray:
+    """c^-1 through the norm (Itoh-Tsujii).
+
+    With beta_m = c^(1 + q + ... + q^(m-1)), r = beta_(dim-1)^q is
+    c^(q + ... + q^(dim-1)), so c * r = c^((|field|-1)/(q-1)) is the norm of
+    c, an element of F_q, and c^-1 = r / norm.  beta_(dim-1) comes from the binary expansion of
+    dim - 1 by beta_2m = beta_m * beta_m^(q^m) and beta_(m+1) = c * beta_m^q,
+    i.e. O(log dim) exact products; the q^m-th powers are coefficient scalings.
+    """
+    q = ctx.q
+    c = c % q
+    if not c.any():
+        raise ZeroDivisionError("inverse of zero")
     if ctx.dim == 1:
-        v = int(c[0]) % ctx.q
-        if v == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return np.array([pow(v, ctx.q - 2, ctx.q)], dtype=np.int64)
-    mod = [(-ctx.gamma) % ctx.q] + [0] * (ctx.dim - 1) + [1]
-    inv = _pext_euclid_inverse(_ptrim([int(v) for v in c]), mod, ctx.q)
-    out = np.zeros(ctx.dim, dtype=np.int64)
-    out[: len(inv)] = inv
-    return out
+        return np.array([pow(int(c[0]), q - 2, q)], dtype=np.int64)
+
+    def mul(a, b):
+        return a @ _sc_matrix(ctx, b) % q
+
+    beta, m = c, 1
+    for bit in bin(ctx.dim - 1)[3:]:
+        beta, m = mul(beta, _sc_frobenius(ctx, beta, m)), 2 * m
+        if bit == "1":
+            beta, m = mul(c, _sc_frobenius(ctx, beta, 1)), m + 1
+    r = _sc_frobenius(ctx, beta, 1)
+    norm = mul(c, r)
+    if norm[1:].any() or norm[0] == 0:
+        raise ZeroDivisionError("element is not invertible (norm not a nonzero scalar)")
+    return r * pow(int(norm[0]), q - 2, q) % q
 
 
 def _yp_trim(arr: np.ndarray) -> np.ndarray:
@@ -631,6 +651,12 @@ def _yp_mul(ctx: _ExtCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             )
             out[j : j + a.shape[0]] %= ctx.q
     return _yp_trim(out)
+
+
+def _fmod(x: np.ndarray, q: int) -> np.ndarray:
+    """x mod q in place, for integer-valued float64 0 <= x < 2^52 (floor(x / q) is exact there)."""
+    x -= q * np.floor(x / q)
+    return x
 
 
 def _sc_is_one(ctx: _ExtCtx, c: np.ndarray) -> bool:
@@ -707,6 +733,27 @@ class FrobeniusReducer:
     would not fit in memory, so each step writes the coefficients into rows
     0, q, 2q, ... of a zero array (the substituted polynomial) and reduces it
     mod R once.
+
+    The table is built in two parts, with d = deg R.  First
+    P[i] = Y^(d+i) mod R for i < q, each from the one before by a one-row
+    shift plus a multiple of P[0] = Y^d - R.  Then row j comes from row j-1,
+    sum(c_t Y^t), in one pass: of Y^q times it, the terms c_t Y^(t+q) with
+    t + q < d stay as they are, and the high coefficients h_i = c_(d-q+i)
+    (the ones that reach Y^(d+i)) add sum_i h_i P[i].  That sum runs in the
+    Fourier domain along X: real FFTs of length F, the power of two
+    >= 2 dim - 1 (so products do not wrap), one (1 x q) @ (q x d) complex
+    product per frequency, and an inverse FFT that gives the coefficients of
+    X^0 .. X^(2 dim - 2).  These are rounded, folded with X^dim = gamma and
+    reduced mod q.  Only the transformed P is kept.
+
+    Exactness: each coefficient before the fold is a sum of at most q * dim
+    products of residues below q, so B = q * dim * (q-1)^2 bounds both it and
+    sum_i ||h_i||_2 ||P[i]_t||_2.  By Percival's bound for FFT products
+    (twiddle factors accurate to 2^-53) plus the bound for the q-term complex
+    sum, the computed coefficient is within B * (13 log2 F + 2q + 3) * 2^-53
+    of the integer.  Building the table refuses (ParameterError) sizes where
+    that reaches 1/4, and checks that every value lies within 1/4 of an
+    integer before it is rounded.
     """
 
     _TABLE_LIMIT = 600
@@ -722,16 +769,46 @@ class FrobeniusReducer:
 
     def _build_table(self):
         ctx = self.ctx
+        q, dim = ctx.q, ctx.dim
         lr = self.R.shape[0] - 1  # residues have at most lr rows
-        table = np.zeros((lr, lr, ctx.dim), dtype=np.float64)
-        cur = np.zeros((1, ctx.dim), dtype=np.int64)
-        cur[0, 0] = 1
-        table[0, : cur.shape[0]] = cur
+        width = 2 * dim - 1  # X-degree of a product, before the fold
+        nfft = 1 << (width - 1).bit_length()
+        bound = q * dim * (q - 1) ** 2 * (13 * (nfft.bit_length() - 1) + 2 * q + 3)
+        if 4 * bound >= 2**53:
+            raise ParameterError(
+                f"Frobenius table: q * dim * (q-1)^2 * (13 log2 F + 2q + 3) >= 2^51 with "
+                f"q = {q}, dim = {dim}, F = {nfft}; the Fourier-domain sum would not be exact"
+            )
+        lo = max(q - lr, 0)  # Y^q * (row j-1) reaches Y^(lr+i) only for i >= lo
+        p_hat = np.empty((nfft // 2 + 1, q - lo, lr), dtype=np.complex128)
+        p0 = (-self.R[:lr] % q).astype(np.float64)
+        p = p0
+        for i in range(q):
+            if i >= lo:
+                p_hat[:, i - lo, :] = np.fft.rfft(p, n=nfft, axis=1).T
+            top = p[-1]
+            p = np.concatenate((np.zeros((1, dim)), p[:-1]))
+            if top.any():
+                p = _fmod(p + p0 @ _sc_matrix(ctx, top.astype(np.int64)).astype(np.float64), q)
+        keep = max(lr - q, 0)  # rows of row j-1 that stay below Y^lr after the shift
+        table = np.zeros((lr, lr, dim), dtype=np.float64)
+        table[0, 0, 0] = 1
         for j in range(1, lr):
-            shifted = np.zeros((cur.shape[0] + ctx.q, ctx.dim), dtype=np.int64)
-            shifted[ctx.q :] = cur
-            cur = _yp_mod(ctx, shifted, self.R)
-            table[j, : cur.shape[0]] = cur
+            prev, row = table[j - 1], table[j]
+            row[q:] = prev[:keep]
+            high = prev[keep:]
+            if not high.any():
+                continue
+            h_hat = np.fft.rfft(high, n=nfft, axis=1)
+            s_hat = np.matmul(h_hat.T[:, None, :], p_hat)[:, 0, :]
+            s = np.fft.irfft(s_hat.T, n=nfft, axis=1)[:, :width]
+            r = np.rint(s)
+            if np.abs(s - r).max() > 0.25:
+                raise FloatingPointError("Fourier-domain sum strayed from the integers")
+            # below q + q * B < 2^51 (see the bound above): exact before the one reduction
+            row += r[:, :dim]
+            row[:, : dim - 1] += ctx.gamma * r[:, dim:]
+            _fmod(row, q)
         self._table = table
 
     def step(self, u: np.ndarray) -> np.ndarray:
@@ -764,17 +841,18 @@ class FrobeniusReducer:
         return u
 
 
-def _half_field_power(ctx: _ExtCtx, base: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """base^((|field| - 1) / 2) mod `mod`.
+def _half_field_power(ctx: _ExtCtx, base: np.ndarray, reducer: FrobeniusReducer) -> np.ndarray:
+    """base^((|field| - 1) / 2) mod reducer.R.
 
     Written through the base-q factorization of the exponent:
     (q^dim - 1)/2 = (1 + q + ... + q^(dim-1)) * (q-1)/2, so the result is the
     norm-like product prod_i base^(q^i), raised to (q-1)/2.  The q-th powers
-    come from cheap Frobenius steps instead of generic squarings.
+    come from cheap Frobenius steps instead of generic squarings; the caller
+    passes one reducer per modulus, so its table is built once.
     """
+    mod = reducer.R
     if ctx.dim == 1:
         return _yp_pow_mod(ctx, base, (ctx.q - 1) // 2, mod)
-    reducer = FrobeniusReducer(ctx, mod)
     w = _yp_mod(ctx, base, mod)
     acc = w
     for _ in range(ctx.dim - 1):
@@ -807,6 +885,9 @@ def _edf_roots(ctx: _ExtCtx, g: np.ndarray, rng: random.Random) -> list[np.ndarr
             pending.append(h)
 
     route(g)
+    if not pending:
+        return roots
+    reducer = FrobeniusReducer(ctx, g)
     one = np.eye(1, ctx.dim, dtype=np.int64)
     rounds = 0
     while pending:
@@ -817,7 +898,7 @@ def _edf_roots(ctx: _ExtCtx, g: np.ndarray, rng: random.Random) -> list[np.ndarr
         base = np.zeros((2, ctx.dim), dtype=np.int64)
         base[0] = c
         base[1, 0] = 1
-        power = _half_field_power(ctx, base, g)
+        power = _half_field_power(ctx, base, reducer)
         batch, pending = pending, []
         for h in batch:
             ph = _yp_mod(ctx, power, h)

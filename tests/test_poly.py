@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foldedrs.galois import PrimeField, find_primitive_element, standard_extension
+from foldedrs.galois import (
+    PrimeField,
+    _pext_euclid_inverse,
+    _ptrim,
+    find_primitive_element,
+    standard_extension,
+)
 from foldedrs.poly import (
     FrobeniusReducer,
     Monomial,
@@ -17,6 +23,7 @@ from foldedrs.poly import (
     _ExtCtx,
     _half_field_power,
     _roots_arr,
+    _sc_inv,
     _yp_mod,
     _yp_monic,
     _yp_monomial,
@@ -285,6 +292,62 @@ def _random_yp(rng, ctx, max_deg):
     return _yp_trim(arr)
 
 
+def _ctx_q(q):
+    # F_2 is not a supported base field; its extension of degree q - 1 = 1 is
+    # F_2 itself, which the array code still handles
+    return _ExtCtx(2, 1, 1) if q == 2 else _ctx_for(standard_extension(q))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 13, 31, 101])
+def test_sc_inv_matches_euclid(q):
+    # the norm-based inverse must equal the extended Euclid of
+    # ExtFieldElem.inverse, on random elements, scalars and X^(dim-1)
+    rng = random.Random(q)
+    ctx = _ctx_q(q)
+    modulus = [(-ctx.gamma) % q] + [0] * (ctx.dim - 1) + [1]
+    cases = [np.eye(1, ctx.dim, ctx.dim - 1, dtype=np.int64)[0]]
+    cases.append(np.eye(1, ctx.dim, dtype=np.int64)[0] * rng.randrange(1, q))
+    cases += [np.array([rng.randrange(q) for _ in range(ctx.dim)]) for _ in range(12)]
+    for c in cases:
+        if not c.any():
+            continue
+        expect = _pext_euclid_inverse(_ptrim(c.tolist()), modulus, q)
+        assert _sc_inv(ctx, c).tolist() == expect + [0] * (ctx.dim - len(expect))
+    with pytest.raises(ZeroDivisionError):
+        _sc_inv(ctx, np.zeros(ctx.dim, dtype=np.int64))
+
+
+def _reference_table(reducer):
+    """The schoolbook chain: row j is Y^q * (row j-1) reduced mod R by a full _yp_mod."""
+    ctx = reducer.ctx
+    lr = reducer.R.shape[0] - 1
+    table = np.zeros((lr, lr, ctx.dim))
+    cur = _yp_monomial(ctx, 0)
+    table[0, :1] = cur
+    for j in range(1, lr):
+        shifted = np.zeros((cur.shape[0] + ctx.q, ctx.dim), dtype=np.int64)
+        shifted[ctx.q :] = cur
+        cur = _yp_mod(ctx, shifted, reducer.R)
+        table[j, : cur.shape[0]] = cur
+    return table
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 13, 31])
+def test_frobenius_table_matches_schoolbook_chain(q):
+    # deg R on both sides of q: no row stays low when q >= deg R, deg R = 1 is
+    # a one-row table and q = 2 has dim = 1; R is not monic
+    rng = random.Random(41 + q)
+    ctx = _ctx_q(q)
+    for deg in sorted({1, 2, q - 2, q - 1, q, q + 1, 3 * q} - {0}):
+        R = np.array([[rng.randrange(q) for _ in range(ctx.dim)] for _ in range(deg + 1)])
+        R[deg, rng.randrange(ctx.dim)] = rng.randrange(1, q)
+        reducer = FrobeniusReducer(ctx, R)
+        reducer._build_table()
+        assert reducer._table.dtype == np.float64
+        assert reducer._table.shape == (deg, deg, ctx.dim)
+        assert np.array_equal(reducer._table, _reference_table(reducer))
+
+
 def test_frobenius_reducer_step_matches_generic_power():
     # u -> u^q mod R via the reducer must agree with square-and-multiply,
     # for monomial and general inputs
@@ -350,6 +413,14 @@ def test_float64_paths_refuse_inexact_sizes():
     FrobeniusReducer(ctx, _yp_monomial(ctx, 2**7 - 1))
     with pytest.raises(ParameterError):
         FrobeniusReducer(ctx, _yp_monomial(ctx, 2**7))
+    # building the table sums q * dim products per coefficient in the Fourier
+    # domain: B * (13 log2 F + 2q + 3) must stay below 2^51 with
+    # B = q * dim * (q-1)^2, and with dim = 2^6 (F = 2^7) q = 2037 reaches it
+    ctx = _ExtCtx(2036, 2**6, 3)
+    FrobeniusReducer(ctx, _yp_monomial(ctx, 1)).step(_yp_monomial(ctx, 0))
+    ctx = _ExtCtx(2037, 2**6, 3)
+    with pytest.raises(ParameterError):
+        FrobeniusReducer(ctx, _yp_monomial(ctx, 1)).step(_yp_monomial(ctx, 0))
 
 
 def test_half_field_power_matches_generic_power():
@@ -366,7 +437,7 @@ def test_half_field_power_matches_generic_power():
                 continue
             base = _random_yp(rng, ctx, mod.shape[0] - 2)
             expect = _yp_pow_mod(ctx, base, half, mod)
-            got = _half_field_power(ctx, base, _yp_trim(mod))
+            got = _half_field_power(ctx, base, FrobeniusReducer(ctx, _yp_trim(mod)))
             # both are residues mod the monic normalization of mod
             m = _yp_monic(ctx, mod)
             assert np.array_equal(_yp_mod(ctx, got, m), _yp_mod(ctx, expect, m))
