@@ -9,9 +9,11 @@ Three layers live here:
   (1,k,...,k)-weighted degree bookkeeping and Hasse shift coefficients.
 * a numpy toolkit for heavy univariate arithmetic over the extension field
   F_q[X]/(X^(q-1) - gamma), where a polynomial of degree d is stored as an
-  int64 array of shape (d+1, q-1).  Root finding works through gcds with the
-  field equation computed by iterated Frobenius powering, followed by seeded
-  randomized equal-degree splitting.
+  int64 array of shape (d+1, q-1).  Root finding is one pipeline on these
+  arrays: g = gcd(R, L mod R) for a q-linearized L (the field equation, or
+  in ``rootfind`` the vanishing polynomial of the low-degree subspace), with
+  L mod R from a chain of Frobenius steps, then seeded randomized
+  equal-degree splitting of g.
 
 All operations are pure; randomized splitting takes an explicit seed so
 concurrent calls never share state.
@@ -544,21 +546,14 @@ def _window_index(dim: int) -> np.ndarray:
 
 
 def _sc_matrix(ctx: _ExtCtx, c: np.ndarray) -> np.ndarray:
-    """Multiplication-by-c matrix M: (a @ M) is the coefficient vector of a*c."""
-    dim = ctx.dim
-    if dim == 1:
-        return c.reshape(1, 1) % ctx.q
-    v = np.concatenate(((ctx.gamma * c) % ctx.q, c % ctx.q))
-    return v[_window_index(dim)]
+    """Multiplication-by-c matrix M: (a @ M) is the coefficient vector of a*c.
 
-
-def _sc_matrices(ctx: _ExtCtx, cs: np.ndarray) -> np.ndarray:
-    """Stacked multiplication matrices for an array of scalars, shape (n, dim, dim)."""
-    n, dim = cs.shape
-    if dim == 1:
-        return (cs % ctx.q).reshape(n, 1, 1)
-    v = np.concatenate(((ctx.gamma * cs) % ctx.q, cs % ctx.q), axis=1)
-    return v[:, _window_index(dim)]
+    Scalars of shape (..., dim) give stacked matrices of shape (..., dim, dim).
+    """
+    v = np.concatenate(((ctx.gamma * c) % ctx.q, c % ctx.q), axis=-1)
+    # take() is markedly faster than fancy indexing v[..., idx] here, and the
+    # method skips the dispatch cost of np.take (this runs per quotient row)
+    return v.take(_window_index(ctx.dim), axis=-1)
 
 
 def _sc_frobenius(ctx: _ExtCtx, c: np.ndarray, i: int) -> np.ndarray:
@@ -724,6 +719,9 @@ def _yp_pow_mod(ctx: _ExtCtx, base: np.ndarray, exp: int, mod: np.ndarray) -> np
 class FrobeniusReducer:
     """Computes u -> u^q mod R over F_q[X]/(X^dim - gamma) repeatedly.
 
+    ``linearized_residue`` chains these steps into sum a_i Y^(q^i) mod R, the
+    residue that both root-finding entry points take a gcd with.
+
     In characteristic q the q-th power of sum(c_j Y^j) is
     sum(c_j^q Y^(q j)); coefficientwise the q-th power is the cheap
     gamma-scaling map, so each step is the substitution Y -> Y^q followed by
@@ -817,8 +815,11 @@ class FrobeniusReducer:
         u = _yp_trim(u % ctx.q)
         if u.shape[0] == 0:
             return u
-        if ctx.dim > 1:
-            u = (u * ctx.gamma_pows[None, :]) % ctx.q
+        if ctx.dim == 1:
+            # F_q is fixed by Frobenius, so u^q needs only log2(q) squarings,
+            # and no table sized by q (which would refuse large prime q)
+            return _yp_pow_mod(ctx, u, ctx.q, self.R)
+        u = (u * ctx.gamma_pows[None, :]) % ctx.q
         n = u.shape[0]
         if self.R.shape[0] - 1 > self._TABLE_LIMIT:
             sub = np.zeros((ctx.q * (n - 1) + 1, ctx.dim), dtype=np.int64)
@@ -826,19 +827,21 @@ class FrobeniusReducer:
             return _yp_mod(ctx, sub, self.R)
         if self._table is None:
             self._build_table()
-        mats = _sc_matrices(ctx, u).astype(np.float64)
+        mats = _sc_matrix(ctx, u).astype(np.float64)
         prod = np.tensordot(self._table[:n], mats, axes=([0, 2], [0, 1]))
         return _yp_trim(prod.astype(np.int64) % ctx.q)
 
-    def field_power_residue(self) -> np.ndarray:
-        """Y^(q^dim) mod R, by dim successive q-th powers."""
+    def linearized_residue(self, a) -> np.ndarray:
+        """sum_i a_i Y^(q^i) mod R for base-field scalars a_i, by len(a) - 1 steps."""
         ctx = self.ctx
-        if ctx.dim == 1:
-            return _yp_pow_mod(ctx, _yp_monomial(ctx, 1), ctx.q, self.R)
         u = _yp_mod(ctx, _yp_monomial(ctx, 1), self.R)
-        for _ in range(ctx.dim):
-            u = self.step(u)
-        return u
+        w = _yp_zero(ctx)
+        for i, ai in enumerate(a):
+            if ai:
+                w = _yp_add(ctx, w, u * ai % ctx.q)
+            if i < len(a) - 1:
+                u = self.step(u)
+        return w
 
 
 def _half_field_power(ctx: _ExtCtx, base: np.ndarray, reducer: FrobeniusReducer) -> np.ndarray:
@@ -851,8 +854,6 @@ def _half_field_power(ctx: _ExtCtx, base: np.ndarray, reducer: FrobeniusReducer)
     passes one reducer per modulus, so its table is built once.
     """
     mod = reducer.R
-    if ctx.dim == 1:
-        return _yp_pow_mod(ctx, base, (ctx.q - 1) // 2, mod)
     w = _yp_mod(ctx, base, mod)
     acc = w
     for _ in range(ctx.dim - 1):
@@ -864,6 +865,8 @@ def _half_field_power(ctx: _ExtCtx, base: np.ndarray, reducer: FrobeniusReducer)
 def _edf_roots(ctx: _ExtCtx, g: np.ndarray, rng: random.Random) -> list[np.ndarray]:
     """All roots of a monic squarefree g that splits into linear factors over the field.
 
+    Both callers pass g = gcd(R, L mod R), where L = sum a_i Y^(q^i) has all
+    its roots in the field and L' = a_0 != 0, so g qualifies as it is.
     Randomized equal-degree splitting with exponent (|field| - 1) / 2: each
     round draws one random shift c, computes (Y + c)^((|field|-1)/2) modulo g
     once, and splits every remaining factor with gcd(h, that power - 1).  The
@@ -918,39 +921,27 @@ def _roots_arr(ctx: _ExtCtx, arr: np.ndarray, seed: int) -> list[np.ndarray]:
         raise ValueError("root finding needs a nonzero polynomial")
     if arr.shape[0] == 1:
         return []
-    R = _yp_monic(ctx, arr)
-    if R.shape[0] == 2:
-        return [(-R[0]) % ctx.q]
-    reducer = FrobeniusReducer(ctx, R)
-    w = reducer.field_power_residue()
-    y = _yp_monomial(ctx, 1)
-    g = _yp_gcd(ctx, R, _yp_add(ctx, w, (-y) % ctx.q))
-    if g.shape[0] <= 1:
-        return []
-    rng = random.Random(seed)
-    return _edf_roots(ctx, g, rng)
+    # the roots in the field are those of g = gcd(R, Y^(q^dim) - Y)
+    field_equation = [ctx.q - 1] + [0] * (ctx.dim - 1) + [1]
+    reducer = FrobeniusReducer(ctx, arr)
+    g = _yp_gcd(ctx, reducer.R, reducer.linearized_residue(field_equation))
+    return _edf_roots(ctx, g, random.Random(seed))
 
 
 def roots_in_field(R: UniPoly, seed: int = 0) -> set:
     """Exactly the set {a in K : R(a) = 0} for R over a supported field K.
 
-    General strategy: gcd of R with the field equation Y^|K| - Y, computed by
-    modular Frobenius powering, then randomized equal-degree splitting with
-    exponent (|K|-1)/2 (odd characteristic) seeded by ``seed``.  For prime
-    fields of size at most 2^16 exhaustive evaluation is used instead.
+    A thin adapter over the array pipeline ``_roots_arr``: gcd of R with the
+    field equation Y^|K| - Y, computed by a chain of Frobenius steps mod R,
+    then randomized equal-degree splitting with exponent (|K|-1)/2 (odd
+    characteristic) seeded by ``seed``.  Prime and extension fields take the
+    same path.
 
     Raises ValueError on the zero polynomial.
     """
     if R.is_zero:
         raise ValueError("cannot find roots of the zero polynomial")
     field = R.field
-    if isinstance(field, PrimeField) and field.q <= 2**16:
-        q = field.q
-        xs = np.arange(q, dtype=np.int64)
-        acc = np.zeros(q, dtype=np.int64)
-        for c in reversed(R.coeffs):
-            acc = (acc * xs + c.value) % q
-        return {field.element(int(v)) for v in xs[acc == 0]}
     ctx = _ctx_for(field)
     if isinstance(field, PrimeField):
         arr = np.array([[c.value] for c in R.coeffs], dtype=np.int64)

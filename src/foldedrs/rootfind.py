@@ -16,6 +16,8 @@ ones that satisfy the original identity exactly.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 
 from .galois import ExtField, _pdivmod, standard_extension
@@ -24,15 +26,12 @@ from .poly import (
     MultiPoly,
     UniPoly,
     _ctx_for,
-    _yp_add,
+    _edf_roots,
     _yp_gcd,
-    _yp_mod,
-    _yp_monomial,
     _yp_trim,
-    _yp_zero,
     compose_message,
-    roots_in_field,
 )
+from .poly import roots_in_field  # noqa: F401  (perfbench's traced run wraps this name)
 
 DEFAULT_CANDIDATE_CAP = 2**16
 
@@ -139,10 +138,15 @@ def candidates_from_Q(
     interpolation step).  Every returned message is re-verified against Q0 by
     direct polynomial composition over F_q[X], an independent check path from
     the extension-field arithmetic.  Raises CandidateOverflowError when the
-    root count would exceed ``cap``.
+    root count would exceed ``cap``, and ValueError when ``ext`` is not the
+    extension of ``params`` (another q or gamma).
     """
     if ext is None:
         ext = standard_extension(params.q)
+    if ext.base.q != params.q or ext.gamma.value != params.gamma.value:
+        raise ValueError(
+            f"{ext!r} is not F_{params.q}[X]/(X^{params.q - 1} - {params.gamma.value})"
+        )
     q = params.q
     k = params.k
     gamma = ext.gamma.value
@@ -157,33 +161,22 @@ def candidates_from_Q(
         return ()
     ctx = _ctx_for(ext)
     # restrict to roots whose representative has degree <= k: gcd with the
-    # vanishing polynomial of that subspace (the other roots are pruned anyway)
+    # q-linearized vanishing polynomial L of that subspace (the other roots
+    # are pruned anyway).  L' = a_0 != 0 and L has its q^(k+1) roots in the
+    # field, so g divides a separable split polynomial: it is squarefree and
+    # splits, and equal-degree splitting takes it as it is
     reducer = FrobeniusReducer(ctx, R)
-    a = low_degree_vanishing_coeffs(q, gamma, k)
-    u = _yp_mod(ctx, _yp_monomial(ctx, 1), reducer.R)
-    w = _yp_zero(ctx)
-    for i, ai in enumerate(a):
-        if ai:
-            scaled = (u * ai) % q
-            w = _yp_add(ctx, w, scaled)
-        if i < len(a) - 1:
-            u = reducer.step(u)
-    g = _yp_gcd(ctx, reducer.R, w)
-    if g.shape[0] - 1 > cap:
+    L = low_degree_vanishing_coeffs(q, gamma, k)
+    g = _yp_gcd(ctx, reducer.R, reducer.linearized_residue(L))
+    if g.shape[0] - 1 > cap:  # g has deg g distinct roots, so this caps the output
         raise CandidateOverflowError(
             f"{g.shape[0] - 1} candidate roots exceed the cap of {cap}"
         )
-    if g.shape[0] <= 1:
-        return ()
-    g_poly = UniPoly(ext, [ext.element(row.tolist()) for row in g])
-    roots = roots_in_field(g_poly, seed=seed)
-    if len(roots) > cap:
-        raise CandidateOverflowError(f"{len(roots)} candidates exceed the cap of {cap}")
     out = []
-    for elem in roots:
-        if elem.rep_degree > k:
+    for row in _edf_roots(ctx, g, random.Random(seed)):
+        if row[k + 1 :].any():
             continue
-        msg_coeffs = list(elem.coeffs[: k + 1])
+        msg_coeffs = row[: k + 1].tolist()
         residual = compose_message(Q0, msg_coeffs, gamma)
         if len(residual) == 0:
             out.append(UniPoly.from_ints(params.field, msg_coeffs))

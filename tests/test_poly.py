@@ -39,6 +39,7 @@ from foldedrs.poly import (
     scale_compose,
     trivariate_monomial_count,
 )
+from foldedrs.rootfind import low_degree_vanishing_coeffs
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -216,7 +217,7 @@ def test_roots_zero_polynomial_rejected():
 
 
 @settings(max_examples=30, deadline=None)
-@given(q=st.sampled_from([5, 7]), data=st.data())
+@given(q=st.sampled_from([5, 7, 13, 101]), data=st.data())
 def test_roots_reevaluate_and_match_exhaustive(q, data):
     field = PrimeField(q)
     coeffs = data.draw(
@@ -253,7 +254,7 @@ def test_generic_gcd_path_matches_exhaustive_on_prime(data):
 
 
 def test_roots_large_prime_field_uses_gcd_path():
-    # 65537 exceeds the exhaustive-evaluation cutoff, so this drives the
+    # a prime field too large for a Frobenius table sized by q: drives the
     # frobenius-powering + splitting route end to end on a prime field
     field = PrimeField(65537)
     a, b = field.element(12345), field.element(54321)
@@ -348,13 +349,16 @@ def test_frobenius_table_matches_schoolbook_chain(q):
         assert np.array_equal(reducer._table, _reference_table(reducer))
 
 
+# prime fields (dim = 1): a small q, and one too large for a table sized by q
+_PRIME_CTXS = [_ExtCtx(13, 1, 0), _ExtCtx(65537, 1, 0)]
+
+
 def test_frobenius_reducer_step_matches_generic_power():
     # u -> u^q mod R via the reducer must agree with square-and-multiply,
     # for monomial and general inputs
     rng = random.Random(17)
-    for q in [5, 7]:
-        ext = standard_extension(q)
-        ctx = _ctx_for(ext)
+    for ctx in [_ctx_for(standard_extension(q)) for q in [5, 7]] + _PRIME_CTXS:
+        q = ctx.q
         for trial in range(8):
             R = _random_yp(rng, ctx, 9)
             if R.shape[0] < 3:
@@ -427,9 +431,7 @@ def test_half_field_power_matches_generic_power():
     # the norm-chain factorization of x^((|K|-1)/2) must equal plain
     # square-and-multiply with the full exponent
     rng = random.Random(31)
-    for q in [5, 7]:
-        ext = standard_extension(q)
-        ctx = _ctx_for(ext)
+    for ctx in [_ctx_for(standard_extension(q)) for q in [5, 7]] + _PRIME_CTXS:
         half = (ctx.size - 1) // 2
         for trial in range(5):
             mod = _random_yp(rng, ctx, 6)
@@ -454,10 +456,24 @@ def test_frobenius_power_residue_fixes_field_elements():
     R = (Y - UniPoly(ext, [a])) * (Y - UniPoly(ext, [b]))
     arr = np.array([list(c.coeffs) for c in R.coeffs], dtype=np.int64)
     reducer = FrobeniusReducer(ctx, arr)
-    w = reducer.field_power_residue()
+    w = reducer.linearized_residue([0] * ctx.dim + [1])
     wp = UniPoly(ext, [ext.element(row.tolist()) for row in w])
     for elem in (a, b):
         assert wp(elem) == elem
+    # the residue of the low-degree vanishing polynomial L vanishes exactly at
+    # the roots of R whose representative has degree <= k
+    k = 1
+    low = [ext.element([3, 1]), ext.element([2])]
+    for c in low:
+        R = R * (Y - UniPoly(ext, [c]))
+    arr = np.array([list(c.coeffs) for c in R.coeffs], dtype=np.int64)
+    reducer = FrobeniusReducer(ctx, arr)
+    w = reducer.linearized_residue(low_degree_vanishing_coeffs(5, ctx.gamma, k))
+    wp = UniPoly(ext, [ext.element(row.tolist()) for row in w])
+    for elem in low:
+        assert wp(elem) == ext.zero()
+    for elem in (a, b):
+        assert wp(elem) != ext.zero()
 
 
 # ---------------------------------------------------------------------------
