@@ -4,7 +4,11 @@ The extension is always built on the binomial X^(q-1) - gamma for a generator
 gamma of F_q*; that binomial is irreducible precisely because gamma is
 primitive, so the quotient ring is a field of size q^(q-1).  Extension
 elements are stored as their reduced representative, a coefficient vector of
-length q-1 over F_q.
+length q-1 over F_q.  Its one scalar arithmetic is the ``_sc_*`` kernels on
+int64 vectors (``ExtField.ctx``; ``PrimeField.ctx`` is the case dim = 1):
+products by convolution and the fold X^dim = gamma, inverses through the
+norm, the q-th power as a gamma-scaling.  ``ExtFieldElem`` wraps them, and
+the polynomial arrays of ``poly`` use them row by row.
 
 Base fields are restricted to odd primes q >= 3.  All values are immutable
 after construction and every operation is a pure function, so everything in
@@ -14,6 +18,27 @@ this module is safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
+
+import numpy as np
+
+
+class ParameterError(ValueError):
+    """Decoding parameters were rejected (infeasible or outside supported range)."""
+
+
+def _check_float_exact(terms: int, q: int, what: str) -> None:
+    """Refuse q when a sum of ``terms`` products of residues mod q can come within q of 2^53.
+
+    The numpy paths multiply residues in float64 (BLAS matmul) and reduce the
+    result mod q afterwards; that is exact only while every such sum, at most
+    terms * (q-1)^2, is representable.  The margin of q also keeps a residue
+    minus such a sum in the range |x| <= 2^53 - q where ``poly._fmod`` is exact.
+    """
+    if terms * (q - 1) ** 2 + q > 2**53:
+        raise ParameterError(
+            f"{what}: {terms} * (q-1)^2 + q > 2^53 with q = {q}, float64 products would not be exact"
+        )
 
 
 def _is_prime(n: int) -> bool:
@@ -74,6 +99,11 @@ class PrimeField:
     def size(self) -> int:
         return self.q
 
+    @property
+    def ctx(self) -> _ExtCtx:
+        """The scalar-kernel context of F_q, the case dim = 1."""
+        return _ExtCtx(self.q, 1, 0)
+
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.q == self.q
 
@@ -94,7 +124,7 @@ class FieldElem:
     __slots__ = ("value", "field")
 
     def __init__(self, value: int, field: PrimeField):
-        self.value = value % field.q
+        self.value = int(value) % field.q
         self.field = field
 
     def _coerce(self, other) -> "FieldElem":
@@ -121,8 +151,7 @@ class FieldElem:
         return FieldElem(self.value - o.value, self.field)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        return FieldElem(o.value - self.value, self.field)
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -147,7 +176,7 @@ class FieldElem:
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        return self * o.inverse()
+        return NotImplemented if o is NotImplemented else self * o.inverse()
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -185,8 +214,9 @@ def find_primitive_element(field: PrimeField) -> FieldElem:
 
 # ---------------------------------------------------------------------------
 # Polynomial helpers over F_q on plain coefficient lists (low degree first).
-# These back the irreducibility test and extension-field scalar arithmetic;
-# the UniPoly class in the poly module is the public polynomial type.
+# These back the irreducibility test, prime-field Frobenius powering and
+# E-power stripping; the UniPoly class in the poly module is the public
+# polynomial type.
 # ---------------------------------------------------------------------------
 
 
@@ -255,22 +285,6 @@ def _psub(a: list[int], b: list[int], q: int) -> list[int]:
     return _ptrim([(x - y) % q for x, y in zip(a, b)])
 
 
-def _pext_euclid_inverse(a: list[int], mod: list[int], q: int) -> list[int]:
-    """Inverse of a modulo mod over F_q, by the extended euclidean algorithm."""
-    if not a:
-        raise ZeroDivisionError("inverse of zero in extension field")
-    r0, r1 = list(mod), _pmod(a, mod, q)
-    s0, s1 = [], [1]
-    while r1:
-        quo, rem = _pdivmod(r0, r1, q)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _psub(s0, _pmul(quo, s1, q), q)
-    if len(r0) != 1:
-        raise ZeroDivisionError("element is not invertible (gcd not constant)")
-    inv_r = pow(r0[0], q - 2, q)
-    return _ptrim([c * inv_r % q for c in s0])
-
-
 def is_irreducible(p) -> bool:
     """Whether a nonzero univariate polynomial over a prime field is irreducible.
 
@@ -300,6 +314,109 @@ def is_irreducible(p) -> bool:
     return u == _pmod(x, coeffs, q)
 
 
+# ---------------------------------------------------------------------------
+# Scalar arithmetic in F_q[X]/(X^dim - gamma) on int64 vectors of length dim.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _ExtCtx:
+    q: int
+    dim: int
+    gamma: int  # X^dim = gamma; irrelevant when dim == 1
+
+    def __post_init__(self):
+        # _sc_mul and the products of poly's _yp_* sum dim products per entry
+        _check_float_exact(self.dim, self.q, "extension-field arithmetic")
+
+    @property
+    def size(self) -> int:
+        return self.q**self.dim
+
+
+@functools.lru_cache(maxsize=None)
+def _gamma_pows(q: int, dim: int, gamma: int) -> np.ndarray:
+    out = np.ones(dim, dtype=np.int64)
+    for i in range(1, dim):
+        out[i] = out[i - 1] * gamma % q
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _window_index(dim: int) -> np.ndarray:
+    # row u, column t of the multiplication matrix reads entry dim - u + t of
+    # the doubled vector (gamma * c, c): the wrapped part lands in the low
+    # columns already scaled by gamma
+    u = np.arange(dim)[:, None]
+    t = np.arange(dim)[None, :]
+    return dim - u + t
+
+
+def _sc_matrix(ctx: _ExtCtx, c: np.ndarray) -> np.ndarray:
+    """Multiplication-by-c matrix M: (a @ M) is the coefficient vector of a*c.
+
+    Scalars of shape (..., dim) give stacked matrices of shape (..., dim, dim).
+    """
+    v = np.concatenate(((ctx.gamma * c) % ctx.q, c % ctx.q), axis=-1)
+    # take() is markedly faster than fancy indexing v[..., idx] here, and the
+    # method skips the dispatch cost of np.take (this runs per quotient row)
+    return v.take(_window_index(ctx.dim), axis=-1)
+
+
+def _sc_fold(ctx: _ExtCtx, v: np.ndarray) -> np.ndarray:
+    """The reduced representative of sum_i v_i X^i, for an int64 v of length >= dim.
+
+    With X^dim = gamma the blocks of dim coefficients add up by Horner's rule in gamma.
+    """
+    q, dim = ctx.q, ctx.dim
+    top = (len(v) - 1) // dim * dim
+    acc = v[top:] % q
+    for start in range(top - dim, -1, -dim):
+        block = v[start : start + dim] % q
+        block[: len(acc)] += ctx.gamma * acc
+        acc = block % q
+    return acc
+
+
+def _sc_mul(ctx: _ExtCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b for reduced a and b: an exact int64 convolution (_ExtCtx bounds it), folded."""
+    return _sc_fold(ctx, np.convolve(a, b))
+
+
+def _sc_frobenius(ctx: _ExtCtx, c: np.ndarray, i: int) -> np.ndarray:
+    """c^(q^i): X^q = gamma X when dim = q-1, so coefficient j scales by gamma^(i j)."""
+    return c * _gamma_pows(ctx.q, ctx.dim, pow(ctx.gamma, i, ctx.q)) % ctx.q
+
+
+def _sc_inv(ctx: _ExtCtx, c: np.ndarray) -> np.ndarray:
+    """c^-1 through the norm (Itoh-Tsujii).
+
+    With beta_m = c^(1 + q + ... + q^(m-1)), r = beta_(dim-1)^q is
+    c^(q + ... + q^(dim-1)), so c * r = c^((|field|-1)/(q-1)) is the norm of
+    c, an element of F_q, and c^-1 = r / norm.  beta_(dim-1) comes from the binary expansion of
+    dim - 1 by beta_2m = beta_m * beta_m^(q^m) and beta_(m+1) = c * beta_m^q,
+    i.e. O(log dim) exact products; the q^m-th powers are coefficient scalings.
+    """
+    q = ctx.q
+    c = c % q
+    if not c.any():
+        raise ZeroDivisionError("inverse of zero")
+    beta, m = c, 1
+    for bit in bin(ctx.dim - 1)[3:]:
+        beta, m = _sc_mul(ctx, beta, _sc_frobenius(ctx, beta, m)), 2 * m
+        if bit == "1":
+            beta, m = _sc_mul(ctx, c, _sc_frobenius(ctx, beta, 1)), m + 1
+    r = _sc_frobenius(ctx, beta, 1)
+    norm = _sc_mul(ctx, c, r)
+    if norm[1:].any() or norm[0] == 0:
+        raise ZeroDivisionError("element is not invertible (norm not a nonzero scalar)")
+    return r * pow(int(norm[0]), q - 2, q) % q
+
+
+def _sc_is_one(ctx: _ExtCtx, c: np.ndarray) -> bool:
+    return c[0] == 1 and (ctx.dim == 1 or not c[1:].any())
+
+
 class ExtField:
     """The extension field F_q[X]/(X^(q-1) - gamma) with gamma primitive in F_q."""
 
@@ -319,6 +436,11 @@ class ExtField:
         self.dim = q - 1
 
     @property
+    def ctx(self) -> _ExtCtx:
+        """The scalar-kernel context; built on use, so only arithmetic checks its bound."""
+        return _ExtCtx(self.base.q, self.dim, self.gamma.value)
+
+    @property
     def size(self) -> int:
         return self.base.q ** self.dim
 
@@ -330,16 +452,15 @@ class ExtField:
         coeffs = [(-self.gamma.value) % self.base.q] + [0] * (self.dim - 1) + [1]
         return UniPoly.from_ints(self.base, coeffs)
 
-    def _modulus_coeffs(self) -> list[int]:
-        return [(-self.gamma.value) % self.base.q] + [0] * (self.dim - 1) + [1]
-
     def element(self, coeffs) -> "ExtFieldElem":
-        """Element from base-field coefficients of its representative, low degree first."""
-        vals = [getattr(c, "value", c) % self.base.q for c in coeffs]
+        """Element from base-field coefficients of any representative, low degree first."""
+        vals = [int(getattr(c, "value", c)) % self.base.q for c in coeffs]
         if len(vals) > self.dim:
-            vals = _pmod(vals, self._modulus_coeffs(), self.base.q)
-        vals = vals + [0] * (self.dim - len(vals))
-        return ExtFieldElem(tuple(vals), self)
+            return self._wrap(_sc_fold(self.ctx, np.array(vals, dtype=np.int64)))
+        return ExtFieldElem(tuple(vals) + (0,) * (self.dim - len(vals)), self)
+
+    def _wrap(self, v: np.ndarray) -> "ExtFieldElem":
+        return ExtFieldElem(tuple(v.tolist()), self)
 
     def zero(self) -> "ExtFieldElem":
         return ExtFieldElem((0,) * self.dim, self)
@@ -406,13 +527,10 @@ class ExtFieldElem:
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        q = self.field.base.q
-        return ExtFieldElem(tuple((a - b) % q for a, b in zip(self.coeffs, o.coeffs)), self.field)
+        return NotImplemented if o is NotImplemented else self + -o
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return (-self).__add__(other)
 
     def __neg__(self):
         q = self.field.base.q
@@ -422,32 +540,19 @@ class ExtFieldElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        q = self.field.base.q
-        dim = self.field.dim
-        gamma = self.field.gamma.value
-        prod = [0] * (2 * dim - 1)
-        for i, ai in enumerate(self.coeffs):
-            if ai:
-                for j, bj in enumerate(o.coeffs):
-                    prod[i + j] += ai * bj
-        # fold with X^dim = gamma
-        out = prod[:dim]
-        for t in range(dim, 2 * dim - 1):
-            out[t - dim] += gamma * prod[t]
-        return ExtFieldElem(tuple(v % q for v in out), self.field)
+        return self.field._wrap(_sc_mul(self.field.ctx, self._vec(), o._vec()))
 
     __rmul__ = __mul__
 
+    def _vec(self) -> np.ndarray:
+        return np.array(self.coeffs, dtype=np.int64)
+
     def inverse(self) -> "ExtFieldElem":
-        base_q = self.field.base.q
-        inv = _pext_euclid_inverse(
-            _ptrim(list(self.coeffs)), self.field._modulus_coeffs(), base_q
-        )
-        return self.field.element(inv)
+        return self.field._wrap(_sc_inv(self.field.ctx, self._vec()))
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        return self * o.inverse()
+        return NotImplemented if o is NotImplemented else self * o.inverse()
 
     def __pow__(self, exp: int):
         if exp < 0:
@@ -463,14 +568,7 @@ class ExtFieldElem:
 
     def frobenius(self) -> "ExtFieldElem":
         """The q-th power map; on representatives it scales coefficient i by gamma^i."""
-        q = self.field.base.q
-        gamma = self.field.gamma.value
-        g = 1
-        out = []
-        for c in self.coeffs:
-            out.append(c * g % q)
-            g = g * gamma % q
-        return ExtFieldElem(tuple(out), self.field)
+        return self.field._wrap(_sc_frobenius(self.field.ctx, self._vec(), 1))
 
     def __eq__(self, other):
         if isinstance(other, int):

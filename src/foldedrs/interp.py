@@ -30,12 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .galois import PrimeField
+from .galois import ParameterError, PrimeField, _check_float_exact
 from .poly import (
     Monomial,
     MultiPoly,
-    ParameterError,
-    _check_float_exact,
     _pascal_mod,
     count_weighted_monomials,
     enumerate_weighted_monomials,

@@ -9,11 +9,12 @@ Three layers live here:
   (1,k,...,k)-weighted degree bookkeeping and Hasse shift coefficients.
 * a numpy toolkit for heavy univariate arithmetic over the extension field
   F_q[X]/(X^(q-1) - gamma), where a polynomial of degree d is stored as an
-  int64 array of shape (d+1, q-1).  Root finding is one pipeline on these
-  arrays: g = gcd(R, L mod R) for a q-linearized L (the field equation, or
-  in ``rootfind`` the vanishing polynomial of the low-degree subspace), with
-  L mod R from a chain of Frobenius steps, then seeded randomized
-  equal-degree splitting of g.
+  int64 array of shape (d+1, q-1) whose rows go through the scalar kernels
+  of ``galois``, as ``ExtFieldElem`` does.  Root finding is one pipeline on
+  these arrays: g = gcd(R, L mod R) for a q-linearized L (the field
+  equation, or in ``rootfind`` the vanishing polynomial of the low-degree
+  subspace), with L mod R from a chain of Frobenius steps, then seeded
+  randomized equal-degree splitting of g.
 
 All operations are pure; randomized splitting takes an explicit seed so
 concurrent calls never share state.
@@ -29,29 +30,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .galois import (
-    ExtField,
     ExtFieldElem,
     FieldElem,
+    ParameterError,
     PrimeField,
+    _check_float_exact,
+    _ExtCtx,
     _ppow_mod,
+    _sc_frobenius,
+    _sc_inv,
+    _sc_is_one,
+    _sc_matrix,
+    _sc_mul,
 )
-
-
-class ParameterError(ValueError):
-    """Decoding parameters were rejected (infeasible or outside supported range)."""
-
-
-def _check_float_exact(terms: int, q: int, what: str) -> None:
-    """Refuse q when a sum of ``terms`` products of residues mod q can reach 2^53.
-
-    The numpy paths multiply residues in float64 (BLAS matmul) and reduce the
-    result mod q afterwards; that is exact only while every such sum, at most
-    terms * (q-1)^2, stays below 2^53.
-    """
-    if terms * (q - 1) ** 2 >= 2**53:
-        raise ParameterError(
-            f"{what}: {terms} * (q-1)^2 >= 2^53 with q = {q}, float64 products would not be exact"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -500,98 +491,6 @@ def _np_mul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _ExtCtx:
-    q: int
-    dim: int
-    gamma: int  # X^dim = gamma; irrelevant when dim == 1
-
-    def __post_init__(self):
-        # _yp_mul, _yp_scalar_mul and _yp_divmod sum dim products per entry
-        _check_float_exact(self.dim, self.q, "extension-field arithmetic")
-
-    @property
-    def size(self) -> int:
-        return self.q**self.dim
-
-    @property
-    def gamma_pows(self) -> np.ndarray:
-        return _gamma_pows(self.q, self.dim, self.gamma)
-
-
-@functools.lru_cache(maxsize=None)
-def _gamma_pows(q: int, dim: int, gamma: int) -> np.ndarray:
-    out = np.ones(dim, dtype=np.int64)
-    for i in range(1, dim):
-        out[i] = out[i - 1] * gamma % q
-    return out
-
-
-def _ctx_for(field) -> _ExtCtx:
-    if isinstance(field, PrimeField):
-        return _ExtCtx(field.q, 1, 0)
-    if isinstance(field, ExtField):
-        return _ExtCtx(field.base.q, field.dim, field.gamma.value)
-    raise TypeError(f"unsupported field {field!r}")
-
-
-@functools.lru_cache(maxsize=None)
-def _window_index(dim: int) -> np.ndarray:
-    # row u, column t of the multiplication matrix reads entry dim - u + t of
-    # the doubled vector (gamma * c, c): the wrapped part lands in the low
-    # columns already scaled by gamma
-    u = np.arange(dim)[:, None]
-    t = np.arange(dim)[None, :]
-    return dim - u + t
-
-
-def _sc_matrix(ctx: _ExtCtx, c: np.ndarray) -> np.ndarray:
-    """Multiplication-by-c matrix M: (a @ M) is the coefficient vector of a*c.
-
-    Scalars of shape (..., dim) give stacked matrices of shape (..., dim, dim).
-    """
-    v = np.concatenate(((ctx.gamma * c) % ctx.q, c % ctx.q), axis=-1)
-    # take() is markedly faster than fancy indexing v[..., idx] here, and the
-    # method skips the dispatch cost of np.take (this runs per quotient row)
-    return v.take(_window_index(ctx.dim), axis=-1)
-
-
-def _sc_frobenius(ctx: _ExtCtx, c: np.ndarray, i: int) -> np.ndarray:
-    """c^(q^i): X^q = gamma X when dim = q-1, so coefficient j scales by gamma^(i j)."""
-    return c * _gamma_pows(ctx.q, ctx.dim, pow(ctx.gamma, i, ctx.q)) % ctx.q
-
-
-def _sc_inv(ctx: _ExtCtx, c: np.ndarray) -> np.ndarray:
-    """c^-1 through the norm (Itoh-Tsujii).
-
-    With beta_m = c^(1 + q + ... + q^(m-1)), r = beta_(dim-1)^q is
-    c^(q + ... + q^(dim-1)), so c * r = c^((|field|-1)/(q-1)) is the norm of
-    c, an element of F_q, and c^-1 = r / norm.  beta_(dim-1) comes from the binary expansion of
-    dim - 1 by beta_2m = beta_m * beta_m^(q^m) and beta_(m+1) = c * beta_m^q,
-    i.e. O(log dim) exact products; the q^m-th powers are coefficient scalings.
-    """
-    q = ctx.q
-    c = c % q
-    if not c.any():
-        raise ZeroDivisionError("inverse of zero")
-    if ctx.dim == 1:
-        return np.array([pow(int(c[0]), q - 2, q)], dtype=np.int64)
-
-    def mul(a, b):
-        return a @ _sc_matrix(ctx, b) % q
-
-    beta, m = c, 1
-    for bit in bin(ctx.dim - 1)[3:]:
-        beta, m = mul(beta, _sc_frobenius(ctx, beta, m)), 2 * m
-        if bit == "1":
-            beta, m = mul(c, _sc_frobenius(ctx, beta, 1)), m + 1
-    r = _sc_frobenius(ctx, beta, 1)
-    norm = mul(c, r)
-    if norm[1:].any() or norm[0] == 0:
-        raise ZeroDivisionError("element is not invertible (norm not a nonzero scalar)")
-    return r * pow(int(norm[0]), q - 2, q) % q
-
-
 def _yp_trim(arr: np.ndarray) -> np.ndarray:
     n = arr.shape[0]
     while n > 0 and not arr[n - 1].any():
@@ -649,16 +548,22 @@ def _yp_mul(ctx: _ExtCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _fmod(x: np.ndarray, q: int) -> np.ndarray:
-    """x mod q in place, for integer-valued float64 0 <= x < 2^52 (floor(x / q) is exact there)."""
+    """x mod q in place, exact for integer-valued float64 x with |x| <= 2^53 - q.
+
+    With x = n q + r, 0 <= r < q: fl(x / q) is within 2^-53 |x / q| < 1/q of
+    x / q, and n, n + 1 are r/q, (q-r)/q away, so floor(fl(x / q)) = n (for
+    r = 0, x / q = n is a float).  |q n| <= |x| + q - 1 < 2^53 makes the rest exact.
+    """
     x -= q * np.floor(x / q)
     return x
 
 
-def _sc_is_one(ctx: _ExtCtx, c: np.ndarray) -> bool:
-    return c[0] == 1 and (ctx.dim == 1 or not c[1:].any())
-
-
 def _yp_divmod(ctx: _ExtCtx, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Long division with a float64 remainder whose rows stay reduced mod q.
+
+    Each quotient row subtracts entries in [0, dim (q-1)^2] from a reduced window,
+    leaving |x| <= dim (q-1)^2 <= 2^53 - q (_ExtCtx checks it) for one exact _fmod.
+    """
     b = _yp_trim(b)
     if b.shape[0] == 0:
         raise ZeroDivisionError("polynomial division by zero")
@@ -666,22 +571,18 @@ def _yp_divmod(ctx: _ExtCtx, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, 
     lb = b.shape[0]
     if rem.shape[0] < lb:
         return _yp_zero(ctx), _yp_trim(a % ctx.q)
-    monic = _sc_is_one(ctx, b[-1])
-    minv = None
-    if not monic:
-        minv = _sc_matrix(ctx, _sc_inv(ctx, b[-1])).astype(np.float64)
+    lead_inv = None if _sc_is_one(ctx, b[-1]) else _sc_inv(ctx, b[-1])
     bf = b.astype(np.float64)
     quo = np.zeros((rem.shape[0] - lb + 1, ctx.dim), dtype=np.int64)
     for top in range(rem.shape[0] - 1, lb - 2, -1):
-        head = rem[top] % ctx.q
+        head = rem[top].astype(np.int64)
         if head.any():
-            c = head if monic else (head @ minv) % ctx.q
+            c = head if lead_inv is None else _sc_mul(ctx, head, lead_inv)
             quo[top - lb + 1] = c
-            block = bf @ _sc_matrix(ctx, c.astype(np.int64)).astype(np.float64)
-            rem[top - lb + 1 : top + 1] -= block
-            rem[top - lb + 1 : top + 1] %= ctx.q
-    out_rem = rem[: lb - 1].astype(np.int64) % ctx.q
-    return _yp_trim(quo), _yp_trim(out_rem)
+            window = rem[top - lb + 1 : top + 1]
+            window -= bf @ _sc_matrix(ctx, c).astype(np.float64)
+            _fmod(window, ctx.q)
+    return _yp_trim(quo), _yp_trim(rem[: lb - 1].astype(np.int64))
 
 
 def _yp_mod(ctx: _ExtCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -819,7 +720,7 @@ class FrobeniusReducer:
             # F_q is fixed by Frobenius, so u^q needs only log2(q) squarings,
             # and no table sized by q (which would refuse large prime q)
             return _yp_pow_mod(ctx, u, ctx.q, self.R)
-        u = (u * ctx.gamma_pows[None, :]) % ctx.q
+        u = _sc_frobenius(ctx, u, 1)
         n = u.shape[0]
         if self.R.shape[0] - 1 > self._TABLE_LIMIT:
             sub = np.zeros((ctx.q * (n - 1) + 1, ctx.dim), dtype=np.int64)
@@ -942,11 +843,9 @@ def roots_in_field(R: UniPoly, seed: int = 0) -> set:
     if R.is_zero:
         raise ValueError("cannot find roots of the zero polynomial")
     field = R.field
-    ctx = _ctx_for(field)
+    ctx = field.ctx
     if isinstance(field, PrimeField):
         arr = np.array([[c.value] for c in R.coeffs], dtype=np.int64)
         return {field.element(int(r[0])) for r in _roots_arr(ctx, arr, seed)}
     arr = np.array([list(c.coeffs) for c in R.coeffs], dtype=np.int64)
-    return {
-        ExtFieldElem(tuple(int(v) for v in r), field) for r in _roots_arr(ctx, arr, seed)
-    }
+    return {field._wrap(r) for r in _roots_arr(ctx, arr, seed)}

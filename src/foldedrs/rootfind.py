@@ -25,7 +25,6 @@ from .poly import (
     FrobeniusReducer,
     MultiPoly,
     UniPoly,
-    _ctx_for,
     _edf_roots,
     _yp_gcd,
     _yp_trim,
@@ -159,7 +158,7 @@ def candidates_from_Q(
     assert R.shape[0] > 0, "substituted polynomial vanished despite small Y-degree"
     if R.shape[0] == 1:
         return ()
-    ctx = _ctx_for(ext)
+    ctx = ext.ctx
     # restrict to roots whose representative has degree <= k: gcd with the
     # q-linearized vanishing polynomial L of that subspace (the other roots
     # are pruned anyway).  L' = a_0 != 0 and L has its q^(k+1) roots in the

@@ -1,18 +1,86 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foldedrs.galois import (
     ExtField,
+    FieldElem,
+    ParameterError,
     PrimeField,
+    _pdivmod,
+    _pmod,
+    _pmul,
+    _psub,
+    _ptrim,
     ext_invert,
     find_primitive_element,
     is_irreducible,
     standard_extension,
 )
-from foldedrs.poly import UniPoly
+from foldedrs.poly import MultiPoly, UniPoly, hasse_coefficient
 
 SMALL_PRIMES = [5, 7, 13]
+
+
+# ---------------------------------------------------------------------------
+# pure-Python references for the extension-field scalar kernels
+# ---------------------------------------------------------------------------
+
+
+def _pext_euclid_inverse(a: list[int], mod: list[int], q: int) -> list[int]:
+    """Inverse of a modulo mod over F_q, by the extended euclidean algorithm."""
+    if not a:
+        raise ZeroDivisionError("inverse of zero in extension field")
+    r0, r1 = list(mod), _pmod(a, mod, q)
+    s0, s1 = [], [1]
+    while r1:
+        quo, rem = _pdivmod(r0, r1, q)
+        r0, r1 = r1, rem
+        s0, s1 = s1, _psub(s0, _pmul(quo, s1, q), q)
+    if len(r0) != 1:
+        raise ZeroDivisionError("element is not invertible (gcd not constant)")
+    inv_r = pow(r0[0], q - 2, q)
+    return _ptrim([c * inv_r % q for c in s0])
+
+
+def _reference_mul(a, b) -> tuple[int, ...]:
+    """Schoolbook convolution of the representatives, then the fold X^dim = gamma."""
+    ext = a.field
+    q, dim, gamma = ext.base.q, ext.dim, ext.gamma.value
+    prod = [0] * (2 * dim - 1)
+    for i, ai in enumerate(a.coeffs):
+        for j, bj in enumerate(b.coeffs):
+            prod[i + j] += ai * bj
+    out = prod[:dim]
+    for t in range(dim, 2 * dim - 1):
+        out[t - dim] += gamma * prod[t]
+    return tuple(v % q for v in out)
+
+
+def _reference_inverse(a) -> tuple[int, ...]:
+    ext = a.field
+    q = ext.base.q
+    modulus = [(-ext.gamma.value) % q] + [0] * (ext.dim - 1) + [1]
+    inv = _pext_euclid_inverse(_ptrim(list(a.coeffs)), modulus, q)
+    return tuple(inv + [0] * (ext.dim - len(inv)))
+
+
+def _reference_frobenius(a) -> tuple[int, ...]:
+    """Coefficient i times gamma^i: the q-th power on representatives."""
+    q, gamma = a.field.base.q, a.field.gamma.value
+    return tuple(c * pow(gamma, i, q) % q for i, c in enumerate(a.coeffs))
+
+
+def _reference_pow(a, exp: int) -> tuple[int, ...]:
+    ext = a.field
+    base = ext.element(_reference_inverse(a)) if exp < 0 else a
+    result = ext.one()
+    for bit in bin(abs(exp))[2:]:
+        result = ext.element(_reference_mul(result, result))
+        if bit == "1":
+            result = ext.element(_reference_mul(result, base))
+    return result.coeffs
 
 
 def test_prime_field_rejects_bad_modulus():
@@ -69,7 +137,7 @@ def test_prime_field_inverse(q, a):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    q=st.sampled_from([5, 7]),
+    q=st.sampled_from([5, 7, 13, 31]),
     data=st.data(),
 )
 def test_ext_field_axioms_and_inverse(q, data):
@@ -83,8 +151,14 @@ def test_ext_field_axioms_and_inverse(q, data):
     assert x * y == y * x
     assert (x * y) * z == x * (y * z)
     assert x * (y + z) == x * y + x * z
+    assert (x * y).coeffs == _reference_mul(x, y)
+    assert x.frobenius().coeffs == _reference_frobenius(x)
+    exp = data.draw(st.integers(min_value=-2 * q, max_value=2 * q))
     if x:
         assert x * ext_invert(x) == ext.one()
+        assert x.inverse().coeffs == _reference_inverse(x)
+    if x or exp >= 0:
+        assert (x**exp).coeffs == _reference_pow(x, exp)
 
 
 def test_ext_invert_examples():
@@ -159,3 +233,58 @@ def test_ext_element_frobenius_matches_power():
     ext = standard_extension(7)
     a = ext.element([3, 1, 0, 4, 0, 2])
     assert a.frobenius() == a**7
+
+
+def test_ext_element_folds_long_representatives():
+    # X^dim = gamma: X^(2 dim + 1) is gamma^2 X, and the fold matches the
+    # remainder mod X^dim - gamma
+    ext = standard_extension(5)  # F_5[X]/(X^4 - 2)
+    assert ext.element([0] * 9 + [1]) == ext.element([0, 4])
+    long = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5]
+    modulus = [(-ext.gamma.value) % 5] + [0] * (ext.dim - 1) + [1]
+    assert ext.element(long) == ext.element(_pmod([c % 5 for c in long], modulus, 5))
+
+
+def test_numpy_integers_become_python_ints():
+    ext = standard_extension(7)
+    a = ext.element(np.array([1, 2]))
+    assert all(type(c) is int for c in a.coeffs)
+    assert a * a.inverse() == ext.one()
+    field = PrimeField(7)
+    x = FieldElem(np.int64(3), field)
+    assert type(x.value) is int
+    assert x.inverse() == x**-1 == field.element(5)
+    # hasse_coefficient sums Pascal-table entries, which are numpy integers
+    Q = MultiPoly(field, 1, 1, {(2, 1): 3, (0, 0): 1})
+    h = hasse_coefficient(Q, (2, 5), (1, 0))
+    assert type(h.value) is int
+    assert h * h.inverse() == field.one()
+
+
+_FOREIGN_OPERATORS = {
+    "add": lambda a: a + "z",
+    "radd": lambda a: "z" + a,
+    "sub": lambda a: a - "z",
+    "rsub": lambda a: "z" - a,
+    "mul": lambda a: a * "z",
+    "truediv": lambda a: a / "z",
+}
+
+
+@pytest.mark.parametrize("op", list(_FOREIGN_OPERATORS), ids=list(_FOREIGN_OPERATORS))
+@pytest.mark.parametrize("kind", ["prime", "ext"])
+def test_foreign_operands_raise_type_error(kind, op):
+    a = PrimeField(7).element(3) if kind == "prime" else standard_extension(7).element([1, 2])
+    with pytest.raises(TypeError):
+        _FOREIGN_OPERATORS[op](a)
+
+
+def test_extension_too_large_for_the_kernels_still_builds():
+    # 208067 is the least prime with (q-1)^3 >= 2^53: the field and its
+    # elements build, and arithmetic through the float64 kernels is refused
+    q = 208067
+    ext = standard_extension(q)
+    a = ext.element([1, 2])
+    assert a + a == ext.element([2, 4])
+    with pytest.raises(ParameterError):
+        a * a

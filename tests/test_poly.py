@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foldedrs.galois import (
+    ParameterError,
     PrimeField,
-    _pext_euclid_inverse,
+    _ExtCtx,
     _ptrim,
+    _sc_inv,
     find_primitive_element,
     standard_extension,
 )
@@ -17,13 +19,11 @@ from foldedrs.poly import (
     FrobeniusReducer,
     Monomial,
     MultiPoly,
-    ParameterError,
     UniPoly,
-    _ctx_for,
-    _ExtCtx,
+    _fmod,
     _half_field_power,
     _roots_arr,
-    _sc_inv,
+    _yp_divmod,
     _yp_mod,
     _yp_monic,
     _yp_monomial,
@@ -40,6 +40,7 @@ from foldedrs.poly import (
     trivariate_monomial_count,
 )
 from foldedrs.rootfind import low_degree_vanishing_coeffs
+from test_galois import _pext_euclid_inverse
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -246,7 +247,7 @@ def test_generic_gcd_path_matches_exhaustive_on_prime(data):
     f = UniPoly.from_ints(field, coeffs)
     if f.is_zero:
         return
-    ctx = _ctx_for(field)
+    ctx = field.ctx
     arr = np.array([[c.value] for c in f.coeffs], dtype=np.int64)
     got = {int(r[0]) for r in _roots_arr(ctx, arr, seed=5)}
     brute = {x for x in range(q) if f(field.element(x)) == field.zero()}
@@ -296,13 +297,13 @@ def _random_yp(rng, ctx, max_deg):
 def _ctx_q(q):
     # F_2 is not a supported base field; its extension of degree q - 1 = 1 is
     # F_2 itself, which the array code still handles
-    return _ExtCtx(2, 1, 1) if q == 2 else _ctx_for(standard_extension(q))
+    return _ExtCtx(2, 1, 1) if q == 2 else standard_extension(q).ctx
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 13, 31, 101])
 def test_sc_inv_matches_euclid(q):
-    # the norm-based inverse must equal the extended Euclid of
-    # ExtFieldElem.inverse, on random elements, scalars and X^(dim-1)
+    # the norm-based inverse must equal the extended Euclid kept as a
+    # reference in test_galois, on random elements, scalars and X^(dim-1)
     rng = random.Random(q)
     ctx = _ctx_q(q)
     modulus = [(-ctx.gamma) % q] + [0] * (ctx.dim - 1) + [1]
@@ -357,7 +358,7 @@ def test_frobenius_reducer_step_matches_generic_power():
     # u -> u^q mod R via the reducer must agree with square-and-multiply,
     # for monomial and general inputs
     rng = random.Random(17)
-    for ctx in [_ctx_for(standard_extension(q)) for q in [5, 7]] + _PRIME_CTXS:
+    for ctx in [standard_extension(q).ctx for q in [5, 7]] + _PRIME_CTXS:
         q = ctx.q
         for trial in range(8):
             R = _random_yp(rng, ctx, 9)
@@ -383,7 +384,7 @@ def test_frobenius_reducer_untabled_path_matches():
     # inputs: Y, Y^q mod R (one row when deg R > q) and a top-row-only u
     rng = random.Random(23)
     for q, deg in [(5, 3), (5, 7), (5, 12), (7, 9)]:
-        ctx = _ctx_for(standard_extension(q))
+        ctx = standard_extension(q).ctx
         R = np.array([[rng.randrange(q) for _ in range(ctx.dim)] for _ in range(deg + 1)])
         R[deg, 0] = rng.randrange(1, q)
         tabled = FrobeniusReducer(ctx, R)
@@ -425,13 +426,45 @@ def test_float64_paths_refuse_inexact_sizes():
     ctx = _ExtCtx(2037, 2**6, 3)
     with pytest.raises(ParameterError):
         FrobeniusReducer(ctx, _yp_monomial(ctx, 1)).step(_yp_monomial(ctx, 0))
+    # long division leaves window values down to -dim (q-1)^2 for _fmod, which
+    # is exact while |x| <= 2^53 - q: with dim = 3, q = 54794159 has
+    # 3 (q-1)^2 < 2^53 < 3 (q-1)^2 + q, and q - 1 is the largest q that builds
+    with pytest.raises(ParameterError):
+        _ExtCtx(54794159, 3, 1)
+    ctx = _ExtCtx(54794158, 3, 1)
+    q = ctx.q
+    x = np.array([-(2**53 - q), -(2**53 - q) + 1, 2**53 - q, -1, -q, 0], dtype=np.float64)
+    assert _fmod(x.copy(), q).tolist() == [int(v) % q for v in x]
+    # all-(q-1) rows under a monic divisor: the first quotient row's products
+    # sum to 3 (q-1)^2; check a = quo * b + rem with Python integers
+    a = np.full((9, 3), q - 1, dtype=np.int64)
+    b = np.full((4, 3), q - 1, dtype=np.int64)
+    b[-1] = [1, 0, 0]
+    quo, rem = _yp_divmod(ctx, a, b)
+    assert rem.shape[0] < b.shape[0]
+    expect = _ring_poly_mul(ctx, quo, b)
+    for j, row in enumerate(rem):
+        expect[j] = [(x + int(y)) % q for x, y in zip(expect[j], row)]
+    assert expect == a.tolist()
+
+
+def _ring_poly_mul(ctx, f, g):
+    """f * g with Python integers, for rows over Z_q[X]/(X^dim - gamma)."""
+    out = [[0] * ctx.dim for _ in range(len(f) + len(g) - 1)]
+    for i, fi in enumerate(f):
+        for j, gj in enumerate(g):
+            for u, x in enumerate(fi):
+                for t, y in enumerate(gj):
+                    scale = ctx.gamma if u + t >= ctx.dim else 1
+                    out[i + j][(u + t) % ctx.dim] += scale * int(x) * int(y)
+    return [[v % ctx.q for v in row] for row in out]
 
 
 def test_half_field_power_matches_generic_power():
     # the norm-chain factorization of x^((|K|-1)/2) must equal plain
     # square-and-multiply with the full exponent
     rng = random.Random(31)
-    for ctx in [_ctx_for(standard_extension(q)) for q in [5, 7]] + _PRIME_CTXS:
+    for ctx in [standard_extension(q).ctx for q in [5, 7]] + _PRIME_CTXS:
         half = (ctx.size - 1) // 2
         for trial in range(5):
             mod = _random_yp(rng, ctx, 6)
@@ -449,7 +482,7 @@ def test_frobenius_power_residue_fixes_field_elements():
     # Y^(q^dim) = Y on every field element, so the residue of the field power
     # minus Y must vanish at each root of R
     ext = standard_extension(5)
-    ctx = _ctx_for(ext)
+    ctx = ext.ctx
     a = ext.element([1, 2, 3, 4])
     b = ext.element([0, 2, 0, 1])
     Y = UniPoly(ext, [ext.zero(), ext.one()])

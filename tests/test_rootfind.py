@@ -11,7 +11,6 @@ from foldedrs.poly import (
     FrobeniusReducer,
     MultiPoly,
     UniPoly,
-    _ctx_for,
     _edf_roots,
     _yp_gcd,
     _yp_monomial,
@@ -151,7 +150,7 @@ def test_low_degree_gcd_is_split_and_squarefree(q, k, seed):
     # the field equation (so it splits) and is squarefree: equal-degree
     # splitting returns deg g distinct roots, all of representative degree <= k
     rng = random.Random(seed)
-    ctx = _ctx_for(standard_extension(q))
+    ctx = standard_extension(q).ctx
     planted = set()
     R = _yp_monomial(ctx, 0)
     for _ in range(rng.randint(0, 3)):
