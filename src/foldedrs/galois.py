@@ -18,6 +18,7 @@ this module is safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,7 +103,7 @@ class PrimeField:
     @property
     def ctx(self) -> _ExtCtx:
         """The scalar-kernel context of F_q, the case dim = 1."""
-        return _ExtCtx(self.q, 1, 0)
+        return _ext_ctx(self.q, 1, 0)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.q == self.q
@@ -179,13 +180,12 @@ class FieldElem:
         return NotImplemented if o is NotImplemented else self * o.inverse()
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.field.q
-        return (
-            isinstance(other, FieldElem)
-            and other.field == self.field
-            and other.value == self.value
-        )
+        if isinstance(other, FieldElem):
+            return other.field == self.field and other.value == self.value
+        try:
+            return self.value == operator.index(other) % self.field.q
+        except TypeError:
+            return NotImplemented
 
     def __hash__(self):
         return hash((self.value, self.field.q))
@@ -335,6 +335,12 @@ class _ExtCtx:
 
 
 @functools.lru_cache(maxsize=None)
+def _ext_ctx(q: int, dim: int, gamma: int) -> _ExtCtx:
+    """One shared context per (q, dim, gamma); built, and its bound checked, on first use."""
+    return _ExtCtx(q, dim, gamma)
+
+
+@functools.lru_cache(maxsize=None)
 def _gamma_pows(q: int, dim: int, gamma: int) -> np.ndarray:
     out = np.ones(dim, dtype=np.int64)
     for i in range(1, dim):
@@ -438,7 +444,7 @@ class ExtField:
     @property
     def ctx(self) -> _ExtCtx:
         """The scalar-kernel context; built on use, so only arithmetic checks its bound."""
-        return _ExtCtx(self.base.q, self.dim, self.gamma.value)
+        return _ext_ctx(self.base.q, self.dim, self.gamma.value)
 
     @property
     def size(self) -> int:
@@ -571,13 +577,12 @@ class ExtFieldElem:
         return self.field._wrap(_sc_frobenius(self.field.ctx, self._vec(), 1))
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            return self == self.field.element([other])
-        return (
-            isinstance(other, ExtFieldElem)
-            and other.field == self.field
-            and other.coeffs == self.coeffs
-        )
+        if isinstance(other, ExtFieldElem):
+            return other.field == self.field and other.coeffs == self.coeffs
+        try:
+            return self == self.field.element([operator.index(other)])
+        except TypeError:
+            return NotImplemented
 
     def __hash__(self):
         return hash((self.coeffs, self.field.base.q))

@@ -10,11 +10,15 @@ Three layers live here:
 * a numpy toolkit for heavy univariate arithmetic over the extension field
   F_q[X]/(X^(q-1) - gamma), where a polynomial of degree d is stored as an
   int64 array of shape (d+1, q-1) whose rows go through the scalar kernels
-  of ``galois``, as ``ExtFieldElem`` does.  Root finding is one pipeline on
-  these arrays: g = gcd(R, L mod R) for a q-linearized L (the field
-  equation, or in ``rootfind`` the vanishing polynomial of the low-degree
-  subspace), with L mod R from a chain of Frobenius steps, then seeded
-  randomized equal-degree splitting of g.
+  of ``galois``, as ``ExtFieldElem`` does.  Products are exact real 2-D FFT
+  products along (Y, X) under a checked float64 bound (``_yp_mul``), and
+  ``FrobeniusReducer`` reduces them mod a fixed R by Barrett reduction.  Root
+  finding is one pipeline on these arrays: g = gcd(R, L mod R) for a
+  q-linearized L (the field equation, or in ``rootfind`` the vanishing
+  polynomial of the low-degree subspace), with L mod R from a chain of
+  Frobenius steps (a precomputed table or square-and-multiply, chosen by a
+  stated cost rule), g from an inverse-free Euclid, then seeded randomized
+  equal-degree splitting of g.
 
 All operations are pure; randomized splitting takes an explicit seed so
 concurrent calls never share state.
@@ -502,8 +506,11 @@ def _yp_zero(ctx: _ExtCtx) -> np.ndarray:
     return np.zeros((0, ctx.dim), dtype=np.int64)
 
 
-def _yp_const(ctx: _ExtCtx, c: np.ndarray) -> np.ndarray:
-    return (c % ctx.q).reshape(1, ctx.dim)
+def _yp_pad(a: np.ndarray, rows: int) -> np.ndarray:
+    """a mod Y^rows as an array of exactly `rows` rows."""
+    out = np.zeros((rows, a.shape[1]), dtype=np.int64)
+    out[: min(rows, a.shape[0])] = a[:rows]
+    return out
 
 
 def _yp_monomial(ctx: _ExtCtx, e: int, c: np.ndarray | None = None) -> np.ndarray:
@@ -530,21 +537,55 @@ def _yp_add(ctx: _ExtCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _yp_trim(out % ctx.q)
 
 
+def _fft_shape(ctx: _ExtCtx, rows: int) -> tuple[int, int]:
+    """Transform shape for products with `rows` Y-coefficients: powers of two along
+    (Y, X), and at least 2 dim - 1 along X, so products do not wrap before the fold."""
+    return 1 << (rows - 1).bit_length(), 1 << (2 * ctx.dim - 2).bit_length()
+
+
+def _check_fft_exact(ctx: _ExtCtx, la: int, lb: int, shape: tuple[int, int]) -> None:
+    """Refuse (ParameterError) a product of la- and lb-row residues that the FFT may round wrong.
+
+    Each coefficient of the product before the fold is a sum of at most
+    min(la, lb) * dim products of residues below q, and
+    B = sqrt(la lb) * dim * (q-1)^2 bounds both it and ||a||_2 ||b||_2.  The
+    two transforms along (Y, X) are one radix-2 transform of N = shape[0] * shape[1]
+    points, so by Percival's bound (twiddle factors accurate to 2^-53) the computed
+    coefficient is within B * (13 log2 N + 3) * 2^-53 of the integer.  Products are
+    refused where that reaches 1/4; ``_fft_round`` checks the rest at run time.
+    """
+    lg = (shape[0] * shape[1]).bit_length() - 1
+    if 16 * la * lb * (ctx.dim * (ctx.q - 1) ** 2 * (13 * lg + 3)) ** 2 >= 2**106:
+        raise ParameterError(
+            f"FFT product: sqrt({la} * {lb}) * dim * (q-1)^2 * (13 log2 N + 3) >= 2^51 with "
+            f"q = {ctx.q}, dim = {ctx.dim}, N = {shape[0] * shape[1]}; it would not be exact"
+        )
+
+
+def _fft_round(ctx: _ExtCtx, prod_hat: np.ndarray, shape: tuple[int, int], rows: int) -> np.ndarray:
+    """Rows 0..rows-1 of the product with transform prod_hat: rounded, folded with
+    X^dim = gamma and reduced mod q, as int64."""
+    q, dim = ctx.q, ctx.dim
+    s = np.fft.irfft2(prod_hat, shape)[:rows, : 2 * dim - 1]
+    r = np.rint(s)
+    if np.abs(s - r).max() > 0.25:
+        raise FloatingPointError("FFT product strayed from the integers")
+    _fmod(r, q)
+    r[:, : dim - 1] += ctx.gamma * r[:, dim:]
+    return _fmod(r[:, :dim], q).astype(np.int64)
+
+
 def _yp_mul(ctx: _ExtCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[0] == 0 or b.shape[0] == 0:
+    """a * b for reduced a and b by one real 2-D FFT product along (Y, X) (exact, see
+    ``_check_fft_exact``); squaring (b is a) transforms once."""
+    la, lb = a.shape[0], b.shape[0]
+    if la == 0 or lb == 0:
         return _yp_zero(ctx)
-    if b.shape[0] > a.shape[0]:
-        a, b = b, a
-    af = a.astype(np.float64)
-    out = np.zeros((a.shape[0] + b.shape[0] - 1, ctx.dim), dtype=np.int64)
-    for j in range(b.shape[0]):
-        c = b[j]
-        if c.any():
-            out[j : j + a.shape[0]] += (af @ _sc_matrix(ctx, c).astype(np.float64)).astype(
-                np.int64
-            )
-            out[j : j + a.shape[0]] %= ctx.q
-    return _yp_trim(out)
+    shape = _fft_shape(ctx, la + lb - 1)
+    _check_fft_exact(ctx, la, lb, shape)
+    a_hat = np.fft.rfft2(a, shape)
+    b_hat = a_hat if b is a else np.fft.rfft2(b, shape)
+    return _yp_trim(_fft_round(ctx, a_hat * b_hat, shape, la + lb - 1))
 
 
 def _fmod(x: np.ndarray, q: int) -> np.ndarray:
@@ -598,73 +639,120 @@ def _yp_monic(ctx: _ExtCtx, a: np.ndarray) -> np.ndarray:
     return _yp_scalar_mul(ctx, a, _sc_inv(ctx, a[-1]))
 
 
+def _yp_unit_rem(ctx: _ExtCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A unit multiple of a mod b for nonzero b, with no inverse: each quotient row
+    multiplies the remainder by lc(b) and subtracts head * b.
+
+    Both products have entries in [0, dim (q-1)^2], so |x| <= dim (q-1)^2 before
+    each exact _fmod, as in ``_yp_divmod``.
+    """
+    rem = (a % ctx.q).astype(np.float64)
+    lb = b.shape[0]
+    lead = None if _sc_is_one(ctx, b[-1]) else _sc_matrix(ctx, b[-1]).astype(np.float64)
+    bf = b.astype(np.float64)
+    for top in range(rem.shape[0] - 1, lb - 2, -1):
+        head = rem[top].astype(np.int64)
+        if head.any():
+            live = rem[: top + 1]
+            if lead is not None:
+                live[:] = live @ lead
+            live[top - lb + 1 :] -= bf @ _sc_matrix(ctx, head).astype(np.float64)
+            _fmod(live, ctx.q)
+    return _yp_trim(rem[: lb - 1].astype(np.int64))
+
+
 def _yp_gcd(ctx: _ExtCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The monic gcd: an inverse-free Euclid, and one inverse at the end."""
     a = _yp_trim(a % ctx.q)
     b = _yp_trim(b % ctx.q)
     while b.shape[0] > 0:
-        a, b = b, _yp_mod(ctx, a, b)
+        a, b = b, _yp_unit_rem(ctx, a, b)
     return _yp_monic(ctx, a)
 
 
-def _yp_pow_mod(ctx: _ExtCtx, base: np.ndarray, exp: int, mod: np.ndarray) -> np.ndarray:
-    result = _yp_const(ctx, np.eye(1, ctx.dim, dtype=np.int64)[0])
-    base = _yp_mod(ctx, base, mod)
-    while exp:
-        if exp & 1:
-            result = _yp_mod(ctx, _yp_mul(ctx, result, base), mod)
-        base = _yp_mod(ctx, _yp_mul(ctx, base, base), mod)
-        exp >>= 1
-    return result
-
-
 class FrobeniusReducer:
-    """Computes u -> u^q mod R over F_q[X]/(X^dim - gamma) repeatedly.
+    """Arithmetic modulo a fixed monic R over F_q[X]/(X^dim - gamma): products,
+    powers, and the Frobenius step u -> u^q that ``linearized_residue`` chains
+    into sum a_i Y^(q^i) mod R, the residue both root-finding entry points take
+    a gcd with.
 
-    ``linearized_residue`` chains these steps into sum a_i Y^(q^i) mod R, the
-    residue that both root-finding entry points take a gcd with.
+    ``mulmod`` is a Barrett reduction (von zur Gathen & Gerhard, Modern Computer
+    Algebra, ch. 9) of an FFT product (``_yp_mul``): with d = deg R, the quotient
+    of a product a (at most 2d - 1 rows) is the reversal of rev(a) * inv mod
+    Y^(d-1), where inv = rev(R)^-1 mod Y^(d-1) comes from Newton iteration once
+    per reducer; a - quotient * R is then taken mod Y^N - 1 for N >= d + 1, a
+    cyclic product of half the length.  The transforms of inv and R are cached.
+    Every product checks the float64 bound of ``_check_fft_exact``.  Quotients of
+    fewer than 8 rows come from long division, cheaper there than three transforms.
 
-    In characteristic q the q-th power of sum(c_j Y^j) is
-    sum(c_j^q Y^(q j)); coefficientwise the q-th power is the cheap
-    gamma-scaling map, so each step is the substitution Y -> Y^q followed by
-    reduction mod R.  Up to deg R = _TABLE_LIMIT the first step builds a
-    table of Y^(q j) mod R for j < deg R, and every step is one contraction
-    of that table with the scaled coefficients.  Above the limit the table
-    would not fit in memory, so each step writes the coefficients into rows
-    0, q, 2q, ... of a zero array (the substituted polynomial) and reduces it
-    mod R once.
+    ``step`` has two paths.  After ``plan`` builds the table of Y^(q j) mod R for
+    j < d, a step is one contraction of that table with the coefficientwise q-th
+    power (the gamma-scaling map), since (sum c_j Y^j)^q = sum c_j^q Y^(q j).
+    Otherwise it is u^q by square-and-multiply over ``mulmod``:
+    floor(log2 q) squarings plus popcount(q) - 1 products.
 
-    The table is built in two parts, with d = deg R.  First
+    ``plan(steps)`` builds the table when it is exact (see below) and
+    T_build + steps * T_table < steps * T_pow.  The costs, in seconds, were fitted
+    to timings on a 2-vCPU x86 VM with one BLAS thread, with d = deg R,
+    F = 2^ceil(log2(2 dim - 1)) and M = 2^ceil(log2(2d - 1)) * F:
+    T_build = 7.3e-10 d^2 q F + 3.6e-5 (d + q), the table build below;
+    T_table = 1.5e-10 d^2 dim^2 + 6e-5, one contraction;
+    T_pow = (floor(log2 q) + popcount(q) - 1) * (3.3e-9 M log2 M + 2.5e-4).
+    For k + 1 = 3 steps the rule keeps the table up to deg R ~100 at q = 13 and
+    31, ~55 at q = 61 and ~30 at q = 101; timed, the crossover lies between
+    deg R 80 and 125 at q = 13, 90 and 125 at q = 31, 64 and 125 at q = 61, and
+    30 and 64 at q = 101.
+
+    The table is built in two parts.  First
     P[i] = Y^(d+i) mod R for i < q, each from the one before by a one-row
     shift plus a multiple of P[0] = Y^d - R.  Then row j comes from row j-1,
     sum(c_t Y^t), in one pass: of Y^q times it, the terms c_t Y^(t+q) with
     t + q < d stay as they are, and the high coefficients h_i = c_(d-q+i)
     (the ones that reach Y^(d+i)) add sum_i h_i P[i].  That sum runs in the
-    Fourier domain along X: real FFTs of length F, the power of two
-    >= 2 dim - 1 (so products do not wrap), one (1 x q) @ (q x d) complex
+    Fourier domain along X: real FFTs of length F, one (1 x q) @ (q x d) complex
     product per frequency, and an inverse FFT that gives the coefficients of
     X^0 .. X^(2 dim - 2).  These are rounded, folded with X^dim = gamma and
     reduced mod q.  Only the transformed P is kept.
 
-    Exactness: each coefficient before the fold is a sum of at most q * dim
-    products of residues below q, so B = q * dim * (q-1)^2 bounds both it and
-    sum_i ||h_i||_2 ||P[i]_t||_2.  By Percival's bound for FFT products
+    Exactness of the table: each coefficient before the fold is a sum of at most
+    q * dim products of residues below q, so B = q * dim * (q-1)^2 bounds both it
+    and sum_i ||h_i||_2 ||P[i]_t||_2.  By Percival's bound for FFT products
     (twiddle factors accurate to 2^-53) plus the bound for the q-term complex
     sum, the computed coefficient is within B * (13 log2 F + 2q + 3) * 2^-53
-    of the integer.  Building the table refuses (ParameterError) sizes where
-    that reaches 1/4, and checks that every value lies within 1/4 of an
-    integer before it is rounded.
+    of the integer.  ``plan`` never builds a table where that reaches 1/4
+    (``_build_table`` refuses it with ParameterError), and the build checks that
+    every value lies within 1/4 of an integer before it is rounded.
     """
-
-    _TABLE_LIMIT = 600
 
     def __init__(self, ctx: _ExtCtx, R: np.ndarray):
         self.ctx = ctx
         self.R = _yp_monic(ctx, R)
         if self.R.shape[0] < 2:
             raise ValueError("modulus must have degree at least 1")
-        # step() contracts the table over deg R rows and dim columns at once
+        # a table step contracts deg R rows and dim columns at once
         _check_float_exact((self.R.shape[0] - 1) * ctx.dim, ctx.q, "Frobenius step")
         self._table: np.ndarray | None = None
+        self._inv_hat: np.ndarray | None = None
+
+    def _table_error(self) -> int:
+        """2^53 times the table build's error bound (the exactness argument above)."""
+        q, dim = self.ctx.q, self.ctx.dim
+        lg = (2 * dim - 2).bit_length()  # log2 F
+        return q * dim * (q - 1) ** 2 * (13 * lg + 2 * q + 3)
+
+    def plan(self, steps: int) -> None:
+        """Build the table if it is exact and pays for `steps` more steps (the rule above)."""
+        if self._table is not None or 4 * self._table_error() >= 2**53:
+            return
+        q, dim = self.ctx.q, self.ctx.dim
+        d = self.R.shape[0] - 1
+        n, f = _fft_shape(self.ctx, 2 * d - 1)  # a product of two residues
+        m = n * f
+        t_build = 7.3e-10 * d * d * q * f + 3.6e-5 * (d + q)
+        t_table = 1.5e-10 * d * d * dim * dim + 6e-5
+        t_pow = (q.bit_length() + q.bit_count() - 2) * (3.3e-9 * m * math.log2(m) + 2.5e-4)
+        if t_build + steps * t_table < steps * t_pow:
+            self._build_table()
 
     def _build_table(self):
         ctx = self.ctx
@@ -672,8 +760,7 @@ class FrobeniusReducer:
         lr = self.R.shape[0] - 1  # residues have at most lr rows
         width = 2 * dim - 1  # X-degree of a product, before the fold
         nfft = 1 << (width - 1).bit_length()
-        bound = q * dim * (q - 1) ** 2 * (13 * (nfft.bit_length() - 1) + 2 * q + 3)
-        if 4 * bound >= 2**53:
+        if 4 * self._table_error() >= 2**53:
             raise ParameterError(
                 f"Frobenius table: q * dim * (q-1)^2 * (13 log2 F + 2q + 3) >= 2^51 with "
                 f"q = {q}, dim = {dim}, F = {nfft}; the Fourier-domain sum would not be exact"
@@ -710,31 +797,79 @@ class FrobeniusReducer:
             _fmod(row, q)
         self._table = table
 
+    def _setup_barrett(self):
+        """inv = rev(R)^-1 mod Y^(d-1) by Newton iteration, and the transforms of inv and R."""
+        ctx = self.ctx
+        d = self.R.shape[0] - 1
+        n = d - 1
+        rev = self.R[::-1]
+        inv = _yp_monomial(ctx, 0)  # rev(R)(0) = lc(R) = 1
+        prec = 1
+        while prec < n:
+            prec = min(2 * prec, n)
+            e = _yp_pad(_yp_mul(ctx, rev[:prec], inv), prec)
+            e[0, 0] -= 1  # e = rev(R) * inv - 1, zero below the old precision
+            inv = (_yp_pad(inv, prec) - _yp_pad(_yp_mul(ctx, inv, e), prec)) % ctx.q
+        self._inv_shape = _fft_shape(ctx, 2 * n - 1)
+        self._r_shape = _fft_shape(ctx, d + 1)  # cyclic: R (d + 1 rows) does not wrap
+        _check_fft_exact(ctx, n, n, self._inv_shape)
+        _check_fft_exact(ctx, n, d + 1, self._r_shape)
+        self._inv_hat = np.fft.rfft2(inv, self._inv_shape)
+        self._r_hat = np.fft.rfft2(self.R, self._r_shape)
+
+    def _reduce(self, a: np.ndarray) -> np.ndarray:
+        """a mod R for a reduced a; Barrett for products of residues (at most
+        2 deg R - 1 rows), whose quotient fits the precision of inv."""
+        ctx = self.ctx
+        d = self.R.shape[0] - 1
+        m = a.shape[0] - d  # quotient rows
+        if m <= 0:
+            return a
+        if m < 8 or m >= d:  # long division: ~20 us a row beats ~200 us of transforms
+            return _yp_mod(ctx, a, self.R)
+        if self._inv_hat is None:
+            self._setup_barrett()
+        quo_hat = np.fft.rfft2(a[: d - 1 : -1], self._inv_shape) * self._inv_hat
+        quo = _fft_round(ctx, quo_hat, self._inv_shape, m)[::-1]
+        n_cyc = self._r_shape[0]
+        rq_hat = np.fft.rfft2(quo, self._r_shape) * self._r_hat
+        rem = a[:d] - _fft_round(ctx, rq_hat, self._r_shape, d)
+        rem[: max(a.shape[0] - n_cyc, 0)] += a[n_cyc:]  # a mod Y^N - 1
+        return _yp_trim(rem % ctx.q)
+
+    def mulmod(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a * b mod R for residues a and b."""
+        return self._reduce(_yp_mul(self.ctx, a, b))
+
+    def pow_mod(self, u: np.ndarray, e: int) -> np.ndarray:
+        """u^e mod R by left-to-right square-and-multiply over ``mulmod``."""
+        u = _yp_mod(self.ctx, u, self.R)
+        if e == 0:
+            return _yp_monomial(self.ctx, 0)
+        w = u
+        for bit in bin(e)[3:]:
+            w = self.mulmod(w, w)
+            if bit == "1":
+                w = self.mulmod(w, u)
+        return w
+
     def step(self, u: np.ndarray) -> np.ndarray:
         """u^q mod R for a residue u (shape (<= deg R, dim))."""
         ctx = self.ctx
         u = _yp_trim(u % ctx.q)
         if u.shape[0] == 0:
             return u
-        if ctx.dim == 1:
-            # F_q is fixed by Frobenius, so u^q needs only log2(q) squarings,
-            # and no table sized by q (which would refuse large prime q)
-            return _yp_pow_mod(ctx, u, ctx.q, self.R)
-        u = _sc_frobenius(ctx, u, 1)
-        n = u.shape[0]
-        if self.R.shape[0] - 1 > self._TABLE_LIMIT:
-            sub = np.zeros((ctx.q * (n - 1) + 1, ctx.dim), dtype=np.int64)
-            sub[:: ctx.q] = u
-            return _yp_mod(ctx, sub, self.R)
         if self._table is None:
-            self._build_table()
+            return self.pow_mod(u, ctx.q)
+        u = _sc_frobenius(ctx, u, 1)
         mats = _sc_matrix(ctx, u).astype(np.float64)
-        prod = np.tensordot(self._table[:n], mats, axes=([0, 2], [0, 1]))
+        prod = np.tensordot(self._table[: u.shape[0]], mats, axes=([0, 2], [0, 1]))
         return _yp_trim(prod.astype(np.int64) % ctx.q)
 
     def linearized_residue(self, a) -> np.ndarray:
         """sum_i a_i Y^(q^i) mod R for base-field scalars a_i, by len(a) - 1 steps."""
         ctx = self.ctx
+        self.plan(len(a) - 1)
         u = _yp_mod(ctx, _yp_monomial(ctx, 1), self.R)
         w = _yp_zero(ctx)
         for i, ai in enumerate(a):
@@ -750,17 +885,24 @@ def _half_field_power(ctx: _ExtCtx, base: np.ndarray, reducer: FrobeniusReducer)
 
     Written through the base-q factorization of the exponent:
     (q^dim - 1)/2 = (1 + q + ... + q^(dim-1)) * (q-1)/2, so the result is the
-    norm-like product prod_i base^(q^i), raised to (q-1)/2.  The q-th powers
-    come from cheap Frobenius steps instead of generic squarings; the caller
-    passes one reducer per modulus, so its table is built once.
+    norm-like product prod_i base^(q^i), raised to (q-1)/2.  That product comes
+    from the addition chain of Itoh-Tsujii (as in ``galois._sc_inv``): with
+    beta_m = prod_(i<m) base^(q^i), beta_2m = beta_m * beta_m^(q^m) and
+    beta_(m+1) = base * beta_m^q, so it takes dim - 1 Frobenius steps but only
+    O(log dim) products.  The steps are planned dim - 1 at a time; the caller
+    passes one reducer per modulus, so a table, once built, serves every round.
     """
-    mod = reducer.R
-    w = _yp_mod(ctx, base, mod)
-    acc = w
-    for _ in range(ctx.dim - 1):
-        w = reducer.step(w)
-        acc = _yp_mod(ctx, _yp_mul(ctx, acc, w), mod)
-    return _yp_pow_mod(ctx, acc, (ctx.q - 1) // 2, mod)
+    reducer.plan(ctx.dim - 1)
+    base = _yp_mod(ctx, base, reducer.R)
+    beta, m = base, 1
+    for bit in bin(ctx.dim)[3:]:
+        w = beta
+        for _ in range(m):
+            w = reducer.step(w)
+        beta, m = reducer.mulmod(beta, w), 2 * m
+        if bit == "1":
+            beta, m = reducer.mulmod(base, reducer.step(beta)), m + 1
+    return reducer.pow_mod(beta, (ctx.q - 1) // 2)
 
 
 def _edf_roots(ctx: _ExtCtx, g: np.ndarray, rng: random.Random) -> list[np.ndarray]:

@@ -18,7 +18,7 @@ from foldedrs.frs import (
     interpolation_points,
     unfold,
 )
-from foldedrs.harness import ChannelSpec, apply_channel, oracle_decode
+from foldedrs.harness import ChannelSpec, apply_channel, oracle_decode, pipeline_threshold
 from foldedrs.interp import (
     InterpolationProblem,
     ParameterError,
@@ -182,6 +182,27 @@ def test_unfolded_code_decodes_with_m1():
     assert e_star >= 1
     recv = apply_channel(cw, ChannelSpec(kind="uniform", e=e_star, seed=2), q=13)
     assert msg in list_decode(p, recv, seed=0).messages
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        # deg R 1023 at dim 30: the Frobenius chain steps by square-and-multiply
+        FRSParams(q=31, m=5, k=4, s=3, r=2),
+        # deg R 404 at dim 100, nine steps
+        FRSParams(q=101, m=5, k=8, s=2, r=2),
+    ],
+    ids=["q31-s3-degR1023", "q101-k8-degR404"],
+)
+def test_large_substituted_degree_decodes_at_the_threshold(p):
+    rng = random.Random(1)
+    msg = UniPoly.from_ints(p.field, [rng.randrange(p.q) for _ in range(p.k + 1)])
+    e = p.N - pipeline_threshold(p)
+    recv = apply_channel(encode(p, msg), ChannelSpec(kind="uniform", e=e), rng, q=p.q)
+    res = list_decode(p, recv)
+    assert res.stats.substituted_degree > 400
+    assert msg in res.messages
+    assert all(folded_agreement(encode(p, f), recv) >= res.t for f in res.messages)
 
 
 def test_decode_parameter_rejection():

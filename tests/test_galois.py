@@ -261,6 +261,28 @@ def test_numpy_integers_become_python_ints():
     assert h * h.inverse() == field.one()
 
 
+def test_any_integer_compares_equal():
+    field, ext = PrimeField(7), standard_extension(7)
+    assert field.element(3) == np.int64(3) == ext.element([3])
+    assert field.element(3) == np.int64(10) and ext.element([3]) == np.uint8(10)
+    assert field.element(3) != np.int64(4) and ext.element([3]) != np.int64(4)
+    # foreign types are left to Python: not equal, and no exception
+    assert field.element(3).__eq__(3.0) is NotImplemented
+    assert ext.element([3]).__eq__("3") is NotImplemented
+    assert field.element(3) != 3.0 and ext.element([3]) != "3"
+
+
+def test_field_contexts_are_shared():
+    ext = standard_extension(7)
+    assert ext.ctx is ext.ctx
+    assert PrimeField(7).ctx is PrimeField(7).ctx
+    # a context past the float64 bound is refused on every use, never cached
+    big = standard_extension(208067)
+    for _ in range(2):
+        with pytest.raises(ParameterError):
+            big.ctx
+
+
 _FOREIGN_OPERATORS = {
     "add": lambda a: a + "z",
     "radd": lambda a: "z" + a,

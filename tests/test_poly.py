@@ -12,6 +12,7 @@ from foldedrs.galois import (
     _ExtCtx,
     _ptrim,
     _sc_inv,
+    _sc_matrix,
     find_primitive_element,
     standard_extension,
 )
@@ -24,10 +25,11 @@ from foldedrs.poly import (
     _half_field_power,
     _roots_arr,
     _yp_divmod,
+    _yp_gcd,
     _yp_mod,
     _yp_monic,
     _yp_monomial,
-    _yp_pow_mod,
+    _yp_mul,
     _yp_trim,
     compose_message,
     count_weighted_monomials,
@@ -319,6 +321,117 @@ def test_sc_inv_matches_euclid(q):
         _sc_inv(ctx, np.zeros(ctx.dim, dtype=np.int64))
 
 
+def _ref_mul(ctx, a, b):
+    """The schoolbook product: one matmul by a multiplication matrix per row of b."""
+    if a.shape[0] == 0 or b.shape[0] == 0:
+        return np.zeros((0, ctx.dim), dtype=np.int64)
+    if b.shape[0] > a.shape[0]:
+        a, b = b, a
+    af = a.astype(np.float64)
+    out = np.zeros((a.shape[0] + b.shape[0] - 1, ctx.dim), dtype=np.int64)
+    for j in range(b.shape[0]):
+        c = b[j]
+        if c.any():
+            out[j : j + a.shape[0]] += (af @ _sc_matrix(ctx, c).astype(np.float64)).astype(
+                np.int64
+            )
+            out[j : j + a.shape[0]] %= ctx.q
+    return _yp_trim(out)
+
+
+def _ref_gcd(ctx, a, b):
+    """The long-division Euclid: it inverts each non-monic divisor's lead."""
+    a = _yp_trim(a % ctx.q)
+    b = _yp_trim(b % ctx.q)
+    while b.shape[0] > 0:
+        a, b = b, _yp_mod(ctx, a, b)
+    return _yp_monic(ctx, a)
+
+
+def _ref_pow_mod(ctx, base, exp, mod):
+    """base^exp mod `mod` by right-to-left square-and-multiply over the references."""
+    result = _yp_monomial(ctx, 0)
+    base = _yp_mod(ctx, base, mod)
+    while exp:
+        if exp & 1:
+            result = _yp_mod(ctx, _ref_mul(ctx, result, base), mod)
+        base = _yp_mod(ctx, _ref_mul(ctx, base, base), mod)
+        exp >>= 1
+    return result
+
+
+def _ref_residue(ctx, R, a):
+    """sum_i a_i Y^(q^i) mod R by reference q-th powers."""
+    u = _yp_mod(ctx, _yp_monomial(ctx, 1), R)
+    w = np.zeros((R.shape[0] - 1, ctx.dim), dtype=np.int64)
+    for ai in a:
+        w[: u.shape[0]] += ai * u
+        u = _ref_pow_mod(ctx, u, ctx.q, R)
+    return _yp_trim(w % ctx.q)
+
+
+# the extensions the property tests cover, and prime fields: a small q, and
+# one too large for a Frobenius table sized by q
+_PRIME_CTXS = [_ExtCtx(13, 1, 0), _ExtCtx(65537, 1, 0)]
+_PROPERTY_CTXS = [standard_extension(q).ctx for q in (5, 7, 13, 31)] + _PRIME_CTXS
+_KINDS = ["random", "monomial", "single-row", "top-row"]
+
+
+def _shaped_yp(rng, ctx, rows, kind):
+    """A polynomial of `rows` rows (one for "single-row") of one of the _KINDS."""
+    arr = np.zeros((1 if kind == "single-row" else rows, ctx.dim), dtype=np.int64)
+    if kind == "random":
+        arr[:] = [[rng.randrange(ctx.q) for _ in range(ctx.dim)] for _ in range(rows)]
+    elif kind == "monomial":
+        arr[-1, rng.randrange(ctx.dim)] = rng.randrange(1, ctx.q)
+    else:  # the top row only
+        arr[-1] = [rng.randrange(ctx.q) for _ in range(ctx.dim)]
+    arr[-1, 0] = arr[-1, 0] or 1
+    return arr
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ctx=st.sampled_from(_PROPERTY_CTXS),
+    kinds=st.tuples(st.sampled_from(_KINDS), st.sampled_from(_KINDS)),
+    rows=st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(2, 30)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fft_product_and_mulmod_match_schoolbook(ctx, kinds, rows, seed):
+    rng = random.Random(seed)
+    a = _shaped_yp(rng, ctx, rows[0], kinds[0])
+    b = _shaped_yp(rng, ctx, rows[1], kinds[1])
+    assert np.array_equal(_yp_mul(ctx, a, b), _ref_mul(ctx, a, b))
+    assert np.array_equal(_yp_mul(ctx, a, a), _ref_mul(ctx, a, a))
+    # R is not monic; the reducer works mod its monic normalization
+    R = _shaped_yp(rng, ctx, rows[2], "random")
+    R[-1, rng.randrange(ctx.dim)] = rng.randrange(1, ctx.q)
+    reducer = FrobeniusReducer(ctx, R)
+    ar, br = _yp_mod(ctx, a, reducer.R), _yp_mod(ctx, b, reducer.R)
+    expect = _yp_mod(ctx, _ref_mul(ctx, ar, br), reducer.R)
+    assert np.array_equal(reducer.mulmod(ar, br), expect)
+    assert np.array_equal(reducer.pow_mod(a, 5), _ref_pow_mod(ctx, a, 5, R))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ctx=st.sampled_from(_PROPERTY_CTXS),
+    rows=st.tuples(st.integers(1, 30), st.integers(1, 30), st.integers(0, 6)),
+    common=st.sampled_from(_KINDS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gcd_matches_long_division_euclid(ctx, rows, common, seed):
+    # inputs with a common factor h of each kind, and unrelated ones (rows[2] = 0)
+    rng = random.Random(seed)
+    a = _shaped_yp(rng, ctx, rows[0], "random")
+    b = _shaped_yp(rng, ctx, rows[1], "random")
+    if rows[2]:
+        h = _shaped_yp(rng, ctx, rows[2], common)
+        a, b = _ref_mul(ctx, a, h), _ref_mul(ctx, b, h)
+    assert np.array_equal(_yp_gcd(ctx, a, b), _ref_gcd(ctx, a, b))
+    assert np.array_equal(_yp_gcd(ctx, b, a), _ref_gcd(ctx, b, a))
+
+
 def _reference_table(reducer):
     """The schoolbook chain: row j is Y^q * (row j-1) reduced mod R by a full _yp_mod."""
     ctx = reducer.ctx
@@ -350,46 +463,43 @@ def test_frobenius_table_matches_schoolbook_chain(q):
         assert np.array_equal(reducer._table, _reference_table(reducer))
 
 
-# prime fields (dim = 1): a small q, and one too large for a table sized by q
-_PRIME_CTXS = [_ExtCtx(13, 1, 0), _ExtCtx(65537, 1, 0)]
-
-
 def test_frobenius_reducer_step_matches_generic_power():
-    # u -> u^q mod R via the reducer must agree with square-and-multiply,
-    # for monomial and general inputs
-    rng = random.Random(17)
-    for ctx in [standard_extension(q).ctx for q in [5, 7]] + _PRIME_CTXS:
+    # u -> u^q mod R on both paths (table, square-and-multiply) must agree
+    # with reference powering for monomial, single-row, top-row-only and
+    # general inputs, and so must the chained residue sum a_i Y^(q^i) mod R
+    for ctx in _PROPERTY_CTXS:
+        rng = random.Random(17 + ctx.q)
         q = ctx.q
-        for trial in range(8):
-            R = _random_yp(rng, ctx, 9)
-            if R.shape[0] < 3:
-                continue
-            reducer = FrobeniusReducer(ctx, R)
-            for case in range(3):
-                if case == 0:  # monomial input
-                    u = np.zeros((R.shape[0] - 1, ctx.dim), dtype=np.int64)
-                    u[-1, rng.randrange(ctx.dim)] = rng.randrange(1, q)
-                else:
-                    u = _yp_mod(ctx, _random_yp(rng, ctx, R.shape[0] + 2), reducer.R)
-                    if u.shape[0] == 0:
-                        continue
-                expect = _yp_pow_mod(ctx, u, q, reducer.R)
-                got = reducer.step(u)
-                assert np.array_equal(got, expect)
+        for deg in (1, 2, 5, 9):
+            R = _shaped_yp(rng, ctx, deg + 1, "random")
+            tabled, untabled = FrobeniusReducer(ctx, R), FrobeniusReducer(ctx, R)
+            if q < 1000:  # the table sums q rows; at q = 65537 it is refused
+                tabled._build_table()
+            untabled.plan = lambda steps: None  # keep square-and-multiply in linearized_residue
+            for kind in _KINDS:
+                u = _yp_mod(ctx, _shaped_yp(rng, ctx, rng.randint(1, deg), kind), tabled.R)
+                expect = _ref_pow_mod(ctx, u, q, tabled.R)
+                assert np.array_equal(tabled.step(u), expect)
+                assert np.array_equal(untabled.step(u), expect)
+            a = [rng.randrange(q) for _ in range(4)]
+            expect = _ref_residue(ctx, tabled.R, a)
+            assert np.array_equal(tabled.linearized_residue(a), expect)
+            assert np.array_equal(untabled.linearized_residue(a), expect)
+            assert untabled._table is None
 
 
 def test_frobenius_reducer_untabled_path_matches():
-    # the direct path (substitute Y -> Y^q, reduce once) runs above
-    # _TABLE_LIMIT; both paths must equal generic powering, also on single-row
-    # inputs: Y, Y^q mod R (one row when deg R > q) and a top-row-only u
+    # a reducer whose table was never planned steps by square-and-multiply;
+    # both paths must equal reference powering, also on single-row inputs: Y,
+    # Y^q mod R (one row when deg R > q) and a top-row-only u
     rng = random.Random(23)
     for q, deg in [(5, 3), (5, 7), (5, 12), (7, 9)]:
         ctx = standard_extension(q).ctx
         R = np.array([[rng.randrange(q) for _ in range(ctx.dim)] for _ in range(deg + 1)])
         R[deg, 0] = rng.randrange(1, q)
         tabled = FrobeniusReducer(ctx, R)
+        tabled._build_table()
         untabled = FrobeniusReducer(ctx, R)
-        untabled._TABLE_LIMIT = 0
         y_q = _yp_mod(ctx, _yp_monomial(ctx, q), tabled.R)
         assert (np.count_nonzero(y_q.any(axis=1)) == 1) == (deg > q)
         top = np.zeros((deg, ctx.dim), dtype=np.int64)
@@ -402,9 +512,26 @@ def test_frobenius_reducer_untabled_path_matches():
             top,
         ]
         for u in inputs:
-            expect = _yp_pow_mod(ctx, u, q, tabled.R)
+            expect = _ref_pow_mod(ctx, u, q, tabled.R)
             assert np.array_equal(tabled.step(u), expect)
             assert np.array_equal(untabled.step(u), expect)
+        assert untabled._table is None
+
+
+def test_cost_rule_keeps_the_table_where_it_pays():
+    # small moduli with several steps (decode-small, decode-interp, splitting
+    # a small g) keep the table; deg R 125 at q = 31 with k + 1 = 3 steps does
+    # not, and a prime field too large for an exact table never builds one
+    cases = [(13, 39, 3, True), (101, 10, 9, True), (31, 2, 29, True), (31, 125, 3, False)]
+    for q, deg, steps, tabled in cases:
+        ctx = standard_extension(q).ctx
+        reducer = FrobeniusReducer(ctx, _yp_monomial(ctx, deg))
+        reducer.plan(steps)
+        assert (reducer._table is not None) == tabled
+    ctx = _PRIME_CTXS[1]
+    reducer = FrobeniusReducer(ctx, _yp_monomial(ctx, 3))
+    reducer.plan(10**6)
+    assert reducer._table is None
 
 
 def test_float64_paths_refuse_inexact_sizes():
@@ -422,10 +549,10 @@ def test_float64_paths_refuse_inexact_sizes():
     # domain: B * (13 log2 F + 2q + 3) must stay below 2^51 with
     # B = q * dim * (q-1)^2, and with dim = 2^6 (F = 2^7) q = 2037 reaches it
     ctx = _ExtCtx(2036, 2**6, 3)
-    FrobeniusReducer(ctx, _yp_monomial(ctx, 1)).step(_yp_monomial(ctx, 0))
+    FrobeniusReducer(ctx, _yp_monomial(ctx, 1))._build_table()
     ctx = _ExtCtx(2037, 2**6, 3)
     with pytest.raises(ParameterError):
-        FrobeniusReducer(ctx, _yp_monomial(ctx, 1)).step(_yp_monomial(ctx, 0))
+        FrobeniusReducer(ctx, _yp_monomial(ctx, 1))._build_table()
     # long division leaves window values down to -dim (q-1)^2 for _fmod, which
     # is exact while |x| <= 2^53 - q: with dim = 3, q = 54794159 has
     # 3 (q-1)^2 < 2^53 < 3 (q-1)^2 + q, and q - 1 is the largest q that builds
@@ -446,6 +573,19 @@ def test_float64_paths_refuse_inexact_sizes():
     for j, row in enumerate(rem):
         expect[j] = [(x + int(y)) % q for x, y in zip(expect[j], row)]
     assert expect == a.tolist()
+
+
+def test_fft_product_refuses_inexact_sizes():
+    # with q - 1 = 2^20 and dim = 1, two n-row products reach the bound of
+    # _check_fft_exact, n * dim * (q-1)^2 * (13 log2 N + 3) >= 2^51, first at
+    # n = 26 (N = 64); the largest accepted product is exact
+    ctx = _ExtCtx(2**20 + 1, 1, 3)
+    a = np.full((25, 1), ctx.q - 1, dtype=np.int64)
+    got = _yp_mul(ctx, a, a)
+    assert got[:, 0].tolist() == [min(j + 1, 49 - j) % ctx.q for j in range(49)]
+    b = np.full((26, 1), ctx.q - 1, dtype=np.int64)
+    with pytest.raises(ParameterError):
+        _yp_mul(ctx, b, b)
 
 
 def _ring_poly_mul(ctx, f, g):
@@ -471,7 +611,7 @@ def test_half_field_power_matches_generic_power():
             if mod.shape[0] < 3:
                 continue
             base = _random_yp(rng, ctx, mod.shape[0] - 2)
-            expect = _yp_pow_mod(ctx, base, half, mod)
+            expect = _ref_pow_mod(ctx, base, half, mod)
             got = _half_field_power(ctx, base, FrobeniusReducer(ctx, _yp_trim(mod)))
             # both are residues mod the monic normalization of mod
             m = _yp_monic(ctx, mod)
