@@ -188,7 +188,8 @@ class FieldElem:
             return NotImplemented
 
     def __hash__(self):
-        return hash((self.value, self.field.q))
+        # equal to the int self.value, so hashed like it
+        return hash(self.value)
 
     def __bool__(self):
         return self.value != 0
@@ -585,7 +586,10 @@ class ExtFieldElem:
             return NotImplemented
 
     def __hash__(self):
-        return hash((self.coeffs, self.field.base.q))
+        # a constant equals the int coeffs[0], so it is hashed like it
+        if not any(self.coeffs[1:]):
+            return hash(self.coeffs[0])
+        return hash(self.coeffs)
 
     def __bool__(self):
         return any(self.coeffs)

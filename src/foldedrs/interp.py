@@ -15,12 +15,12 @@ root-finding substitution Y_t -> Y^(q^(t-1)), so the chosen Q keeps that
 substituted degree as small as the system allows; this both fixes
 reproducibility and keeps the root-finding step cheap.
 
-Because x does not depend on the pivot rows, it is found by blocked forward
-elimination (panels of _PANEL columns, lazy int64 reduction inside a panel,
-one float64 matmul per panel for the trailing rows) and back-substitution,
-the scheme of Dumas, Giorgi and Pernet (FFLAS-FFPACK, 2008) for word-size
-prime fields.  The float64 products are exact while _PANEL * (q-1)^2 < 2^53,
-which _kernel_vector checks.
+Because x does not depend on the pivot rows, it is found by blocked,
+left-looking elimination and back-substitution on a float64 copy of the
+matrix, with the delayed modular reduction of Dumas, Giorgi and Pernet
+(FFLAS-FFPACK, 2008): an entry is reduced by ``poly._fmod`` only before it
+could hold more than T = floor((2^53 - q) / (q-1)^2) products of residues,
+so |x| <= T (q-1)^2 <= 2^53 - q and every float64 sum is exact.
 """
 
 from __future__ import annotations
@@ -31,15 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .galois import ParameterError, PrimeField, _check_float_exact
-from .poly import (
-    Monomial,
-    MultiPoly,
-    _pascal_mod,
-    count_weighted_monomials,
-    enumerate_weighted_monomials,
-)
+from .poly import MultiPoly, _fmod, _pascal_mod, _weighted_exponents, count_weighted_monomials
 
-_PANEL = 32  # columns per elimination panel; see _kernel_vector
+_PANEL = 64  # widest elimination panel; see _kernel_vector
 
 
 def _integer_root(value: int, degree: int) -> int:
@@ -142,89 +136,91 @@ def _derivative_monomials(r: int, s: int) -> list[tuple[int, ...]]:
     return [v for v in out if sum(v) < r]
 
 
-def _column_order_key(q: int, k: int):
-    def key(mon: Monomial):
-        e = mon.exponents
-        substituted = sum(j * q**t for t, j in enumerate(e[1:]))
-        return (substituted, mon.weighted_degree(k), e)
+def _column_exponents(k: int, D: int, s: int) -> np.ndarray:
+    """Exponent vectors of the unknowns in column order, one int64 row each.
 
-    return key
+    Columns go by substituted degree sum_t j_t q^(t-1), which orders like its
+    digits (j_s, ..., j_1) as every j_t <= D // k < q, then weighted degree,
+    then exponent vector."""
+    exps = _weighted_exponents(k, D, s)
+    wdeg = exps[:, 0] + k * exps[:, 1:].sum(axis=1)
+    return exps[np.lexsort((*exps.T[::-1], wdeg, *exps[:, 1:].T))]
 
 
-def _assemble_matrix(problem: InterpolationProblem, cols: list[Monomial]) -> np.ndarray:
+def _assemble_matrix(problem: InterpolationProblem, exps: np.ndarray) -> np.ndarray:
     """One row per (point, shift monomial) pair; entries are Hasse shift coefficients.
 
     The coefficient of the shift monomial b in the translate of X^e0 Y^e is
     prod_t C(e_t, b_t) * a_t^(e_t - b_t).  The binomial part depends on the
     column only and the power part is a lookup in per-point power tables, so
     each shift monomial fills its rows for all points at once.  Rows are
-    point-major: row p * len(shifts) + i belongs to point p and shift i.
+    point-major: row p * len(shifts) + i belongs to point p and shift i, and
+    column c to exps[c].  Entries are float64 residues; each product of two
+    is reduced at once, exactly for every q that _kernel_vector accepts.
     """
     q = problem.field.q
     s = problem.s
-    exps = np.array([c.exponents for c in cols], dtype=np.int64)  # (ncols, s+1)
     max_e = int(exps.max())
-    pascal = _pascal_mod(q, max_e)
+    pascal = _pascal_mod(q, max_e).astype(np.float64)
     # pows[p, t, e] = a_t^e for coordinate t of point p
-    coords = np.array(problem.points, dtype=np.int64).reshape(-1, s + 1) % q
-    pows = np.ones((len(coords), s + 1, max_e + 1), dtype=np.int64)
+    coords = np.array(problem.points, dtype=np.float64).reshape(-1, s + 1)
+    pows = np.ones((len(coords), s + 1, max_e + 1))
     for e in range(1, max_e + 1):
-        pows[:, :, e] = pows[:, :, e - 1] * coords % q
+        pows[:, :, e] = _fmod(pows[:, :, e - 1] * coords, q)
     dmons = _derivative_monomials(problem.r, s)
-    rows = np.empty((len(coords), len(dmons), len(cols)), dtype=np.int64)
+    rows = np.empty((len(coords), len(dmons), len(exps)))
     for i, b in enumerate(dmons):
-        entry = (exps >= np.array(b)).all(axis=1).astype(np.int64)
+        entry = (exps >= np.array(b)).all(axis=1).astype(np.float64)
+        for t in range(s + 1):
+            entry = _fmod(entry * pascal[exps[:, t], np.minimum(b[t], exps[:, t])], q)
         for t in range(s + 1):  # the power factors broadcast entry over the points
-            et, bt = exps[:, t], b[t]
-            binom = pascal[et, np.minimum(bt, et)]
-            power = pows[:, t, np.maximum(et - bt, 0)]
-            entry = entry * binom % q * power % q
+            entry = _fmod(entry * pows[:, t, np.maximum(exps[:, t] - b[t], 0)], q)
         rows[:, i] = entry
-    return rows.reshape(-1, len(cols))
+    return rows.reshape(-1, len(exps))
 
 
-def _forward_eliminate(A: np.ndarray, q: int) -> list[int]:
-    """Blocked forward elimination of A (reduced mod q) in place, up to the first free column.
+def _forward_eliminate(A: np.ndarray, q: int, width: int, budget: int) -> list[int]:
+    """Blocked forward elimination of float64 residues A in place, up to the first free column.
 
     Returns the inverses of the pivots, one per column before the first free
     column c0, so c0 is the length of the list.  Afterwards rows 0..c0-1 of
     A hold the pivot rows: their entries in columns i..c0 (row i) form the
-    upper-triangular block U and the column of c0, reduced mod q.
+    upper-triangular block U and the column of c0, as residues.
 
-    Columns go in panels of _PANEL.  Inside a panel the pivot (the first
-    unused row with a nonzero entry) is swapped into place, the rows below
-    are updated on the panel's columns only, and entries are reduced mod q
-    lazily in int64: a column when it is searched, a row when it becomes a
-    pivot.  A new pivot row takes the updates of the panel's earlier pivots
-    on the trailing columns at once; the rows below the panel receive them
-    as one float64 matmul of the panel's multipliers by its pivot rows, a
-    sum of _PANEL products of residues below q per entry.
+    Panels of ``width`` columns are left-looking: column j takes the updates
+    of the panel's earlier pivots as one gemv and is reduced, its first
+    nonzero entry is the pivot, the pivot row takes the same updates over the
+    rest of its row as one gemv and is reduced, and so are the multipliers
+    below the pivot.  The rows below the panel then take its updates on the
+    trailing columns as one gemm.  The panel's columns are reduced at its
+    start, the trailing block only when the panel would take its count of
+    subtracted products past ``budget``.
     """
     nrows, ncols = A.shape
     inverses = []
-    for j0 in range(0, ncols, _PANEL):
-        pe = min(j0 + _PANEL, ncols)
+    pending = 0  # products subtracted from the trailing block since it was last reduced
+    for j0 in range(0, ncols, width):
+        pe = min(j0 + width, ncols)
+        if pending + width > budget:
+            _fmod(A[j0:, pe:], q)
+            pending = 0
+        _fmod(A[j0:, j0:pe], q)
         for j in range(j0, pe):
-            col = A[j:, j] % q
-            A[j:, j] = col
-            nz = np.flatnonzero(col)
-            if len(nz) == 0:
-                return inverses
-            p = j + int(nz[0])
-            if p != j:
-                A[[j, p]] = A[[p, j]]
-                col[[0, nz[0]]] = col[[nz[0], 0]]
-            A[j, j + 1 : pe] %= q
-            A[j, pe:] = (A[j, pe:] - A[j, j0:j] @ A[j0:j, pe:]) % q
+            col = A[j:, j]
+            col -= A[j:, j0:j] @ A[j0:j, j]
+            if j == nrows or not _fmod(col, q)[0]:  # no pivot in place: search below
+                nz = np.flatnonzero(col)
+                if len(nz) == 0:
+                    return inverses
+                A[[j, j + nz[0]]] = A[[j + nz[0], j]]
+            row = A[j, j + 1 :]
+            row -= A[j, j0:j] @ A[j0:j, j + 1 :]
+            _fmod(row, q)
             inverses.append(pow(int(col[0]), q - 2, q))
-            mult = col[1:] * inverses[-1] % q
-            A[j + 1 :, j] = mult
-            A[j + 1 :, j + 1 : pe] -= np.outer(mult, A[j, j + 1 : pe])
-        if pe < ncols and pe < nrows:
-            prod = A[pe:, j0:pe].astype(np.float64) @ A[j0:pe, pe:].astype(np.float64)
-            trailing = A[pe:, pe:]
-            np.subtract(trailing, prod, out=trailing, casting="unsafe")
-            np.remainder(trailing, q, out=trailing)
+            _fmod(np.multiply(col[1:], inverses[-1], out=col[1:]), q)
+        if pe < min(nrows, ncols):
+            A[pe:, pe:] -= A[pe:, j0:pe] @ A[j0:pe, pe:]
+            pending += width
     raise AssertionError("no free column: the system was not underdetermined")
 
 
@@ -237,24 +233,33 @@ def _kernel_vector(matrix: np.ndarray, q: int) -> tuple[np.ndarray, int, int]:
     x depend on the matrix only, not on which rows serve as pivots, so
     forward elimination over the unused rows (_forward_eliminate) finds c0,
     and back-substitution through the c0 x c0 upper-triangular pivot block U
-    solves U x[:c0] = -(column c0 of the pivot rows).  Returns (x, c0, c0):
-    the rank of the columns before c0, which is c0, and c0 itself.
+    solves U x[:c0] = -(column c0 of the pivot rows), by blocks of columns.
+    Returns (x, c0, c0): the rank of the columns before c0, which is c0, and
+    c0 itself.
 
-    The elimination multiplies residues in float64 sums of _PANEL products,
-    exact while _PANEL * (q-1)^2 < 2^53; a larger q raises ParameterError.
+    The entries (integers, |v| <= 2^53 - q) are reduced into float64 once;
+    from then on every entry is a residue minus at most
+    T = floor((2^53 - q) / (q-1)^2) products of residues before each _fmod,
+    so -T (q-1)^2 <= x <= q - 1 and every sum is exact.  Panels are
+    min(_PANEL, T) wide; q above 2^24 (T < _PANEL // 2) raises ParameterError.
     Raises AssertionError when every column is a pivot.
     """
-    _check_float_exact(_PANEL, q, "interpolation kernel")
-    A = matrix % q
-    inverses = _forward_eliminate(A, q)
+    _check_float_exact(_PANEL // 2, q, "interpolation kernel")
+    budget = (2**53 - q) // (q - 1) ** 2
+    width = min(_PANEL, budget)
+    A = _fmod(np.array(matrix, dtype=np.float64), q)
+    inverses = _forward_eliminate(A, q, width, budget)
     c0 = len(inverses)
-    x = np.zeros(A.shape[1], dtype=np.int64)
-    x[c0] = 1
+    y = np.zeros(A.shape[1])  # y = -x, so each sum below is a residue minus products
     rhs = A[:c0, c0].copy()
-    for i in range(c0 - 1, -1, -1):
-        x[i] = -int(rhs[i]) * inverses[i] % q
-        rhs[:i] = (rhs[:i] + A[:i, i] * x[i]) % q
-    return x, c0, c0
+    for b0 in range(c0 - 1 - (c0 - 1) % width, -1, -width):
+        b1 = min(b0 + width, c0)
+        for i in range(b1 - 1, b0 - 1, -1):
+            y[i] = int(rhs[i] - A[i, i + 1 : b1] @ y[i + 1 : b1]) * inverses[i] % q
+        rhs[:b0] -= A[:b0, b0:b1] @ y[b0:b1]
+        _fmod(rhs[:b0], q)
+    y[c0] = q - 1
+    return (-y % q).astype(np.int64), c0, c0
 
 
 def interpolate_with_report(problem: InterpolationProblem) -> tuple[MultiPoly, InterpReport]:
@@ -271,22 +276,17 @@ def interpolate_with_report(problem: InterpolationProblem) -> tuple[MultiPoly, I
             f"floor(D/k) = {D // k} >= q = {q}: Y-degrees too large for root finding"
         )
     n_conditions = len(problem.points) * constraints_per_point(r, s)
-    cols = enumerate_weighted_monomials(k, D, s)
-    if len(cols) <= n_conditions:
+    exps = _column_exponents(k, D, s)
+    if len(exps) <= n_conditions:
         raise ParameterError(
-            f"{len(cols)} monomials vs {n_conditions} conditions: system not underdetermined"
+            f"{len(exps)} monomials vs {n_conditions} conditions: system not underdetermined"
         )
-    cols.sort(key=_column_order_key(q, k))
-    matrix = _assemble_matrix(problem, cols)
+    matrix = _assemble_matrix(problem, exps)
     x, rank, free_col = _kernel_vector(matrix, q)
-    terms = {
-        cols[i].exponents: int(x[i]) for i in np.flatnonzero(x)
-    }
-    Q = MultiPoly(problem.field, s, k, terms)
+    Q = MultiPoly(problem.field, s, k, zip(map(tuple, exps.tolist()), x.tolist()))
     assert not Q.is_zero
-    sub_deg = max(
-        sum(j * q**t for t, j in enumerate(e[1:])) for e in Q.terms
-    )
+    # columns go by substituted degree, and free_col is the last one in Q
+    sub_deg = sum(j * q**t for t, j in enumerate(exps[free_col, 1:].tolist()))
     report = InterpReport(
         rows=matrix.shape[0],
         cols=matrix.shape[1],

@@ -257,21 +257,28 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+def _weighted_exponents(k: int, D: int, s: int) -> np.ndarray:
+    """The exponent vectors of enumerate_weighted_monomials, one int64 row each, in its order."""
+    if k < 1 or D < 0 or s < 1:
+        raise ValueError("need k >= 1, D >= 0, s >= 1")
+    ys = np.array(
+        [jvec for jsum in range(D // k + 1) for jvec in _compositions(jsum, s)], dtype=np.int64
+    )
+    runs = D - k * ys.sum(axis=1) + 1  # X exponents 0 .. D - k*jsum for each Y part
+    starts = np.cumsum(runs) - runs
+    ys = np.repeat(ys, runs, axis=0)
+    xs = np.arange(len(ys)) - np.repeat(starts, runs)
+    exps = np.column_stack([xs, ys])
+    return exps[np.lexsort((*exps.T[::-1], xs + k * ys.sum(axis=1)))]
+
+
 def enumerate_weighted_monomials(k: int, D: int, s: int) -> list[Monomial]:
     """All monomials X^i Y_1^j1 ... Y_s^js with i + k*(j_1+...+j_s) <= D.
 
     Returned in graded lexicographic order: ascending weighted degree, ties
     broken by the exponent vector (i, j_1, ..., j_s).
     """
-    if k < 1 or D < 0 or s < 1:
-        raise ValueError("need k >= 1, D >= 0, s >= 1")
-    out = []
-    for jsum in range(D // k + 1):
-        for jvec in _compositions(jsum, s):
-            for i in range(D - k * jsum + 1):
-                out.append(Monomial((i,) + jvec))
-    out.sort(key=lambda mon: (mon.weighted_degree(k), mon.exponents))
-    return out
+    return list(map(Monomial, zip(*_weighted_exponents(k, D, s).T.tolist())))
 
 
 def count_weighted_monomials(k: int, D: int, s: int) -> int:

@@ -272,6 +272,18 @@ def test_any_integer_compares_equal():
     assert field.element(3) != 3.0 and ext.element([3]) != "3"
 
 
+def test_elements_hash_like_the_integers_they_equal():
+    field, ext = PrimeField(7), standard_extension(7)
+    a, b, c = field.element(3), ext.element([3]), ext.element([3, 1])
+    assert 3 in {a} and 3 in {b} and np.int64(3) in {a, b}
+    assert a in {3} and b in {np.int64(3)} and c not in {3}
+    assert {3: "int"}[a] == {3: "int"}[b] == "int"
+    assert {a: "prime"}[3] == "prime" and {b: "ext"}[np.int64(3)] == "ext"
+    # a prime-field element and an extension constant are not equal to each other
+    assert len({a, b, c}) == 3 and len({a, field.element(10), PrimeField(11).element(3)}) == 2
+    assert {c: 1, ext.element([3, 1, 0]): 2} == {c: 2}
+
+
 def test_field_contexts_are_shared():
     ext = standard_extension(7)
     assert ext.ctx is ext.ctx

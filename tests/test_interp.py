@@ -14,6 +14,7 @@ from foldedrs.interp import (
     _PANEL,
     InterpolationProblem,
     ParameterError,
+    _column_exponents,
     _derivative_monomials,
     _kernel_vector,
     choose_D,
@@ -22,7 +23,12 @@ from foldedrs.interp import (
     interpolate,
     interpolate_with_report,
 )
-from foldedrs.poly import UniPoly, count_weighted_monomials, hasse_coefficient
+from foldedrs.poly import (
+    UniPoly,
+    count_weighted_monomials,
+    enumerate_weighted_monomials,
+    hasse_coefficient,
+)
 
 
 def test_degree_bound_formula_examples():
@@ -87,6 +93,25 @@ def _random_problem(rng, q):
     if D // k >= q:
         return None
     return InterpolationProblem(field=field, points=tuple(sorted(pts)), r=r, k=k, s=s, D=D)
+
+
+def _ref_column_order(k: int, D: int, s: int, q: int) -> list[tuple[int, ...]]:
+    """Exponent vectors sorted by (substituted degree, weighted degree, vector) as Python ints."""
+
+    def key(mon):
+        e = mon.exponents
+        return (sum(j * q**t for t, j in enumerate(e[1:])), mon.weighted_degree(k), e)
+
+    return [m.exponents for m in sorted(enumerate_weighted_monomials(k, D, s), key=key)]
+
+
+def test_column_order_matches_substituted_degree_sort():
+    # (7, 1, 6, 2) puts a Y exponent at q - 1; at q = 16777213, s = 4 the
+    # substituted degrees pass 2^63
+    cases = [(5, 1, 4, 1), (7, 2, 13, 2), (7, 1, 6, 2), (13, 3, 20, 3), (101, 8, 94, 1)]
+    for q, k, D, s in cases + [(16777213, 1, 12, 4)]:
+        exps = _column_exponents(k, D, s)
+        assert list(map(tuple, exps.tolist())) == _ref_column_order(k, D, s, q)
 
 
 def test_interpolate_postconditions_random():
@@ -192,7 +217,7 @@ def _reference_kernel_vector(matrix: np.ndarray, q: int) -> tuple[np.ndarray, in
     raise AssertionError("no free column")
 
 
-KERNEL_QS = [2, 3, 13, 31, 101, 65521]
+KERNEL_QS = [2, 3, 13, 31, 101, 65521, 16777213]
 
 
 def _assert_kernel_matches_reference(M: np.ndarray, q: int):
@@ -225,7 +250,11 @@ def _matrix_with_free_col(rng, q: int, nrows: int, ncols: int, c0: int, duplicat
 
 
 @pytest.mark.parametrize("q", KERNEL_QS)
-@pytest.mark.parametrize("c0", [0, _PANEL - 1, _PANEL, _PANEL + 1, 2 * _PANEL])
+# at q = 16777213 the product budget narrows panels to _PANEL // 2 columns
+@pytest.mark.parametrize(
+    "c0",
+    [0, _PANEL // 2 - 1, _PANEL // 2, _PANEL // 2 + 1, _PANEL - 1, _PANEL, _PANEL + 1, 2 * _PANEL],
+)
 def test_kernel_vector_free_column_at_panel_edges(q, c0):
     rng = np.random.default_rng([q, c0])
     for nrows, ncols in [(c0 + 3, c0 + 9), (c0 + 12, c0 + 4), (c0, c0 + 1)]:
@@ -262,6 +291,31 @@ def test_kernel_vector_rejects_inexact_field_size():
         _kernel_vector(np.zeros((1, 2), dtype=np.int64), 16777259)
     x, rank, c0 = _kernel_vector(np.array([[1, 1]]), 16777213)  # largest prime below 2^24
     assert (x.tolist(), rank, c0) == ([16777212, 1], 1, 1)
+
+
+def _largest_products_matrix(q: int, nrows: int, ncols: int, c0: int) -> np.ndarray:
+    """L U mod q where every multiplier and every entry of U above its unit
+    diagonal is q - 1, so each elimination update subtracts (q-1)^2 products;
+    column c0 of U stops at row c0 - 1, which makes c0 the first free column."""
+    L = np.tril(np.full((nrows, nrows), q - 1), -1) + np.eye(nrows, dtype=np.int64)
+    U = np.triu(np.full((nrows, ncols), q - 1), 1) + np.eye(nrows, ncols, dtype=np.int64)
+    U[c0:, c0] = 0
+    return L @ U % q
+
+
+def test_kernel_vector_reduces_the_trailing_block_at_the_product_budget():
+    # q = 16777213 allows T = floor((2^53 - q) / (q-1)^2) = 32 products per
+    # entry, so panels are 32 wide and the trailing block must be reduced
+    # before every panel after the first: on the largest-products matrices,
+    # two panels' updates without it reach 64 (q-1)^2 > 2^53 and round
+    q = 16777213
+    assert (2**53 - q) // (q - 1) ** 2 == 32
+    rng = np.random.default_rng(q)
+    assert _assert_kernel_matches_reference(rng.integers(0, q, size=(110, 130)), q) == 110
+    assert _assert_kernel_matches_reference(_largest_products_matrix(q, 110, 130, 110), q) == 110
+    assert _assert_kernel_matches_reference(_largest_products_matrix(q, 120, 130, 100), q) == 100
+    deficient = _matrix_with_free_col(rng, q, 120, 130, 100, duplicate=False)
+    assert _assert_kernel_matches_reference(deficient, q) == 100
 
 
 # ---------------------------------------------------------------------------

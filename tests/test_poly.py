@@ -21,6 +21,7 @@ from foldedrs.poly import (
     Monomial,
     MultiPoly,
     UniPoly,
+    _compositions,
     _fmod,
     _half_field_power,
     _roots_arr,
@@ -117,6 +118,26 @@ def test_enumerate_is_sorted_and_deterministic():
     assert a == b
     keys = [(m.weighted_degree(3), m.exponents) for m in a]
     assert keys == sorted(keys)
+
+
+def _ref_enumerate_weighted_monomials(k: int, D: int, s: int) -> list[Monomial]:
+    """Every monomial as an object, then a Python-keyed sort into graded lex order."""
+    out = []
+    for jsum in range(D // k + 1):
+        for jvec in _compositions(jsum, s):
+            for i in range(D - k * jsum + 1):
+                out.append(Monomial((i,) + jvec))
+    out.sort(key=lambda mon: (mon.weighted_degree(k), mon.exponents))
+    return out
+
+
+def test_enumerate_matches_sorted_reference():
+    for k in range(1, 5):
+        for D in range(26):
+            for s in (1, 2, 3):
+                mons = enumerate_weighted_monomials(k, D, s)
+                assert mons == _ref_enumerate_weighted_monomials(k, D, s)
+                assert all(type(e) is int for e in mons[-1].exponents)
 
 
 @settings(max_examples=100, deadline=None)
