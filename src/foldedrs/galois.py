@@ -10,6 +10,9 @@ products by convolution and the fold X^dim = gamma, inverses through the
 norm, the q-th power as a gamma-scaling.  ``ExtFieldElem`` wraps them, and
 the polynomial arrays of ``poly`` use them row by row.
 
+This module holds field arithmetic only.  Polynomials over either field are
+the arrays of ``poly``; ``is_irreducible`` runs on them, over ``PrimeField.ctx``.
+
 Base fields are restricted to odd primes q >= 3.  All values are immutable
 after construction and every operation is a pure function, so everything in
 this module is safe for unrestricted concurrent use.
@@ -213,106 +216,36 @@ def find_primitive_element(field: PrimeField) -> FieldElem:
     raise ArithmeticError(f"no generator found for F_{q}*")  # unreachable for prime q
 
 
-# ---------------------------------------------------------------------------
-# Polynomial helpers over F_q on plain coefficient lists (low degree first).
-# These back the irreducibility test, prime-field Frobenius powering and
-# E-power stripping; the UniPoly class in the poly module is the public
-# polynomial type.
-# ---------------------------------------------------------------------------
-
-
-def _ptrim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmul(a: list[int], b: list[int], q: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % q
-    return _ptrim(out)
-
-
-def _pdivmod(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    quo = [0] * max(0, len(a) - len(b) + 1)
-    inv_lead = pow(b[-1], q - 2, q)
-    for top in range(len(a) - 1, len(b) - 2, -1):
-        c = a[top] * inv_lead % q
-        if c:
-            quo[top - len(b) + 1] = c
-            shift = top - len(b) + 1
-            for j, bj in enumerate(b):
-                a[shift + j] = (a[shift + j] - c * bj) % q
-    return _ptrim(quo), _ptrim(a)
-
-
-def _pmod(a: list[int], b: list[int], q: int) -> list[int]:
-    return _pdivmod(a, b, q)[1]
-
-
-def _pgcd(a: list[int], b: list[int], q: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _pmod(a, b, q)
-    if a:
-        inv = pow(a[-1], q - 2, q)
-        a = [c * inv % q for c in a]
-    return a
-
-
-def _ppow_mod(base: list[int], exp: int, mod: list[int], q: int) -> list[int]:
-    result = [1]
-    base = _pmod(base, mod, q)
-    while exp:
-        if exp & 1:
-            result = _pmod(_pmul(result, base, q), mod, q)
-        base = _pmod(_pmul(base, base, q), mod, q)
-        exp >>= 1
-    return result
-
-
-def _psub(a: list[int], b: list[int], q: int) -> list[int]:
-    n = max(len(a), len(b))
-    a = a + [0] * (n - len(a))
-    b = b + [0] * (n - len(b))
-    return _ptrim([(x - y) % q for x, y in zip(a, b)])
-
-
 def is_irreducible(p) -> bool:
     """Whether a nonzero univariate polynomial over a prime field is irreducible.
 
     Uses the distinct-degree criterion: p of degree n is irreducible iff
     gcd(X^(q^d) - X, p) is constant for every d <= n/2 and X^(q^n) = X mod p.
-    Accepts a UniPoly over a PrimeField.
+    Accepts a UniPoly over a PrimeField.  The powers X^(q^d) mod p are the
+    Frobenius steps of ``poly.FrobeniusReducer`` and the gcds come from
+    ``poly._yp_gcd``, on coefficient arrays over ``PrimeField.ctx``.
 
-    Raises ValueError for zero or constant input.
+    Raises ValueError for zero or constant input, and ParameterError where the
+    FFT products mod p would not be exact (``poly._check_fft_exact``).
     """
+    from .poly import FrobeniusReducer, _uni_array, _yp_add, _yp_gcd, _yp_mod, _yp_monomial
+
     field = p.field
     if not isinstance(field, PrimeField):
         raise TypeError("irreducibility test is defined over prime fields")
-    q = field.q
-    coeffs = [c.value for c in p.coeffs]
-    deg = len(coeffs) - 1
+    deg = p.degree
     if deg < 1:
         raise ValueError("irreducibility is undefined for zero or constant polynomials")
-    inv_lead = pow(coeffs[-1], q - 2, q)
-    coeffs = [c * inv_lead % q for c in coeffs]
-    x = [0, 1]
-    u = list(x)
+    ctx = field.ctx
+    reducer = FrobeniusReducer(ctx, _uni_array(p))
+    reducer.plan(deg)
+    x = _yp_mod(ctx, _yp_monomial(ctx, 1), reducer.R)
+    u = x
     for d in range(1, deg + 1):
-        u = _ppow_mod(u, q, coeffs, q)
-        if d <= deg // 2:
-            if len(_pgcd(_psub(u, x, q), coeffs, q)) != 1:
-                return False
-    return u == _pmod(x, coeffs, q)
+        u = reducer.step(u)
+        if d <= deg // 2 and _yp_gcd(ctx, reducer.R, _yp_add(ctx, u, -x % ctx.q)).shape[0] > 1:
+            return False
+    return np.array_equal(u, x)
 
 
 # ---------------------------------------------------------------------------

@@ -122,18 +122,11 @@ class InterpReport:
 
 
 def _derivative_monomials(r: int, s: int) -> list[tuple[int, ...]]:
-    """Exponent vectors of total degree < r in s+1 variables, the shift targets."""
-    out = []
+    """Exponent vectors of total degree < r in s+1 variables, the shift targets.
 
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            out.append(tuple(prefix))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e, slots - 1)
-
-    rec([], r - 1, s + 1)
-    return [v for v in out if sum(v) < r]
+    These are the monomials of (1,1,...,1)-weighted degree <= r - 1.
+    """
+    return list(map(tuple, _weighted_exponents(1, r - 1, s).tolist()))
 
 
 def _column_exponents(k: int, D: int, s: int) -> np.ndarray:

@@ -10,7 +10,9 @@ Three layers live here:
 * a numpy toolkit for heavy univariate arithmetic over the extension field
   F_q[X]/(X^(q-1) - gamma), where a polynomial of degree d is stored as an
   int64 array of shape (d+1, q-1) whose rows go through the scalar kernels
-  of ``galois``, as ``ExtFieldElem`` does.  Products are exact real 2-D FFT
+  of ``galois``, as ``ExtFieldElem`` does; over F_q itself the arrays have
+  one column (``PrimeField.ctx``, dim = 1), which is how ``frobenius_pow_mod``
+  and ``galois.is_irreducible`` run.  Products are exact real 2-D FFT
   products along (Y, X) under a checked float64 bound (``_yp_mul``), and
   ``FrobeniusReducer`` reduces them mod a fixed R by Barrett reduction.  Root
   finding is one pipeline on these arrays: g = gcd(R, L mod R) for a
@@ -40,7 +42,6 @@ from .galois import (
     PrimeField,
     _check_float_exact,
     _ExtCtx,
-    _ppow_mod,
     _sc_frobenius,
     _sc_inv,
     _sc_is_one,
@@ -209,24 +210,22 @@ def scale_compose(f: UniPoly, gamma: FieldElem) -> UniPoly:
 
 
 def frobenius_pow_mod(f: UniPoly, j: int, E: UniPoly) -> UniPoly:
-    """f^(q^j) mod E over the prime field, by square-and-multiply.
+    """f^(q^j) mod E over the prime field, by square-and-multiply (``FrobeniusReducer.pow_mod``).
 
-    With E = X^(q-1) - gamma and deg f < q-1 this computes f(gamma^j X): the
+    With E = X^(q-1) - gamma and deg f < q-1 the result is f(gamma^j X): the
     q-th power map modulo E acts on representatives as the gamma-scaling
-    substitution.
+    substitution.  The power is computed as such, never through that identity,
+    so the identity can be checked against ``scale_compose``.  Raises
+    ParameterError where the FFT products mod E would not be exact
+    (``_check_fft_exact``).
     """
-    if E.degree < 1:
-        raise ValueError("modulus must have degree at least 1")
     field = f.field
     if not isinstance(field, PrimeField):
         raise TypeError("frobenius powering is defined over prime fields")
     if j < 0:
         raise ValueError("power index must be nonnegative")
-    q = field.q
-    fc = list(f.int_coeffs())
-    ec = list(E.int_coeffs())
-    out = _ppow_mod(fc, q**j, ec, q)
-    return UniPoly.from_ints(field, out)
+    reducer = FrobeniusReducer(field.ctx, _uni_array(E))  # refuses deg E < 1
+    return UniPoly.from_ints(field, reducer.pow_mod(_uni_array(f), field.q**j)[:, 0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +447,7 @@ def compose_message(Q: MultiPoly, msg_coeffs, gamma: int) -> np.ndarray:
     q = Q.field.q
     s = Q.s
     f = np.asarray([int(c) % q for c in msg_coeffs], dtype=np.int64)
-    f = _np_trim(f)
+    f = _yp_trim(f)
     shifted = []
     g = 1
     for _ in range(s):
@@ -477,14 +476,7 @@ def compose_message(Q: MultiPoly, msg_coeffs, gamma: int) -> np.ndarray:
                 term = _np_mul(term, pows[t][exps[1 + t]], q)
         if len(term):
             acc[exps[0] : exps[0] + len(term)] += term
-    return _np_trim(acc % q)
-
-
-def _np_trim(a: np.ndarray) -> np.ndarray:
-    n = len(a)
-    while n > 0 and a[n - 1] == 0:
-        n -= 1
-    return a[:n]
+    return _yp_trim(acc % q)
 
 
 def _np_mul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -992,9 +984,14 @@ def roots_in_field(R: UniPoly, seed: int = 0) -> set:
     if R.is_zero:
         raise ValueError("cannot find roots of the zero polynomial")
     field = R.field
-    ctx = field.ctx
+    roots = _roots_arr(field.ctx, _uni_array(R), seed)
     if isinstance(field, PrimeField):
-        arr = np.array([[c.value] for c in R.coeffs], dtype=np.int64)
-        return {field.element(int(r[0])) for r in _roots_arr(ctx, arr, seed)}
-    arr = np.array([list(c.coeffs) for c in R.coeffs], dtype=np.int64)
-    return {field._wrap(r) for r in _roots_arr(ctx, arr, seed)}
+        return {field.element(int(r[0])) for r in roots}
+    return {field._wrap(r) for r in roots}
+
+
+def _uni_array(f: UniPoly) -> np.ndarray:
+    """The coefficient array of f, shape (deg f + 1, dim): dim = 1 over a prime field."""
+    if isinstance(f.field, PrimeField):
+        return np.array([c.value for c in f.coeffs], dtype=np.int64).reshape(-1, 1)
+    return np.array([c.coeffs for c in f.coeffs], dtype=np.int64).reshape(-1, f.field.dim)

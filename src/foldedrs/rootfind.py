@@ -16,11 +16,12 @@ ones that satisfy the original identity exactly.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
 
-from .galois import ExtField, _pdivmod, standard_extension
+from .galois import ExtField, standard_extension
 from .poly import (
     FrobeniusReducer,
     MultiPoly,
@@ -39,68 +40,100 @@ class CandidateOverflowError(RuntimeError):
     """The candidate list would exceed the hard output cap."""
 
 
-def strip_E_power(Q: MultiPoly, E: UniPoly) -> tuple[MultiPoly, int]:
-    """Write Q = E(X)^b * Q0 with E(X) not dividing Q0; returns (Q0, b).
+def _x_coeff_matrix(Q: MultiPoly) -> tuple[np.ndarray, np.ndarray]:
+    """Q as a polynomial in X with one coefficient column per Y-exponent vector.
 
-    Divisibility is tested coefficient-wise, viewing Q as a polynomial in the
-    Y variables with coefficients in F_q[X].  Raises ValueError on Q = 0.
+    Returns (M, jvecs): M[i, c] is the coefficient of X^i Y^jvecs[c], where
+    jvecs holds the distinct Y-exponent vectors of Q's terms, one int64 row each.
+    """
+    n = len(Q.terms)
+    exps = np.fromiter(itertools.chain.from_iterable(Q.terms), np.int64, n * (Q.s + 1))
+    exps = exps.reshape(n, Q.s + 1)
+    ys = exps[:, 1:]
+    # one integer per exponent vector (ValueError if they would not fit in int64)
+    keys = np.ravel_multi_index(ys.T, (int(ys.max(initial=0)) + 1,) * Q.s)
+    _, first, col = np.unique(keys, return_index=True, return_inverse=True)
+    M = np.zeros((exps[:, 0].max(initial=0) + 1, len(first)), dtype=np.int64)
+    M[exps[:, 0], col] = np.fromiter(Q.terms.values(), np.int64, n)
+    return M, ys[first]
+
+
+def _divmod_binomial(M: np.ndarray, n: int, g: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Quotient and remainder of every column of M (residues, X-degree down the rows)
+    divided by X^n - g, for n >= 1.
+
+    Cut a column into blocks B_0, ..., B_T of n coefficients, so that it is
+    sum_t B_t Z^t with Z = X^n; division by Z - g is Horner's rule on the
+    blocks: the quotient blocks are C_(T-1) = B_T and C_(t-1) = B_t + g C_t,
+    and the remainder is B_0 + g C_0 (the fold of ``galois._sc_fold``).
+    """
+    top = (M.shape[0] - 1) // n
+    blocks = np.zeros(((top + 1) * n, M.shape[1]), dtype=np.int64)
+    blocks[: M.shape[0]] = M
+    blocks = blocks.reshape(top + 1, n, M.shape[1])
+    quo = np.empty((top, n, M.shape[1]), dtype=np.int64)
+    acc = blocks[top]
+    for t in range(top - 1, -1, -1):
+        quo[t] = acc
+        acc = (blocks[t] + g * acc) % q
+    return quo.reshape(top * n, M.shape[1]), acc
+
+
+def strip_E_power(Q: MultiPoly, E: UniPoly) -> tuple[MultiPoly, int]:
+    """Write Q = E(X)^b * Q0 with E(X) not dividing Q0; returns (Q0, b), and Q itself when b = 0.
+
+    E must be a binomial a X^n + c (a, c nonzero, n >= 1), as the defining
+    polynomial X^(q-1) - gamma is.  Divisibility is tested coefficient-wise,
+    viewing Q as a polynomial in the Y variables with coefficients in F_q[X]:
+    one matrix of X-coefficients (``_x_coeff_matrix``), all of whose columns
+    are divided at once (``_divmod_binomial``).  Raises ValueError on Q = 0
+    and on an E that is not such a binomial.
+
+    E never divides a Q from ``interp.interpolate`` when E = X^(q-1) - gamma,
+    so the decoder always gets b = 0.  Every interpolation point has X-coordinate
+    x = gamma^i != 0, where E(x) = x^(q-1) - gamma = 1 - gamma != 0.  If Q were
+    E * Q', then Q' would vanish to the same orders at the same points (E is a
+    unit near each of them), and its weighted degree would be that of Q minus
+    q - 1, so Q' is a kernel vector of the same system.  Multiplying by X^(q-1)
+    keeps the substituted degree and adds q - 1 to the weighted degree and to
+    the X-exponent, so it preserves the column order and moves every column
+    later; Q's last column, c0, is X^(q-1) times the last column of Q'.  That
+    column of Q' comes before c0 and lies in the span of the columns before
+    it, which contradicts c0 being the first such column.
     """
     if Q.is_zero:
         raise ValueError("cannot strip factors from the zero polynomial")
     q = Q.field.q
-    ec = list(E.int_coeffs())
-    if len(ec) < 2:
-        raise ValueError("E must have degree at least 1")
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for exps, c in Q.terms.items():
-        jvec = exps[1:]
-        arr = groups.setdefault(jvec, [])
-        if len(arr) <= exps[0]:
-            arr.extend([0] * (exps[0] + 1 - len(arr)))
-        arr[exps[0]] = c
+    ec = E.int_coeffs()
+    n = len(ec) - 1
+    if n < 1 or not ec[0] or any(ec[1:n]):
+        raise ValueError(f"E = {E!r} is not a binomial a X^n + c with a, c nonzero and n >= 1")
+    inv_lead = pow(ec[n], q - 2, q)
+    M, jvecs = _x_coeff_matrix(Q)
     b = 0
     while True:
-        division = {j: _pdivmod(arr, ec, q) for j, arr in groups.items()}
-        if any(rem for _, rem in division.values()):
+        quo, rem = _divmod_binomial(M, n, -ec[0] * inv_lead % q, q)
+        if rem.any():
             break
-        groups = {j: quo for j, (quo, _) in division.items()}
+        M = quo * inv_lead % q
         b += 1
-    terms = {}
-    for jvec, arr in groups.items():
-        for i, c in enumerate(arr):
-            if c:
-                terms[(i,) + jvec] = c
-    return MultiPoly(Q.field, Q.s, Q.k, terms), b
+    if b == 0:
+        return Q, 0
+    rows, cols = np.nonzero(M)
+    exps = np.column_stack([rows, jvecs[cols]])
+    return MultiPoly(Q.field, Q.s, Q.k, zip(map(tuple, exps.tolist()), M[rows, cols].tolist())), b
 
 
-def _reduce_coeffs_mod_E(Q0: MultiPoly, ext: ExtField) -> dict[tuple[int, ...], np.ndarray]:
-    """T = Q0 with X-coefficients reduced mod E, as a map jvec -> scalar vector.
-
-    X^i mod (X^(q-1) - gamma) is gamma^(i // (q-1)) X^(i mod (q-1)), so each
-    term folds into one coordinate.
-    """
-    q = ext.base.q
-    dim = ext.dim
-    gamma = ext.gamma.value
-    T: dict[tuple[int, ...], np.ndarray] = {}
-    for exps, c in Q0.terms.items():
-        i, jvec = exps[0], exps[1:]
-        vec = T.setdefault(jvec, np.zeros(dim, dtype=np.int64))
-        vec[i % dim] = (vec[i % dim] + c * pow(gamma, i // dim, q)) % q
-    return {j: v for j, v in T.items() if v.any()}
-
-
-def _substituted_poly(T: dict[tuple[int, ...], np.ndarray], q: int, dim: int) -> np.ndarray:
-    """R(Y) = T(Y, Y^q, ..., Y^(q^(s-1))) as a coefficient array over the extension.
+def _substituted_poly(T: np.ndarray, jvecs: np.ndarray, q: int) -> np.ndarray:
+    """R(Y) = T(Y, Y^q, ..., Y^(q^(s-1))) as a coefficient array over the extension,
+    for T whose column c is the coefficient of Y^jvecs[c], reduced mod E.
 
     Safe as long as every Y_t-degree is below q (then exponent vectors map to
     distinct substituted exponents); the caller checks the degree bound.
     """
-    degs = [sum(j * q**t for t, j in enumerate(jvec)) for jvec in T]
-    R = np.zeros((max(degs) + 1, dim), dtype=np.int64)
-    for jvec, vec in T.items():
-        e = sum(j * q**t for t, j in enumerate(jvec))
-        R[e] = (R[e] + vec) % q
+    degs = jvecs @ q ** np.arange(jvecs.shape[1], dtype=np.int64)
+    R = np.zeros((degs.max() + 1, T.shape[0]), dtype=np.int64)
+    R[degs] = T.T
     return _yp_trim(R)
 
 
@@ -149,12 +182,14 @@ def candidates_from_Q(
     q = params.q
     k = params.k
     gamma = ext.gamma.value
-    T = _reduce_coeffs_mod_E(Q0, ext)
-    if not T:
+    M, jvecs = _x_coeff_matrix(Q0)
+    T = _divmod_binomial(M, ext.dim, gamma, q)[1]  # the X-coefficients mod E
+    live = T.any(axis=0)
+    if not live.any():
         raise ValueError("Q0 reduced to zero mod E; strip_E_power must run first")
-    if max(sum(j) for j in T) >= q:
+    if jvecs[live].sum(axis=1).max() >= q:
         raise AssertionError("total Y-degree of T must be below q")
-    R = _substituted_poly(T, q, ext.dim)
+    R = _substituted_poly(T[:, live], jvecs[live], q)
     assert R.shape[0] > 0, "substituted polynomial vanished despite small Y-degree"
     if R.shape[0] == 1:
         return ()

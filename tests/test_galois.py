@@ -8,11 +8,6 @@ from foldedrs.galois import (
     FieldElem,
     ParameterError,
     PrimeField,
-    _pdivmod,
-    _pmod,
-    _pmul,
-    _psub,
-    _ptrim,
     ext_invert,
     find_primitive_element,
     is_irreducible,
@@ -24,8 +19,90 @@ SMALL_PRIMES = [5, 7, 13]
 
 
 # ---------------------------------------------------------------------------
-# pure-Python references for the extension-field scalar kernels
+# pure-Python references: polynomials over F_q on coefficient lists (low
+# degree first), the irreducibility test and Frobenius powering on them, and
+# the extension-field scalar kernels.  The lists cover q = 2 as well, which
+# PrimeField refuses.
 # ---------------------------------------------------------------------------
+
+
+def _ptrim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _pmul(a: list[int], b: list[int], q: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % q
+    return _ptrim(out)
+
+
+def _pdivmod(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int]]:
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    a = list(a)
+    quo = [0] * max(0, len(a) - len(b) + 1)
+    inv_lead = pow(b[-1], q - 2, q)
+    for top in range(len(a) - 1, len(b) - 2, -1):
+        c = a[top] * inv_lead % q
+        if c:
+            quo[top - len(b) + 1] = c
+            shift = top - len(b) + 1
+            for j, bj in enumerate(b):
+                a[shift + j] = (a[shift + j] - c * bj) % q
+    return _ptrim(quo), _ptrim(a)
+
+
+def _pmod(a: list[int], b: list[int], q: int) -> list[int]:
+    return _pdivmod(a, b, q)[1]
+
+
+def _pgcd(a: list[int], b: list[int], q: int) -> list[int]:
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, _pmod(a, b, q)
+    if a:
+        inv = pow(a[-1], q - 2, q)
+        a = [c * inv % q for c in a]
+    return a
+
+
+def _ppow_mod(base: list[int], exp: int, mod: list[int], q: int) -> list[int]:
+    result = [1]
+    base = _pmod(base, mod, q)
+    while exp:
+        if exp & 1:
+            result = _pmod(_pmul(result, base, q), mod, q)
+        base = _pmod(_pmul(base, base, q), mod, q)
+        exp >>= 1
+    return result
+
+
+def _psub(a: list[int], b: list[int], q: int) -> list[int]:
+    n = max(len(a), len(b))
+    a = a + [0] * (n - len(a))
+    b = b + [0] * (n - len(b))
+    return _ptrim([(x - y) % q for x, y in zip(a, b)])
+
+
+def _ref_is_irreducible(coeffs: list[int], q: int) -> bool:
+    """The distinct-degree test on coefficient lists (the array version is is_irreducible)."""
+    inv_lead = pow(coeffs[-1], q - 2, q)
+    coeffs = [c * inv_lead % q for c in coeffs]
+    deg = len(coeffs) - 1
+    x = [0, 1]
+    u = list(x)
+    for d in range(1, deg + 1):
+        u = _ppow_mod(u, q, coeffs, q)
+        if d <= deg // 2 and len(_pgcd(_psub(u, x, q), coeffs, q)) != 1:
+            return False
+    return u == _pmod(x, coeffs, q)
 
 
 def _pext_euclid_inverse(a: list[int], mod: list[int], q: int) -> list[int]:
@@ -213,6 +290,25 @@ def test_is_irreducible_rejects_constants():
         is_irreducible(UniPoly.from_ints(F5, [3]))
     with pytest.raises(ValueError):
         is_irreducible(UniPoly.zero(F5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(q=st.sampled_from([5, 7, 13, 31]), data=st.data())
+def test_is_irreducible_matches_list_reference(q, data):
+    deg = data.draw(st.integers(min_value=1, max_value=8))
+    coeffs = data.draw(st.lists(st.integers(0, q - 1), min_size=deg, max_size=deg))
+    coeffs.append(data.draw(st.integers(1, q - 1)))
+    p = UniPoly.from_ints(PrimeField(q), coeffs)
+    assert is_irreducible(p) == _ref_is_irreducible(coeffs, q)
+
+
+def test_is_irreducible_refuses_inexact_products():
+    # over F_65537 the FFT products of residues mod a modulus of degree 3100
+    # exceed the float64 bound of poly._check_fft_exact: refused at once,
+    # where the list-based test would run for hours
+    p = UniPoly.from_ints(PrimeField(65537), [3] + [0] * 3099 + [1])
+    with pytest.raises(ParameterError):
+        is_irreducible(p)
 
 
 @pytest.mark.parametrize("q", [5, 7, 11, 13])

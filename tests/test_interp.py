@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import numpy as np
@@ -112,6 +113,15 @@ def test_column_order_matches_substituted_degree_sort():
     for q, k, D, s in cases + [(16777213, 1, 12, 4)]:
         exps = _column_exponents(k, D, s)
         assert list(map(tuple, exps.tolist())) == _ref_column_order(k, D, s, q)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_derivative_monomials_are_the_exponents_below_r(r, s):
+    brute = {v for v in itertools.product(range(r), repeat=s + 1) if sum(v) < r}
+    dmons = _derivative_monomials(r, s)
+    assert len(dmons) == len(brute) == constraints_per_point(r, s)
+    assert set(dmons) == brute
 
 
 def test_interpolate_postconditions_random():
@@ -286,7 +296,7 @@ def test_kernel_vector_matches_reference_random(q, nrows, ncols, zero_rows, dupl
 
 
 def test_kernel_vector_rejects_inexact_field_size():
-    # 16777259 is the least prime above 2^24, where _PANEL * (q-1)^2 reaches 2^53
+    # 16777259 is the least prime above 2^24, where _PANEL // 2 * (q-1)^2 reaches 2^53
     with pytest.raises(ParameterError):
         _kernel_vector(np.zeros((1, 2), dtype=np.int64), 16777259)
     x, rank, c0 = _kernel_vector(np.array([[1, 1]]), 16777213)  # largest prime below 2^24

@@ -10,7 +10,6 @@ from foldedrs.galois import (
     ParameterError,
     PrimeField,
     _ExtCtx,
-    _ptrim,
     _sc_inv,
     _sc_matrix,
     find_primitive_element,
@@ -43,7 +42,7 @@ from foldedrs.poly import (
     trivariate_monomial_count,
 )
 from foldedrs.rootfind import low_degree_vanishing_coeffs
-from test_galois import _pext_euclid_inverse
+from test_galois import _pext_euclid_inverse, _ppow_mod, _ptrim
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -97,6 +96,28 @@ def test_frobenius_identity_random(q, data):
 def test_frobenius_pow_mod_rejects_constant_modulus():
     with pytest.raises(ValueError):
         frobenius_pow_mod(UniPoly.x(F5), 1, UniPoly.from_ints(F5, [1]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(q=st.sampled_from([5, 7, 13, 31]), data=st.data())
+def test_frobenius_pow_mod_matches_list_reference(q, data):
+    # any modulus, not only X^(q-1) - gamma: the power is computed, not read
+    # off the gamma-scaling identity
+    field = PrimeField(q)
+    deg = data.draw(st.integers(min_value=1, max_value=q))
+    E = data.draw(st.lists(st.integers(0, q - 1), min_size=deg, max_size=deg))
+    E.append(data.draw(st.integers(1, q - 1)))
+    f = data.draw(st.lists(st.integers(0, q - 1), max_size=2 * q))
+    j = data.draw(st.integers(min_value=0, max_value=2))
+    got = frobenius_pow_mod(UniPoly.from_ints(field, f), j, UniPoly.from_ints(field, E))
+    assert got == UniPoly.from_ints(field, _ppow_mod(f, q**j, E, q))
+
+
+def test_frobenius_pow_mod_refuses_inexact_products():
+    field = PrimeField(65537)
+    E = UniPoly.from_ints(field, [3] + [0] * 3099 + [1])
+    with pytest.raises(ParameterError):
+        frobenius_pow_mod(UniPoly.x(field), 1, E)
 
 
 # ---------------------------------------------------------------------------

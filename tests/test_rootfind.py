@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foldedrs.frs import FRSParams
-from foldedrs.galois import ExtField, PrimeField, standard_extension
+from foldedrs.decoder import _threshold_plan
+from foldedrs.frs import SHIFTED, STANDARD, FRSParams, interpolation_points
+from foldedrs.galois import ExtField, ParameterError, PrimeField, standard_extension
+from foldedrs.interp import InterpolationProblem, interpolate
 from foldedrs.poly import (
     FrobeniusReducer,
     MultiPoly,
@@ -24,6 +26,7 @@ from foldedrs.rootfind import (
     low_degree_vanishing_coeffs,
     strip_E_power,
 )
+from test_galois import _pdivmod, _pmul
 
 P5 = FRSParams(q=5, m=2, k=1, s=2, r=1)
 EXT5 = standard_extension(5)
@@ -60,6 +63,80 @@ def test_strip_examples():
 def test_strip_rejects_zero():
     with pytest.raises(ValueError):
         strip_E_power(MultiPoly(P5.field, s=2, k=1, terms={}), E5)
+
+
+@pytest.mark.parametrize(
+    "coeffs", [[1], [0, 1], [0, 0, 3], [1, 1, 1], [2, 0, 1, 1], [0, 1, 0, 1]]
+)
+def test_strip_rejects_non_binomial(coeffs):
+    Q = MultiPoly(P5.field, s=2, k=1, terms={(0, 1, 0): 1})
+    with pytest.raises(ValueError):
+        strip_E_power(Q, UniPoly.from_ints(P5.field, coeffs))
+
+
+def _columns(Q: MultiPoly) -> dict:
+    """Q as {Y-exponent vector: list of X-coefficients}."""
+    cols = {}
+    for (i, *j), c in Q.terms.items():
+        col = cols.setdefault(tuple(j), [])
+        col.extend([0] * (i + 1 - len(col)))
+        col[i] = c
+    return cols
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from([5, 7, 13]), data=st.data())
+def test_strip_divides_out_exactly_the_E_power(q, data):
+    # E = a X^n + c with a != 1 too; Q = E^b * (random Q'), column by column
+    field = PrimeField(q)
+    n = data.draw(st.integers(1, q))
+    ec = [data.draw(st.integers(1, q - 1))] + [0] * (n - 1) + [data.draw(st.integers(1, q - 1))]
+    cols = data.draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, 2), st.integers(0, 2)),
+            st.lists(st.integers(0, q - 1), min_size=1, max_size=2 * n + 2),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    b = data.draw(st.integers(0, 2))
+    for _ in range(b):
+        cols = {j: _pmul(col, ec, q) for j, col in cols.items()}
+    Q = MultiPoly(field, 2, 1, {(i, *j): c for j, col in cols.items() for i, c in enumerate(col)})
+    if Q.is_zero:
+        return
+    Q0, b0 = strip_E_power(Q, UniPoly.from_ints(field, ec))
+    got = _columns(Q0)
+    assert b0 >= b and any(_pdivmod(col, ec, q)[1] for col in got.values())
+    for _ in range(b0):
+        got = {j: _pmul(col, ec, q) for j, col in got.items()}
+    assert _columns(Q) == got
+
+
+def test_interpolated_Q_is_never_divisible_by_E():
+    # the argument in strip_E_power's docstring: for Q from interpolate, E(X)
+    # never divides Q, so the decoder always strips b = 0
+    rng = random.Random(909)
+    done = {STANDARD: 0, SHIFTED: 0}
+    while min(done.values()) < 50:
+        q = rng.choice([5, 7, 13, 31, 101])
+        variant = rng.choice([STANDARD, SHIFTED])
+        s = 2 if variant == SHIFTED else rng.randint(1, 3)
+        m = rng.randint(s, min(q - 1, 6))
+        k, r = rng.randint(1, 4), rng.randint(1, 3)
+        try:
+            params = FRSParams(q=q, m=m, k=k, s=s, r=r, variant=variant)
+            _, D, _ = _threshold_plan(params)
+        except (ValueError, ParameterError):
+            continue
+        y = [rng.randrange(q) for _ in range(params.n)]
+        points = tuple(interpolation_points(params, y))
+        if D // k >= q or len(points) * r**3 > 1500:  # keep the systems small
+            continue
+        problem = InterpolationProblem(params.field, points, r, k, s, D)
+        Q = interpolate(problem)
+        assert strip_E_power(Q, standard_extension(q).modulus) == (Q, 0)
+        done[variant] += 1
 
 
 def test_candidates_examples():
