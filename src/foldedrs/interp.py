@@ -147,9 +147,15 @@ def _assemble_matrix(problem: InterpolationProblem, exps: np.ndarray) -> np.ndar
     prod_t C(e_t, b_t) * a_t^(e_t - b_t).  The binomial part depends on the
     column only and the power part is a lookup in per-point power tables, so
     each shift monomial fills its rows for all points at once.  Rows are
-    point-major: row p * len(shifts) + i belongs to point p and shift i, and
-    column c to exps[c].  Entries are float64 residues; each product of two
-    is reduced at once, exactly for every q that _kernel_vector accepts.
+    shift-major: row i * len(points) + p belongs to shift i and point p, and
+    column c to exps[c].  The shifts b go by their Y-part (b_1, ..., b_s) in
+    the order of the columns' Y-parts (substituted degree), then by b0.  The
+    rows of b vanish on every column e without e >= b, so on every column
+    whose Y-part comes before b's; in this order the rows form a staircase
+    along the columns, and the elimination meets fewer zero diagonal entries.
+    Row order does not change the kernel vector (see _kernel_vector).
+    Entries are float64 residues; each product of two is reduced at once,
+    exactly for every q that _kernel_vector accepts.
     """
     q = problem.field.q
     s = problem.s
@@ -160,15 +166,15 @@ def _assemble_matrix(problem: InterpolationProblem, exps: np.ndarray) -> np.ndar
     pows = np.ones((len(coords), s + 1, max_e + 1))
     for e in range(1, max_e + 1):
         pows[:, :, e] = _fmod(pows[:, :, e - 1] * coords, q)
-    dmons = _derivative_monomials(problem.r, s)
-    rows = np.empty((len(coords), len(dmons), len(exps)))
+    dmons = sorted(_derivative_monomials(problem.r, s), key=lambda b: (b[:0:-1], b[0]))
+    rows = np.empty((len(dmons), len(coords), len(exps)))
     for i, b in enumerate(dmons):
         entry = (exps >= np.array(b)).all(axis=1).astype(np.float64)
         for t in range(s + 1):
             entry = _fmod(entry * pascal[exps[:, t], np.minimum(b[t], exps[:, t])], q)
         for t in range(s + 1):  # the power factors broadcast entry over the points
             entry = _fmod(entry * pows[:, t, np.maximum(exps[:, t] - b[t], 0)], q)
-        rows[:, i] = entry
+        rows[i] = entry
     return rows.reshape(-1, len(exps))
 
 

@@ -17,10 +17,10 @@ Three layers live here:
   ``FrobeniusReducer`` reduces them mod a fixed R by Barrett reduction.  Root
   finding is one pipeline on these arrays: g = gcd(R, L mod R) for a
   q-linearized L (the field equation, or in ``rootfind`` the vanishing
-  polynomial of the low-degree subspace), with L mod R from a chain of
-  Frobenius steps (a precomputed table or square-and-multiply, chosen by a
-  stated cost rule), g from an inverse-free Euclid, then seeded randomized
-  equal-degree splitting of g.
+  polynomial of the low-degree subspace), with L mod R from the powers
+  Y^(q^i) mod R (steps through a precomputed table, or squarings up from Y and
+  square-and-multiply q-th powers, chosen by a stated cost rule), g from an
+  inverse-free Euclid, then seeded randomized equal-degree splitting of g.
 
 All operations are pure; randomized splitting takes an explicit seed so
 concurrent calls never share state.
@@ -442,40 +442,39 @@ def compose_message(Q: MultiPoly, msg_coeffs, gamma: int) -> np.ndarray:
     """The univariate polynomial Q(X, f(X), f(gamma X), ..., f(gamma^(s-1) X)) over F_q.
 
     ``msg_coeffs`` are the coefficients of f, low degree first.  Returns the
-    trimmed coefficient array; an empty array means the identity holds.
+    trimmed coefficient array; an empty array means the identity holds.  Q's
+    terms are grouped by Y-exponent vector j: one product of shifted-f powers
+    per distinct j, times that j's polynomial in X, one convolution each.
     """
     q = Q.field.q
     s = Q.s
     f = np.asarray([int(c) % q for c in msg_coeffs], dtype=np.int64)
     f = _yp_trim(f)
-    shifted = []
-    g = 1
-    for _ in range(s):
-        scale = np.array([pow(g, i, q) for i in range(len(f))], dtype=np.int64)
-        shifted.append((f * scale) % q if len(f) else f)
-        g = g * gamma % q
-    max_j = [0] * s
-    max_i = 0
-    for exps in Q.terms:
-        max_i = max(max_i, exps[0])
-        for t in range(s):
-            max_j[t] = max(max_j[t], exps[1 + t])
-    pows = []
-    for t in range(s):
-        pt = [np.ones(1, dtype=np.int64)]
-        for _ in range(max_j[t]):
-            pt.append(_np_mul(pt[-1], shifted[t], q))
-        pows.append(pt)
-    deg_f = len(f) - 1
-    out_len = max_i + sum(mj * max(deg_f, 0) for mj in max_j) + 1
-    acc = np.zeros(out_len, dtype=np.int64)
+    columns: dict[tuple[int, ...], dict[int, int]] = {}
     for exps, c in Q.terms.items():
-        term = np.array([c], dtype=np.int64)
-        for t in range(s):
-            if exps[1 + t]:
-                term = _np_mul(term, pows[t][exps[1 + t]], q)
-        if len(term):
-            acc[exps[0] : exps[0] + len(term)] += term
+        columns.setdefault(exps[1:], {})[exps[0]] = c
+    pows = []
+    g = 1
+    for t in range(s):
+        scale = np.array([pow(g, i, q) for i in range(len(f))], dtype=np.int64)
+        shifted = (f * scale) % q if len(f) else f
+        g = g * gamma % q
+        pt = [np.ones(1, dtype=np.int64)]
+        for _ in range(max((jvec[t] for jvec in columns), default=0)):
+            pt.append(_np_mul(pt[-1], shifted, q))
+        pows.append(pt)
+    max_i = max((max(col) for col in columns.values()), default=0)
+    out_len = max_i + max((sum(jvec) for jvec in columns), default=0) * max(len(f) - 1, 0) + 1
+    acc = np.zeros(out_len, dtype=np.int64)
+    for jvec, col in columns.items():
+        prod = np.ones(1, dtype=np.int64)
+        for t, j in enumerate(jvec):
+            if j:
+                prod = _np_mul(prod, pows[t][j], q)
+        x_poly = np.zeros(max(col) + 1, dtype=np.int64)
+        x_poly[list(col)] = list(col.values())
+        term = _np_mul(x_poly, prod, q)
+        acc[: len(term)] += term
     return _yp_trim(acc % q)
 
 
@@ -671,9 +670,8 @@ def _yp_gcd(ctx: _ExtCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 class FrobeniusReducer:
     """Arithmetic modulo a fixed monic R over F_q[X]/(X^dim - gamma): products,
-    powers, and the Frobenius step u -> u^q that ``linearized_residue`` chains
-    into sum a_i Y^(q^i) mod R, the residue both root-finding entry points take
-    a gcd with.
+    powers, the Frobenius step u -> u^q, and the residue sum a_i Y^(q^i) mod R
+    of ``linearized_residue`` that both root-finding entry points take a gcd with.
 
     ``mulmod`` is a Barrett reduction (von zur Gathen & Gerhard, Modern Computer
     Algebra, ch. 9) of an FFT product (``_yp_mul``): with d = deg R, the quotient
@@ -684,23 +682,48 @@ class FrobeniusReducer:
     Every product checks the float64 bound of ``_check_fft_exact``.  Quotients of
     fewer than 8 rows come from long division, cheaper there than three transforms.
 
+    The Newton round from precision p to 2p needs only rows p..2p-1 of
+    e = rev(R) * inv - 1, which vanishes below p.  They are rows of the product
+    mod Y^N - 1 for N >= 2p, whose rows past N wrap below p; the correction is
+    the (2p-1)-row product inv * e[p:2p].  A coefficient of a cyclic product of
+    la and lb <= N rows is still a sum of at most min(la, lb) * dim products of
+    residues, so ``_check_fft_exact`` bounds it as it stands, and the sizes of
+    the final inverse and of R, checked before the iteration, bound every round.
+
     ``step`` has two paths.  After ``plan`` builds the table of Y^(q j) mod R for
     j < d, a step is one contraction of that table with the coefficientwise q-th
     power (the gamma-scaling map), since (sum c_j Y^j)^q = sum c_j^q Y^(q j).
     Otherwise it is u^q by square-and-multiply over ``mulmod``:
     floor(log2 q) squarings plus popcount(q) - 1 products.
 
-    ``plan(steps)`` builds the table when it is exact (see below) and
-    T_build + steps * T_table < steps * T_pow.  The costs, in seconds, were fitted
-    to timings on a 2-vCPU x86 VM with one BLAS thread, with d = deg R,
-    F = 2^ceil(log2(2 dim - 1)) and M = 2^ceil(log2(2d - 1)) * F:
+    ``linearized_residue`` needs only the powers Y^(q^i).  With the table each
+    is a step from the one before.  Without it each comes from whichever route
+    makes fewer mulmods: a q-th power step from Y^(q^(i-1)), or squaring up from
+    Y (``_power_of_y``): Y^e0 for the longest binary prefix e0 of q^i with
+    e0 <= 2d - 2, reduced once, then one squaring per remaining bit of q^i and
+    a one-row shift (times Y) per 1-bit.  At q = 31 and d = 125 squaring up
+    takes 0, 2 and 7 squarings for i = 1, 2, 3 against 8 mulmods a step; at
+    q = 101 and d = 404 it wins only for i <= 2.
+
+    ``plan(steps, products)`` builds the table when it is exact (see below) and
+    T_build + steps * T_table < products * T_mul + T_setup, where `products`
+    is the mulmod count of the chain without a table (by default, steps q-th
+    power steps) and T_setup is the Newton set-up when it has not run yet and
+    d >= 9 (Barrett is used at all).  The costs, in seconds, were fitted to
+    timings on a 2-vCPU x86 VM with one BLAS thread, with F = 2^ceil(log2(2 dim - 1))
+    and M(n) = 2^ceil(log2 n) * F:
     T_build = 7.3e-10 d^2 q F + 3.6e-5 (d + q), the table build below;
     T_table = 1.5e-10 d^2 dim^2 + 6e-5, one contraction;
-    T_pow = (floor(log2 q) + popcount(q) - 1) * (3.3e-9 M log2 M + 2.5e-4).
-    For k + 1 = 3 steps the rule keeps the table up to deg R ~100 at q = 13 and
-    31, ~55 at q = 61 and ~30 at q = 101; timed, the crossover lies between
-    deg R 80 and 125 at q = 13, 90 and 125 at q = 31, 64 and 125 at q = 61, and
-    30 and 64 at q = 101.
+    t(n) = 3.3e-9 M(n) log2 M(n) + 2.5e-4, a mulmod whose product has n rows,
+    so T_mul = t(2d - 1), and T_setup = sum of t(2p - 1) over the Newton
+    precisions p = 2, 4, ..., d - 1 (a round costs about a mulmod modulo a
+    degree-p polynomial; timed, the set-up is 1.1-1.4 mulmods at d 189-1023
+    and 2-3.5 at d 16-125).  For k + 1 = 3 steps the rule keeps the table up
+    to d 61 at q = 13, 56 at q = 31, 31 at q = 61 and 26 at q = 101, and again
+    just past the point where the product transform doubles (d 65-74 at q = 13
+    and 31); timed, the crossover lies between d 64 and 72 at q = 13 and
+    between 50 and 56 at q = 31, and d 65-74 is a near tie.  For 9 steps at
+    q = 101 the table is kept up to d 89.
 
     The table is built in two parts.  First
     P[i] = Y^(d+i) mod R for i < q, each from the one before by a one-row
@@ -739,18 +762,29 @@ class FrobeniusReducer:
         lg = (2 * dim - 2).bit_length()  # log2 F
         return q * dim * (q - 1) ** 2 * (13 * lg + 2 * q + 3)
 
-    def plan(self, steps: int) -> None:
-        """Build the table if it is exact and pays for `steps` more steps (the rule above)."""
+    def plan(self, steps: int, products: int | None = None) -> None:
+        """Build the table if it is exact and pays for `steps` more steps that would
+        otherwise make `products` mulmods, by default `steps` q-th powers (the rule above)."""
         if self._table is not None or 4 * self._table_error() >= 2**53:
             return
         q, dim = self.ctx.q, self.ctx.dim
         d = self.R.shape[0] - 1
-        n, f = _fft_shape(self.ctx, 2 * d - 1)  # a product of two residues
-        m = n * f
-        t_build = 7.3e-10 * d * d * q * f + 3.6e-5 * (d + q)
+        if products is None:
+            products = steps * self._step_mulmods()
+
+        def t_mul(rows):  # a mulmod whose product has `rows` rows
+            m = math.prod(_fft_shape(self.ctx, rows))
+            return 3.3e-9 * m * math.log2(m) + 2.5e-4
+
+        t_direct = products * t_mul(2 * d - 1)
+        if products and d >= 9 and self._inv_hat is None:  # Barrett set-up: see _reduce
+            prec = 1
+            while prec < d - 1:
+                prec = min(2 * prec, d - 1)
+                t_direct += t_mul(2 * prec - 1)
+        t_build = 7.3e-10 * d * d * q * _fft_shape(self.ctx, 1)[1] + 3.6e-5 * (d + q)
         t_table = 1.5e-10 * d * d * dim * dim + 6e-5
-        t_pow = (q.bit_length() + q.bit_count() - 2) * (3.3e-9 * m * math.log2(m) + 2.5e-4)
-        if t_build + steps * t_table < steps * t_pow:
+        if t_build + steps * t_table < t_direct:
             self._build_table()
 
     def _build_table(self):
@@ -797,22 +831,28 @@ class FrobeniusReducer:
         self._table = table
 
     def _setup_barrett(self):
-        """inv = rev(R)^-1 mod Y^(d-1) by Newton iteration, and the transforms of inv and R."""
+        """inv = rev(R)^-1 mod Y^(d-1) by Newton iteration, and the transforms of inv and R.
+
+        The sizes of the final products are checked first: they bound every
+        product of the iteration, so a refused modulus is refused before it."""
         ctx = self.ctx
         d = self.R.shape[0] - 1
         n = d - 1
-        rev = self.R[::-1]
-        inv = _yp_monomial(ctx, 0)  # rev(R)(0) = lc(R) = 1
-        prec = 1
-        while prec < n:
-            prec = min(2 * prec, n)
-            e = _yp_pad(_yp_mul(ctx, rev[:prec], inv), prec)
-            e[0, 0] -= 1  # e = rev(R) * inv - 1, zero below the old precision
-            inv = (_yp_pad(inv, prec) - _yp_pad(_yp_mul(ctx, inv, e), prec)) % ctx.q
         self._inv_shape = _fft_shape(ctx, 2 * n - 1)
         self._r_shape = _fft_shape(ctx, d + 1)  # cyclic: R (d + 1 rows) does not wrap
         _check_fft_exact(ctx, n, n, self._inv_shape)
         _check_fft_exact(ctx, n, d + 1, self._r_shape)
+        rev = self.R[::-1]
+        inv = _yp_monomial(ctx, 0)  # rev(R)(0) = lc(R) = 1
+        while inv.shape[0] < n:
+            old = inv.shape[0]
+            prec = min(2 * old, n)
+            # rows old..prec-1 of e = rev(R) * inv - 1, from a cyclic product (class docstring)
+            shape = _fft_shape(ctx, prec)
+            e_hat = np.fft.rfft2(rev[:prec], shape) * np.fft.rfft2(inv, shape)
+            e = _fft_round(ctx, e_hat, shape, prec)[old:]
+            corr = _yp_pad(_yp_mul(ctx, inv, e), prec - old)
+            inv = np.concatenate((inv, -corr % ctx.q))
         self._inv_hat = np.fft.rfft2(inv, self._inv_shape)
         self._r_hat = np.fft.rfft2(self.R, self._r_shape)
 
@@ -865,17 +905,49 @@ class FrobeniusReducer:
         prod = np.tensordot(self._table[: u.shape[0]], mats, axes=([0, 2], [0, 1]))
         return _yp_trim(prod.astype(np.int64) % ctx.q)
 
-    def linearized_residue(self, a) -> np.ndarray:
-        """sum_i a_i Y^(q^i) mod R for base-field scalars a_i, by len(a) - 1 steps."""
+    def _step_mulmods(self) -> int:
+        """The mulmods of a q-th power step without the table (class docstring)."""
+        return self.ctx.q.bit_length() + self.ctx.q.bit_count() - 2
+
+    def _squarings(self, e: int) -> int:
+        """The squarings ``_power_of_y`` makes for Y^e: the bits of e after its
+        longest binary prefix e0 with e0 <= 2 deg R - 2."""
+        cap = 2 * self.R.shape[0] - 4
+        drop = max(e.bit_length() - cap.bit_length(), 0)
+        return drop + (e >> drop > cap)
+
+    def _power_of_y(self, e: int) -> np.ndarray:
+        """Y^e mod R: Y^e0 reduced once, then a squaring for each remaining bit of e and
+        a one-row shift (a multiplication by Y) for each 1-bit among them."""
         ctx = self.ctx
-        self.plan(len(a) - 1)
+        drop = self._squarings(e)
+        w = self._reduce(_yp_monomial(ctx, e >> drop))
+        for bit in format(e, "b")[e.bit_length() - drop :]:
+            w = self.mulmod(w, w)
+            if bit == "1" and w.shape[0]:
+                w = self._reduce(np.concatenate((np.zeros((1, ctx.dim), dtype=np.int64), w)))
+        return w
+
+    def linearized_residue(self, a) -> np.ndarray:
+        """sum_i a_i Y^(q^i) mod R for base-field scalars a_i.
+
+        With the table, Y^(q^i) is a step from Y^(q^(i-1)); without it, it comes
+        from whichever route makes fewer mulmods: ``_power_of_y``, or a q-th power
+        of Y^(q^(i-1)) by ``step``."""
+        ctx = self.ctx
+        per_step = self._step_mulmods()
+        squarings = [self._squarings(ctx.q**i) for i in range(1, len(a))]
+        self.plan(len(squarings), sum(min(n, per_step) for n in squarings))
         u = _yp_mod(ctx, _yp_monomial(ctx, 1), self.R)
         w = _yp_zero(ctx)
         for i, ai in enumerate(a):
             if ai:
                 w = _yp_add(ctx, w, u * ai % ctx.q)
-            if i < len(a) - 1:
-                u = self.step(u)
+            if i < len(squarings):
+                if self._table is None and squarings[i] <= per_step:
+                    u = self._power_of_y(ctx.q ** (i + 1))
+                else:
+                    u = self.step(u)
         return w
 
 

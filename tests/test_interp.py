@@ -295,6 +295,36 @@ def test_kernel_vector_matches_reference_random(q, nrows, ncols, zero_rows, dupl
     _assert_kernel_matches_reference(M, q)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.sampled_from(KERNEL_QS),
+    nrows=st.integers(min_value=1, max_value=80),
+    extra=st.integers(min_value=-10, max_value=20),
+    c0=st.integers(min_value=0, max_value=79),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_kernel_vector_ignores_row_order(q, nrows, extra, c0, seed):
+    # x, the rank and c0 depend on the columns only: a row permutation gives
+    # the same result, also on matrices with half their entries zeroed (zero
+    # diagonal entries, pivot searches) and on those with no free column
+    rng = np.random.default_rng(seed)
+    c0 = min(c0, nrows)
+    ncols = max(nrows + extra, c0 + 1)
+    M = _matrix_with_free_col(rng, q, nrows, ncols, c0, duplicate=bool(seed % 2))
+    if seed % 3 == 0:
+        M[rng.random(M.shape) < 0.5] = 0
+    perm = rng.permutation(nrows)
+    try:
+        expect = _kernel_vector(M, q)
+    except AssertionError:
+        with pytest.raises(AssertionError):
+            _kernel_vector(M[perm], q)
+        return
+    x, rank, free = _kernel_vector(M[perm], q)
+    assert (rank, free) == expect[1:]
+    assert np.array_equal(x, expect[0])
+
+
 def test_kernel_vector_rejects_inexact_field_size():
     # 16777259 is the least prime above 2^24, where _PANEL // 2 * (q-1)^2 reaches 2^53
     with pytest.raises(ParameterError):

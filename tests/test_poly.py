@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foldedrs import poly
 from foldedrs.galois import (
     ParameterError,
     PrimeField,
@@ -21,6 +22,7 @@ from foldedrs.poly import (
     MultiPoly,
     UniPoly,
     _compositions,
+    _fft_round,
     _fmod,
     _half_field_power,
     _roots_arr,
@@ -517,7 +519,7 @@ def test_frobenius_reducer_step_matches_generic_power():
             tabled, untabled = FrobeniusReducer(ctx, R), FrobeniusReducer(ctx, R)
             if q < 1000:  # the table sums q rows; at q = 65537 it is refused
                 tabled._build_table()
-            untabled.plan = lambda steps: None  # keep square-and-multiply in linearized_residue
+            untabled.plan = lambda steps, products=None: None  # keep linearized_residue untabled
             for kind in _KINDS:
                 u = _yp_mod(ctx, _shaped_yp(rng, ctx, rng.randint(1, deg), kind), tabled.R)
                 expect = _ref_pow_mod(ctx, u, q, tabled.R)
@@ -560,20 +562,118 @@ def test_frobenius_reducer_untabled_path_matches():
         assert untabled._table is None
 
 
+class _FirstStep(Exception):
+    pass
+
+
+def _stop_at_first_step(*args):
+    raise _FirstStep
+
+
 def test_cost_rule_keeps_the_table_where_it_pays():
     # small moduli with several steps (decode-small, decode-interp, splitting
-    # a small g) keep the table; deg R 125 at q = 31 with k + 1 = 3 steps does
-    # not, and a prime field too large for an exact table never builds one
-    cases = [(13, 39, 3, True), (101, 10, 9, True), (31, 2, 29, True), (31, 125, 3, False)]
+    # a small g) keep the table; deg R 125 and 189 at q = 31 with k + 1 = 3
+    # steps and deg R 404 at q = 101 with 9 do not, and a prime field too
+    # large for an exact table never builds one.  Each case is planned for
+    # general q-th power steps, and as linearized_residue plans its chain of
+    # powers of Y (stopped at its first step)
+    cases = [
+        (13, 39, 3, True),
+        (101, 10, 9, True),
+        (31, 2, 29, True),
+        (31, 125, 3, False),
+        (31, 189, 3, False),
+        (101, 404, 9, False),
+    ]
     for q, deg, steps, tabled in cases:
         ctx = standard_extension(q).ctx
         reducer = FrobeniusReducer(ctx, _yp_monomial(ctx, deg))
         reducer.plan(steps)
         assert (reducer._table is not None) == tabled
+        reducer = FrobeniusReducer(ctx, _yp_monomial(ctx, deg))
+        reducer.step = reducer._power_of_y = _stop_at_first_step
+        with pytest.raises(_FirstStep):
+            reducer.linearized_residue([1] * (steps + 1))
+        assert (reducer._table is not None) == tabled
     ctx = _PRIME_CTXS[1]
     reducer = FrobeniusReducer(ctx, _yp_monomial(ctx, 3))
     reducer.plan(10**6)
     assert reducer._table is None
+
+
+@pytest.mark.parametrize("ctx", [standard_extension(q).ctx for q in (5, 7, 13, 31)] + _PRIME_CTXS[1:])
+@pytest.mark.parametrize("deg", [2, 3, 9, 10, 40])
+def test_power_of_y_matches_generic_power(ctx, deg):
+    # squaring up from Y^e0, e0 the longest binary prefix of e with
+    # e0 <= 2 deg R - 2: e = q^i, and exponents whose prefix falls at
+    # deg R - 1, deg R, 2 deg R - 2 and 2 deg R - 1 (followed by 0-3 bits);
+    # R = Y^deg makes Y^e mod R vanish from e = deg R on
+    rng = random.Random(ctx.q * 100 + deg)
+    exps = [0, 1] + [ctx.q**i for i in range(1, 4)]
+    for e0 in (deg - 1, deg, 2 * deg - 2, 2 * deg - 1):
+        exps += [(e0 << b) + rng.randrange(1 << b) for b in range(4)]
+    for R in (_shaped_yp(rng, ctx, deg + 1, "random"), _yp_monomial(ctx, deg)):
+        reducer = FrobeniusReducer(ctx, R)
+        y = _yp_monomial(ctx, 1)
+        for e in exps:
+            assert np.array_equal(reducer._power_of_y(e), _ref_pow_mod(ctx, y, e, reducer.R)), e
+
+
+@settings(max_examples=30, deadline=None)
+@given(ctx=st.sampled_from(_PROPERTY_CTXS), deg=st.integers(2, 130), seed=st.integers(0, 2**32 - 1))
+def test_newton_inverse_of_reversed_modulus(ctx, deg, seed):
+    # the half-length Newton iteration: rev(R) * inv = 1 mod Y^(deg R - 1)
+    rng = random.Random(seed)
+    R = _shaped_yp(rng, ctx, deg + 1, "random")
+    R[-1] = np.eye(1, ctx.dim, dtype=np.int64)[0]
+    reducer = FrobeniusReducer(ctx, R)
+    reducer._setup_barrett()
+    n = deg - 1
+    inv = _fft_round(ctx, reducer._inv_hat, reducer._inv_shape, n)
+    prod = _ref_mul(ctx, R[::-1], inv)
+    assert np.array_equal(_yp_trim(prod[:n]), _yp_monomial(ctx, 0))
+
+
+def test_linearized_residue_squares_up_from_y():
+    # deg R 125 over F_31^30 with the k = 2 vanishing polynomial: Y^(q^i) for
+    # i = 1, 2, 3 take 0, 2 and 7 squarings from Y, where q-th power steps
+    # would take 24 mulmods and 3 steps
+    ctx = standard_extension(31).ctx
+    rng = random.Random(125)
+    R = _shaped_yp(rng, ctx, 126, "random")
+    L = low_degree_vanishing_coeffs(31, ctx.gamma, 2)
+    reducer = FrobeniusReducer(ctx, R)
+    calls = {"mulmod": 0, "step": 0}
+
+    def counted(name):
+        method = getattr(reducer, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+
+        return wrapper
+
+    reducer.mulmod, reducer.step = counted("mulmod"), counted("step")
+    got = reducer.linearized_residue(L)
+    assert reducer._table is None
+    assert calls["mulmod"] <= 9 and calls["step"] == 0
+    assert np.array_equal(got, _ref_residue(ctx, reducer.R, L))
+
+
+def test_barrett_setup_refuses_before_newton(monkeypatch):
+    # over F_65537 the inverse of a degree-3100 modulus has products that
+    # would not be exact: the set-up refuses before any Newton product
+    ctx = _PRIME_CTXS[1]
+    R = _yp_monomial(ctx, 3100)
+    R[0, 0] = 1
+    reducer = FrobeniusReducer(ctx, R)
+    products = []
+    mul = poly._yp_mul
+    monkeypatch.setattr(poly, "_yp_mul", lambda *args: products.append(1) or mul(*args))
+    with pytest.raises(ParameterError):
+        reducer._setup_barrett()
+    assert products == []
 
 
 def test_float64_paths_refuse_inexact_sizes():
@@ -702,6 +802,76 @@ def test_unipoly_divmod_roundtrip():
     quo, rem = divmod(a, b)
     assert quo * b + rem == a
     assert rem.degree < b.degree
+
+
+def _ref_compose_message(Q, msg_coeffs, gamma):
+    """Q(X, f(X), f(gamma X), ...) term by term: one product of powers per term."""
+    q = Q.field.q
+    s = Q.s
+    f = _yp_trim(np.asarray([int(c) % q for c in msg_coeffs], dtype=np.int64))
+    shifted = []
+    g = 1
+    for _ in range(s):
+        scale = np.array([pow(g, i, q) for i in range(len(f))], dtype=np.int64)
+        shifted.append((f * scale) % q if len(f) else f)
+        g = g * gamma % q
+    max_j = [0] * s
+    max_i = 0
+    for exps in Q.terms:
+        max_i = max(max_i, exps[0])
+        for t in range(s):
+            max_j[t] = max(max_j[t], exps[1 + t])
+
+    def mul(a, b):
+        if len(a) == 0 or len(b) == 0:
+            return np.zeros(0, dtype=np.int64)
+        return np.convolve(a, b) % q
+
+    pows = []
+    for t in range(s):
+        pt = [np.ones(1, dtype=np.int64)]
+        for _ in range(max_j[t]):
+            pt.append(mul(pt[-1], shifted[t]))
+        pows.append(pt)
+    deg_f = len(f) - 1
+    out_len = max_i + sum(mj * max(deg_f, 0) for mj in max_j) + 1
+    acc = np.zeros(out_len, dtype=np.int64)
+    for exps, c in Q.terms.items():
+        term = np.array([c], dtype=np.int64)
+        for t in range(s):
+            if exps[1 + t]:
+                term = mul(term, pows[t][exps[1 + t]])
+        if len(term):
+            acc[exps[0] : exps[0] + len(term)] += term
+    return _yp_trim(acc % q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.sampled_from([5, 13, 31, 101]),
+    s=st.integers(1, 3),
+    terms=st.integers(0, 40),
+    zero_f=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_compose_message_matches_term_by_term(q, s, terms, zero_f, seed):
+    # grouping Q's terms by Y-exponent vector must not change the composition;
+    # f = 0 leaves the terms free of Y
+    rng = random.Random(seed)
+    field = PrimeField(q)
+    gamma = find_primitive_element(field).value
+    k = rng.randint(1, 4)
+    Q = MultiPoly(
+        field,
+        s,
+        k,
+        {
+            (rng.randrange(12), *(rng.randrange(4) for _ in range(s))): rng.randrange(1, q)
+            for _ in range(terms)
+        },
+    )
+    msg = [0] * (k + 1) if zero_f else [rng.randrange(q) for _ in range(k + 1)]
+    assert np.array_equal(compose_message(Q, msg, gamma), _ref_compose_message(Q, msg, gamma))
 
 
 def test_compose_message_matches_pointwise():
