@@ -155,7 +155,8 @@ def _assemble_matrix(problem: InterpolationProblem, exps: np.ndarray) -> np.ndar
     along the columns, and the elimination meets fewer zero diagonal entries.
     Row order does not change the kernel vector (see _kernel_vector).
     Entries are float64 residues; each product of two is reduced at once,
-    exactly for every q that _kernel_vector accepts.
+    exactly for every q that _residue_kernel_vector accepts, which takes the
+    matrix as it is.
     """
     q = problem.field.q
     s = problem.s
@@ -224,7 +225,14 @@ def _forward_eliminate(A: np.ndarray, q: int, width: int, budget: int) -> list[i
 
 
 def _kernel_vector(matrix: np.ndarray, q: int) -> tuple[np.ndarray, int, int]:
-    """First-free-column kernel vector of a matrix over F_q.
+    """First-free-column kernel vector of an integer matrix (|v| <= 2^53 - q) over F_q:
+    ``_residue_kernel_vector`` of a float64 copy reduced mod q."""
+    return _residue_kernel_vector(_fmod(np.array(matrix, dtype=np.float64), q), q)
+
+
+def _residue_kernel_vector(A: np.ndarray, q: int) -> tuple[np.ndarray, int, int]:
+    """First-free-column kernel vector of a float64 matrix A of residues mod q,
+    eliminated in place (``_assemble_matrix`` emits such a matrix).
 
     Let c0 be the first column that lies in the span of the columns before
     it.  Columns 0..c0-1 are then linearly independent, so there is exactly
@@ -236,8 +244,7 @@ def _kernel_vector(matrix: np.ndarray, q: int) -> tuple[np.ndarray, int, int]:
     Returns (x, c0, c0): the rank of the columns before c0, which is c0, and
     c0 itself.
 
-    The entries (integers, |v| <= 2^53 - q) are reduced into float64 once;
-    from then on every entry is a residue minus at most
+    Every entry starts as a residue, and is a residue minus at most
     T = floor((2^53 - q) / (q-1)^2) products of residues before each _fmod,
     so -T (q-1)^2 <= x <= q - 1 and every sum is exact.  Panels are
     min(_PANEL, T) wide; q above 2^24 (T < _PANEL // 2) raises ParameterError.
@@ -246,7 +253,6 @@ def _kernel_vector(matrix: np.ndarray, q: int) -> tuple[np.ndarray, int, int]:
     _check_float_exact(_PANEL // 2, q, "interpolation kernel")
     budget = (2**53 - q) // (q - 1) ** 2
     width = min(_PANEL, budget)
-    A = _fmod(np.array(matrix, dtype=np.float64), q)
     inverses = _forward_eliminate(A, q, width, budget)
     c0 = len(inverses)
     y = np.zeros(A.shape[1])  # y = -x, so each sum below is a residue minus products
@@ -281,7 +287,7 @@ def interpolate_with_report(problem: InterpolationProblem) -> tuple[MultiPoly, I
             f"{len(exps)} monomials vs {n_conditions} conditions: system not underdetermined"
         )
     matrix = _assemble_matrix(problem, exps)
-    x, rank, free_col = _kernel_vector(matrix, q)
+    x, rank, free_col = _residue_kernel_vector(matrix, q)  # eliminates matrix in place
     Q = MultiPoly(problem.field, s, k, zip(map(tuple, exps.tolist()), x.tolist()))
     assert not Q.is_zero
     # columns go by substituted degree, and free_col is the last one in Q

@@ -13,8 +13,11 @@ Three layers live here:
   of ``galois``, as ``ExtFieldElem`` does; over F_q itself the arrays have
   one column (``PrimeField.ctx``, dim = 1), which is how ``frobenius_pow_mod``
   and ``galois.is_irreducible`` run.  Products are exact real 2-D FFT
-  products along (Y, X) under a checked float64 bound (``_yp_mul``), and
-  ``FrobeniusReducer`` reduces them mod a fixed R by Barrett reduction.  Root
+  products under a checked float64 bound (``_yp_mul``): along Y a zero-padded
+  power-of-two transform, along X a gamma-weighted cyclic transform of length
+  dim, which multiplies mod X^dim - gamma directly (Crandall & Fagin,
+  "Discrete weighted transforms and large-integer arithmetic", Math. Comp. 62,
+  1994).  ``FrobeniusReducer`` reduces them mod a fixed R by Barrett reduction.  Root
   finding is one pipeline on these arrays: g = gcd(R, L mod R) for a
   q-linearized L (the field equation, or in ``rootfind`` the vanishing
   polynomial of the low-degree subspace), with L mod R from the powers
@@ -536,53 +539,119 @@ def _yp_add(ctx: _ExtCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _fft_shape(ctx: _ExtCtx, rows: int) -> tuple[int, int]:
-    """Transform shape for products with `rows` Y-coefficients: powers of two along
-    (Y, X), and at least 2 dim - 1 along X, so products do not wrap before the fold."""
-    return 1 << (rows - 1).bit_length(), 1 << (2 * ctx.dim - 2).bit_length()
+    """Transform shape for products with `rows` Y-coefficients: a power of two along Y,
+    and dim along X, where the weighted transform wraps X^dim to gamma."""
+    return 1 << (rows - 1).bit_length(), ctx.dim
+
+
+@functools.lru_cache(maxsize=None)
+def _weights(dim: int, gamma: int) -> np.ndarray:
+    """w_j = gamma^(j/dim) for j < dim; exactly [1.0] at dim = 1, whatever gamma.
+
+    With X = w_1 Z, X^dim - gamma = gamma (Z^dim - 1): a cyclic product of
+    a_j w_j and b_j w_j has coefficient w_k c_k, where c = a b mod X^dim - gamma.
+    """
+    w = np.ones(1) if dim == 1 else np.power(float(gamma), np.arange(dim) / dim)
+    w.flags.writeable = False
+    return w
+
+
+def _fft(ctx: _ExtCtx, a: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The weighted transform of (rows, dim) residues a, zero-padded along Y to shape[0]."""
+    return np.fft.rfft2(a * _weights(ctx.dim, ctx.gamma), shape)
+
+
+@functools.lru_cache(maxsize=None)
+def _transform_error(n: int) -> float:
+    """kappa(n): the error growth of a length-n transform in units of 2^-53 (``_check_fft_exact``),
+    13 per factor 2 and 3 sqrt(p) (p + 3) per odd prime factor p, with multiplicity."""
+    total, p = 0.0, 2
+    while n > 1:
+        while n % p == 0:
+            total += 13 if p == 2 else 3 * math.sqrt(p) * (p + 3)
+            n //= p
+        p += 1
+    return total
+
+
+def _rounding_error(ctx: _ExtCtx, norms: float, top: float, kappa: float) -> float:
+    """2^53 times the bound of ``_check_fft_exact`` on the distance of a computed
+    coefficient from its integer: `norms` bounds ||a||_2 ||b||_2 before weighting,
+    `top` every coefficient, `kappa` the transforms' error growth."""
+    if ctx.dim == 1:  # w = [1.0]: weighting and unweighting are exact
+        return norms * kappa
+    growth = ctx.gamma ** (2 * (ctx.dim - 1) / ctx.dim)
+    return growth * norms * kappa + (3 * math.log(ctx.gamma) + 9) * top
 
 
 def _check_fft_exact(ctx: _ExtCtx, la: int, lb: int, shape: tuple[int, int]) -> None:
     """Refuse (ParameterError) a product of la- and lb-row residues that the FFT may round wrong.
 
-    Each coefficient of the product before the fold is a sum of at most
-    min(la, lb) * dim products of residues below q, and
-    B = sqrt(la lb) * dim * (q-1)^2 bounds both it and ||a||_2 ||b||_2.  The
-    two transforms along (Y, X) are one radix-2 transform of N = shape[0] * shape[1]
-    points, so by Percival's bound (twiddle factors accurate to 2^-53) the computed
-    coefficient is within B * (13 log2 N + 3) * 2^-53 of the integer.  Products are
-    refused where that reaches 1/4; ``_fft_round`` checks the rest at run time.
+    Each coefficient c_k of the product mod X^dim - gamma is a sum over
+    min(la, lb) row pairs of sum_(i+j=k) a_i b_j + gamma sum_(i+j=k+dim) a_i b_j,
+    so 0 <= c_k <= top = min(la, lb) (q-1)^2 (1 + gamma (dim - 1)); and
+    B = sqrt(la lb) dim (q-1)^2 bounds ||a||_2 ||b||_2.  The weights w_j <= w_(dim-1)
+    raise each norm by at most gamma^((dim-1)/dim) (a factor 1 at dim = 1).
+
+    The transform along Y is radix-2 and the one along X has length dim = q - 1,
+    which can have a large prime factor (46 = 2 * 23, 82 = 2 * 41).  Percival's
+    bound for radix-2 FFT products ("Rapid multiplication modulo the sum and
+    difference of highly composite numbers", Math. Comp. 72, 2003; twiddle
+    factors accurate to 2^-53) charges 13 * 2^-53 per factor 2 of the length
+    across the two forward and one inverse transform, plus 3 for the pointwise
+    product.  An odd prime p is a radix-p stage (pocketfft's generic passes, or
+    its fixed butterflies for p = 3, 5, which take fewer operations); computed as
+    a direct p-point DFT each output sums p products with inexact twiddles, so
+    the stage has relative 2-norm error at most sqrt(p) (p + 3) 2^-53 (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., §3.1 and §24.1,
+    whose argument for radix 2 composes stages this way; Schatzman, SIAM J. Sci.
+    Comput. 17, 1996, studies how mixed-radix errors depend on the radices and
+    the twiddle factors), and the three transforms get 3 sqrt(p) (p + 3):
+    kappa(n) in ``_transform_error``.  pocketfft switches to Bluestein's
+    algorithm only at lengths of 50 and more whose largest prime factor p has
+    p^2 > length, and only where its cost model prefers it (p above ~150);
+    Bluestein's bound, two transforms of a smooth length below 4 * length with
+    radices <= 11, is below kappa(p) for every such p.  So the weighted cyclic
+    product is within gamma^(2 (dim-1)/dim) B (kappa(shape[0]) + kappa(dim) + 3)
+    2^-53 of w_k c_k, and dividing by w_k >= 1 does not raise that.  The weights
+    themselves are within (2 + ln gamma) 2^-53 relatively (pow of an argument
+    j/dim rounded once), the weighting and the division round once each, and
+    those errors move each term of c_k relatively, by at most (3 ln gamma + 9)
+    2^-53 together; so they add (3 ln gamma + 9) top 2^-53.  Products are
+    refused where the sum reaches 1/4 (``_rounding_error``); ``_fft_round``
+    checks the rest at run time.
     """
-    lg = (shape[0] * shape[1]).bit_length() - 1
-    if 16 * la * lb * (ctx.dim * (ctx.q - 1) ** 2 * (13 * lg + 3)) ** 2 >= 2**106:
+    norms = math.sqrt(la * lb) * ctx.dim * (ctx.q - 1) ** 2
+    top = min(la, lb) * (ctx.q - 1) ** 2 * (1 + ctx.gamma * (ctx.dim - 1))
+    kappa = _transform_error(shape[0]) + _transform_error(ctx.dim) + 3
+    if 4 * _rounding_error(ctx, norms, top, kappa) >= 2**53:
         raise ParameterError(
-            f"FFT product: sqrt({la} * {lb}) * dim * (q-1)^2 * (13 log2 N + 3) >= 2^51 with "
-            f"q = {ctx.q}, dim = {ctx.dim}, N = {shape[0] * shape[1]}; it would not be exact"
+            f"FFT product: {la} x {lb} rows over q = {ctx.q}, dim = {ctx.dim}, "
+            f"gamma = {ctx.gamma}, N = {shape[0]} x {ctx.dim}: the rounding bound reaches 1/4, "
+            f"it would not be exact"
         )
 
 
 def _fft_round(ctx: _ExtCtx, prod_hat: np.ndarray, shape: tuple[int, int], rows: int) -> np.ndarray:
-    """Rows 0..rows-1 of the product with transform prod_hat: rounded, folded with
-    X^dim = gamma and reduced mod q, as int64."""
-    q, dim = ctx.q, ctx.dim
-    s = np.fft.irfft2(prod_hat, shape)[:rows, : 2 * dim - 1]
+    """Rows 0..rows-1 of the product mod X^dim - gamma with weighted transform
+    prod_hat: unweighted, rounded and reduced mod q, as int64."""
+    s = np.fft.irfft2(prod_hat, shape)[:rows] / _weights(ctx.dim, ctx.gamma)
     r = np.rint(s)
-    if np.abs(s - r).max() > 0.25:
+    if not np.abs(s - r).max() <= 0.25:  # NaN fails too
         raise FloatingPointError("FFT product strayed from the integers")
-    _fmod(r, q)
-    r[:, : dim - 1] += ctx.gamma * r[:, dim:]
-    return _fmod(r[:, :dim], q).astype(np.int64)
+    return _fmod(r, ctx.q).astype(np.int64)
 
 
 def _yp_mul(ctx: _ExtCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b for reduced a and b by one real 2-D FFT product along (Y, X) (exact, see
+    """a * b for reduced a and b by one weighted real 2-D FFT product (exact, see
     ``_check_fft_exact``); squaring (b is a) transforms once."""
     la, lb = a.shape[0], b.shape[0]
     if la == 0 or lb == 0:
         return _yp_zero(ctx)
     shape = _fft_shape(ctx, la + lb - 1)
     _check_fft_exact(ctx, la, lb, shape)
-    a_hat = np.fft.rfft2(a, shape)
-    b_hat = a_hat if b is a else np.fft.rfft2(b, shape)
+    a_hat = _fft(ctx, a, shape)
+    b_hat = a_hat if b is a else _fft(ctx, b, shape)
     return _yp_trim(_fft_round(ctx, a_hat * b_hat, shape, la + lb - 1))
 
 
@@ -678,7 +747,7 @@ class FrobeniusReducer:
     of a product a (at most 2d - 1 rows) is the reversal of rev(a) * inv mod
     Y^(d-1), where inv = rev(R)^-1 mod Y^(d-1) comes from Newton iteration once
     per reducer; a - quotient * R is then taken mod Y^N - 1 for N >= d + 1, a
-    cyclic product of half the length.  The transforms of inv and R are cached.
+    cyclic product of half the length.  The weighted transforms of inv and R are cached.
     Every product checks the float64 bound of ``_check_fft_exact``.  Quotients of
     fewer than 8 rows come from long division, cheaper there than three transforms.
 
@@ -709,21 +778,27 @@ class FrobeniusReducer:
     T_build + steps * T_table < products * T_mul + T_setup, where `products`
     is the mulmod count of the chain without a table (by default, steps q-th
     power steps) and T_setup is the Newton set-up when it has not run yet and
-    d >= 9 (Barrett is used at all).  The costs, in seconds, were fitted to
-    timings on a 2-vCPU x86 VM with one BLAS thread, with F = 2^ceil(log2(2 dim - 1))
-    and M(n) = 2^ceil(log2 n) * F:
-    T_build = 7.3e-10 d^2 q F + 3.6e-5 (d + q), the table build below;
-    T_table = 1.5e-10 d^2 dim^2 + 6e-5, one contraction;
-    t(n) = 3.3e-9 M(n) log2 M(n) + 2.5e-4, a mulmod whose product has n rows,
+    d >= 9 (Barrett is used at all).  The costs are in seconds, with
+    M(n) = 2^ceil(log2 n) * dim the points of a product transform:
+    T_build = 8.9e-10 d^2 q dim + 3.2e-5 (d + q), the table build below;
+    T_table = 1.5e-10 d^2 dim^2 + 7.2e-5, one contraction;
+    t(n) = 4.4e-9 M(n) log2 M(n) + 2.0e-4, a mulmod whose product has n rows,
     so T_mul = t(2d - 1), and T_setup = sum of t(2p - 1) over the Newton
     precisions p = 2, 4, ..., d - 1 (a round costs about a mulmod modulo a
-    degree-p polynomial; timed, the set-up is 1.1-1.4 mulmods at d 189-1023
-    and 2-3.5 at d 16-125).  For k + 1 = 3 steps the rule keeps the table up
-    to d 61 at q = 13, 56 at q = 31, 31 at q = 61 and 26 at q = 101, and again
-    just past the point where the product transform doubles (d 65-74 at q = 13
-    and 31); timed, the crossover lies between d 64 and 72 at q = 13 and
-    between 50 and 56 at q = 31, and d 65-74 is a near tie.  For 9 steps at
-    q = 101 the table is kept up to d 89.
+    degree-p polynomial; timed, the set-up is 1.1-1.9 mulmods at d 250-1023
+    and 2-3.7 at d 16-189).  Each formula is a least-squares fit, in relative
+    error, to the minimum of interleaved timings (25 rounds; 7 for the build)
+    on a 2-vCPU x86 VM with one BLAS thread, over q in {13, 31, 47, 61, 83, 101}
+    and d from 10 to 600 (125 for the table); the fits are within 0.75-1.5x
+    of every timing, the mulmod at dim 82 (a radix-41 pass) running slowest.
+    For k + 1 = 3 steps the rule keeps the table up to d 54 at q = 13, 53 at
+    q = 31, 30 at q = 61 and 24 at q = 101, and again just past the point where
+    the product transform doubles (d 66-69 at q = 13, 65-68 at q = 31, 33-40
+    at q = 61); timed, the crossover lies between d 54 and 60 at q = 13,
+    between 30 and 48 at q = 61 and between 24 and 30 at q = 101, while at
+    q = 31 the table still wins by 8 % at d 60-66 and loses at 72.  For 9
+    steps at q = 101 it keeps the table up to d 53 and at d 65-75; timed, the
+    table wins at 53 and 66 and loses at 60 and 75.
 
     The table is built in two parts.  First
     P[i] = Y^(d+i) mod R for i < q, each from the one before by a one-row
@@ -731,19 +806,21 @@ class FrobeniusReducer:
     sum(c_t Y^t), in one pass: of Y^q times it, the terms c_t Y^(t+q) with
     t + q < d stay as they are, and the high coefficients h_i = c_(d-q+i)
     (the ones that reach Y^(d+i)) add sum_i h_i P[i].  That sum runs in the
-    Fourier domain along X: real FFTs of length F, one (1 x q) @ (q x d) complex
-    product per frequency, and an inverse FFT that gives the coefficients of
-    X^0 .. X^(2 dim - 2).  These are rounded, folded with X^dim = gamma and
-    reduced mod q.  Only the transformed P is kept.
+    Fourier domain along X: gamma-weighted real FFTs of length dim (``_weights``),
+    one (1 x q) @ (q x d) complex product per frequency, dim // 2 + 1 of them,
+    and an inverse FFT that gives w_k times the coefficients of X^k mod
+    X^dim - gamma.  These are unweighted, rounded and reduced mod q.  Only the
+    transformed P is kept.
 
-    Exactness of the table: each coefficient before the fold is a sum of at most
-    q * dim products of residues below q, so B = q * dim * (q-1)^2 bounds both it
-    and sum_i ||h_i||_2 ||P[i]_t||_2.  By Percival's bound for FFT products
-    (twiddle factors accurate to 2^-53) plus the bound for the q-term complex
-    sum, the computed coefficient is within B * (13 log2 F + 2q + 3) * 2^-53
-    of the integer.  ``plan`` never builds a table where that reaches 1/4
-    (``_build_table`` refuses it with ParameterError), and the build checks that
-    every value lies within 1/4 of an integer before it is rounded.
+    Exactness of the table: each coefficient is a sum over q pairs (h_i, P[i]_t)
+    of dim products of residues, gamma times the ones that wrap, so it lies in
+    [0, top] with top = q (q-1)^2 (1 + gamma (dim - 1)), and B = q dim (q-1)^2
+    bounds sum_i ||h_i||_2 ||P[i]_t||_2.  The bound of ``_check_fft_exact``
+    carries over with the transforms' kappa(dim) + 3 replaced by
+    kappa(dim) + 2q + 3, the extra 2q for the q-term complex sum.  ``plan``
+    never builds a table where that reaches 1/4 (``_build_table`` refuses it
+    with ParameterError), and the build checks that every value lies within 1/4
+    of an integer before it is rounded.
     """
 
     def __init__(self, ctx: _ExtCtx, R: np.ndarray):
@@ -756,11 +833,12 @@ class FrobeniusReducer:
         self._table: np.ndarray | None = None
         self._inv_hat: np.ndarray | None = None
 
-    def _table_error(self) -> int:
+    def _table_error(self) -> float:
         """2^53 times the table build's error bound (the exactness argument above)."""
-        q, dim = self.ctx.q, self.ctx.dim
-        lg = (2 * dim - 2).bit_length()  # log2 F
-        return q * dim * (q - 1) ** 2 * (13 * lg + 2 * q + 3)
+        ctx = self.ctx
+        q, dim = ctx.q, ctx.dim
+        top = q * (q - 1) ** 2 * (1 + ctx.gamma * (dim - 1))
+        return _rounding_error(ctx, q * dim * (q - 1) ** 2, top, _transform_error(dim) + 2 * q + 3)
 
     def plan(self, steps: int, products: int | None = None) -> None:
         """Build the table if it is exact and pays for `steps` more steps that would
@@ -774,7 +852,7 @@ class FrobeniusReducer:
 
         def t_mul(rows):  # a mulmod whose product has `rows` rows
             m = math.prod(_fft_shape(self.ctx, rows))
-            return 3.3e-9 * m * math.log2(m) + 2.5e-4
+            return 4.4e-9 * m * math.log2(m) + 2.0e-4
 
         t_direct = products * t_mul(2 * d - 1)
         if products and d >= 9 and self._inv_hat is None:  # Barrett set-up: see _reduce
@@ -782,8 +860,8 @@ class FrobeniusReducer:
             while prec < d - 1:
                 prec = min(2 * prec, d - 1)
                 t_direct += t_mul(2 * prec - 1)
-        t_build = 7.3e-10 * d * d * q * _fft_shape(self.ctx, 1)[1] + 3.6e-5 * (d + q)
-        t_table = 1.5e-10 * d * d * dim * dim + 6e-5
+        t_build = 8.9e-10 * d * d * q * dim + 3.2e-5 * (d + q)
+        t_table = 1.5e-10 * d * d * dim * dim + 7.2e-5
         if t_build + steps * t_table < t_direct:
             self._build_table()
 
@@ -791,20 +869,19 @@ class FrobeniusReducer:
         ctx = self.ctx
         q, dim = ctx.q, ctx.dim
         lr = self.R.shape[0] - 1  # residues have at most lr rows
-        width = 2 * dim - 1  # X-degree of a product, before the fold
-        nfft = 1 << (width - 1).bit_length()
         if 4 * self._table_error() >= 2**53:
             raise ParameterError(
-                f"Frobenius table: q * dim * (q-1)^2 * (13 log2 F + 2q + 3) >= 2^51 with "
-                f"q = {q}, dim = {dim}, F = {nfft}; the Fourier-domain sum would not be exact"
+                f"Frobenius table: q = {q}, dim = {dim}, gamma = {ctx.gamma}: the rounding "
+                f"bound of the Fourier-domain sum reaches 1/4, it would not be exact"
             )
+        w = _weights(dim, ctx.gamma)
         lo = max(q - lr, 0)  # Y^q * (row j-1) reaches Y^(lr+i) only for i >= lo
-        p_hat = np.empty((nfft // 2 + 1, q - lo, lr), dtype=np.complex128)
+        p_hat = np.empty((dim // 2 + 1, q - lo, lr), dtype=np.complex128)
         p0 = (-self.R[:lr] % q).astype(np.float64)
         p = p0
         for i in range(q):
             if i >= lo:
-                p_hat[:, i - lo, :] = np.fft.rfft(p, n=nfft, axis=1).T
+                p_hat[:, i - lo, :] = np.fft.rfft(p * w, axis=1).T
             top = p[-1]
             p = np.concatenate((np.zeros((1, dim)), p[:-1]))
             if top.any():
@@ -818,15 +895,14 @@ class FrobeniusReducer:
             high = prev[keep:]
             if not high.any():
                 continue
-            h_hat = np.fft.rfft(high, n=nfft, axis=1)
+            h_hat = np.fft.rfft(high * w, axis=1)
             s_hat = np.matmul(h_hat.T[:, None, :], p_hat)[:, 0, :]
-            s = np.fft.irfft(s_hat.T, n=nfft, axis=1)[:, :width]
+            s = np.fft.irfft(s_hat.T, n=dim, axis=1) / w
             r = np.rint(s)
-            if np.abs(s - r).max() > 0.25:
+            if not np.abs(s - r).max() <= 0.25:  # NaN fails too
                 raise FloatingPointError("Fourier-domain sum strayed from the integers")
-            # below q + q * B < 2^51 (see the bound above): exact before the one reduction
-            row += r[:, :dim]
-            row[:, : dim - 1] += ctx.gamma * r[:, dim:]
+            # below q + top < 2^51 (see the bound above): exact before the one reduction
+            row += r
             _fmod(row, q)
         self._table = table
 
@@ -849,12 +925,12 @@ class FrobeniusReducer:
             prec = min(2 * old, n)
             # rows old..prec-1 of e = rev(R) * inv - 1, from a cyclic product (class docstring)
             shape = _fft_shape(ctx, prec)
-            e_hat = np.fft.rfft2(rev[:prec], shape) * np.fft.rfft2(inv, shape)
+            e_hat = _fft(ctx, rev[:prec], shape) * _fft(ctx, inv, shape)
             e = _fft_round(ctx, e_hat, shape, prec)[old:]
             corr = _yp_pad(_yp_mul(ctx, inv, e), prec - old)
             inv = np.concatenate((inv, -corr % ctx.q))
-        self._inv_hat = np.fft.rfft2(inv, self._inv_shape)
-        self._r_hat = np.fft.rfft2(self.R, self._r_shape)
+        self._inv_hat = _fft(ctx, inv, self._inv_shape)
+        self._r_hat = _fft(ctx, self.R, self._r_shape)
 
     def _reduce(self, a: np.ndarray) -> np.ndarray:
         """a mod R for a reduced a; Barrett for products of residues (at most
@@ -868,10 +944,10 @@ class FrobeniusReducer:
             return _yp_mod(ctx, a, self.R)
         if self._inv_hat is None:
             self._setup_barrett()
-        quo_hat = np.fft.rfft2(a[: d - 1 : -1], self._inv_shape) * self._inv_hat
+        quo_hat = _fft(ctx, a[: d - 1 : -1], self._inv_shape) * self._inv_hat
         quo = _fft_round(ctx, quo_hat, self._inv_shape, m)[::-1]
         n_cyc = self._r_shape[0]
-        rq_hat = np.fft.rfft2(quo, self._r_shape) * self._r_hat
+        rq_hat = _fft(ctx, quo, self._r_shape) * self._r_hat
         rem = a[:d] - _fft_round(ctx, rq_hat, self._r_shape, d)
         rem[: max(a.shape[0] - n_cyc, 0)] += a[n_cyc:]  # a mod Y^N - 1
         return _yp_trim(rem % ctx.q)

@@ -414,10 +414,11 @@ def _ref_residue(ctx, R, a):
     return _yp_trim(w % ctx.q)
 
 
-# the extensions the property tests cover, and prime fields: a small q, and
-# one too large for a Frobenius table sized by q
+# prime fields: a small q, and one too large for a Frobenius table sized by q
 _PRIME_CTXS = [_ExtCtx(13, 1, 0), _ExtCtx(65537, 1, 0)]
-_PROPERTY_CTXS = [standard_extension(q).ctx for q in (5, 7, 13, 31)] + _PRIME_CTXS
+# the extensions the property tests cover: q - 1 = 46 = 2 * 23 and 82 = 2 * 41
+# put a large prime factor into the length of the weighted transforms along X
+_PROPERTY_CTXS = [standard_extension(q).ctx for q in (5, 7, 13, 31, 47, 83)] + _PRIME_CTXS
 _KINDS = ["random", "monomial", "single-row", "top-row"]
 
 
@@ -687,12 +688,13 @@ def test_float64_paths_refuse_inexact_sizes():
     FrobeniusReducer(ctx, _yp_monomial(ctx, 2**7 - 1))
     with pytest.raises(ParameterError):
         FrobeniusReducer(ctx, _yp_monomial(ctx, 2**7))
-    # building the table sums q * dim products per coefficient in the Fourier
-    # domain: B * (13 log2 F + 2q + 3) must stay below 2^51 with
-    # B = q * dim * (q-1)^2, and with dim = 2^6 (F = 2^7) q = 2037 reaches it
-    ctx = _ExtCtx(2036, 2**6, 3)
+    # building the table sums q pairs of weighted length-dim transforms per
+    # coefficient: 3^(2 * 63/64) B (kappa(64) + 2q + 3) + (3 ln 3 + 9) top must
+    # stay below 2^51 with B = q dim (q-1)^2, top = q (q-1)^2 (1 + 3 (dim - 1))
+    # and kappa(64) = 6 * 13; with dim = 2^6 and gamma = 3, q = 1183 reaches it
+    ctx = _ExtCtx(1182, 2**6, 3)
     FrobeniusReducer(ctx, _yp_monomial(ctx, 1))._build_table()
-    ctx = _ExtCtx(2037, 2**6, 3)
+    ctx = _ExtCtx(1183, 2**6, 3)
     with pytest.raises(ParameterError):
         FrobeniusReducer(ctx, _yp_monomial(ctx, 1))._build_table()
     # long division leaves window values down to -dim (q-1)^2 for _fmod, which
@@ -718,9 +720,10 @@ def test_float64_paths_refuse_inexact_sizes():
 
 
 def test_fft_product_refuses_inexact_sizes():
-    # with q - 1 = 2^20 and dim = 1, two n-row products reach the bound of
-    # _check_fft_exact, n * dim * (q-1)^2 * (13 log2 N + 3) >= 2^51, first at
-    # n = 26 (N = 64); the largest accepted product is exact
+    # with q - 1 = 2^20 and dim = 1 (weights exactly 1), two n-row products
+    # reach the bound of _check_fft_exact, n * (q-1)^2 * (kappa(N) + 3) >= 2^51
+    # with kappa(N) = 13 log2 N, first at n = 26 (N = 64); the largest accepted
+    # product is exact
     ctx = _ExtCtx(2**20 + 1, 1, 3)
     a = np.full((25, 1), ctx.q - 1, dtype=np.int64)
     got = _yp_mul(ctx, a, a)
@@ -728,6 +731,39 @@ def test_fft_product_refuses_inexact_sizes():
     b = np.full((26, 1), ctx.q - 1, dtype=np.int64)
     with pytest.raises(ParameterError):
         _yp_mul(ctx, b, b)
+    # weighted, with q - 1 = 2^16, dim = 6 = 2 * 3 and gamma = 5:
+    # 5^(2 * 5/6) n dim (q-1)^2 (kappa(N) + kappa(6) + 3) + (3 ln 5 + 9) top
+    # reaches 2^51 first at n = 43 (N = 128); top = n (q-1)^2 (1 + 5 * 5)
+    ctx = _ExtCtx(2**16 + 1, 6, 5)
+    a = np.full((42, 6), ctx.q - 1, dtype=np.int64)
+    assert _yp_mul(ctx, a, a).tolist() == _ring_poly_mul(ctx, a, a)
+    b = np.full((43, 6), ctx.q - 1, dtype=np.int64)
+    with pytest.raises(ParameterError):
+        _yp_mul(ctx, b, b)
+
+
+def test_prime_contexts_keep_their_refusals():
+    # prime fields carry gamma = 0; their weights are exactly 1, and their
+    # bounds are those of any other gamma at dim = 1: the FFT boundary above,
+    # and a Frobenius table sums q products, refused from q = 5793 on
+    assert poly._weights(1, 0).tolist() == [1.0]
+    for gamma in (0, 3):
+        ctx = _ExtCtx(2**20 + 1, 1, gamma)
+        _yp_mul(ctx, np.ones((25, 1), dtype=np.int64), np.ones((25, 1), dtype=np.int64))
+        b = np.ones((26, 1), dtype=np.int64)
+        with pytest.raises(ParameterError):
+            _yp_mul(ctx, b, b)
+        for q, exact in ((5792, True), (5793, False)):
+            ctx = _ExtCtx(q, 1, gamma)
+            reducer = FrobeniusReducer(ctx, _yp_monomial(ctx, 1))
+            if exact:
+                reducer._build_table()
+            else:
+                with pytest.raises(ParameterError):
+                    reducer._build_table()
+    ctx = PrimeField(65537).ctx
+    with pytest.raises(ParameterError):
+        FrobeniusReducer(ctx, _yp_monomial(ctx, 3))._build_table()
 
 
 def _ring_poly_mul(ctx, f, g):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -5,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foldedrs.decoder import _threshold_plan
-from foldedrs.frs import SHIFTED, STANDARD, FRSParams, interpolation_points
+from foldedrs import rootfind
+from foldedrs.decoder import _threshold_plan, list_decode
+from foldedrs.frs import SHIFTED, STANDARD, FRSParams, encode, interpolation_points
 from foldedrs.galois import ExtField, ParameterError, PrimeField, standard_extension
+from foldedrs.harness import ChannelSpec, apply_channel, pipeline_threshold
 from foldedrs.interp import InterpolationProblem, interpolate
 from foldedrs.poly import (
     FrobeniusReducer,
@@ -297,3 +300,49 @@ def test_exhaustive_candidates_budget():
     Q0 = MultiPoly(big.field, s=1, k=4, terms={(0, 1): 1})
     with pytest.raises(ValueError):
         exhaustive_candidates(Q0, big)
+
+
+class _GcdReached(Exception):
+    pass
+
+
+def _digest(arr):
+    arr = np.ascontiguousarray(arr, dtype="<i8")
+    return hashlib.sha256(repr(arr.shape).encode() + arr.tobytes()).hexdigest()[:16]
+
+
+def _planted_word(params, rng):
+    msg = UniPoly.from_ints(params.field, [rng.randrange(params.q) for _ in range(params.k + 1)])
+    spec = ChannelSpec(kind="uniform", e=params.N - pipeline_threshold(params))
+    return apply_channel(encode(params, msg), spec, rng, q=params.q)
+
+
+# (params, seed of the word, deg R, digest of L mod R, digest of g): the first
+# decode-rootfind word of the benchmark at seed 1, the large-modulus decodes of
+# CI, and dim 82 = 2 * 41.  Recorded with the products padded to
+# 2^ceil(log2(2 dim - 1)) along X and folded with X^dim = gamma after rounding
+_CHAIN_DIGESTS = [
+    pytest.param(FRSParams(q=31, m=4, k=2, s=2, r=3), "decode-rootfind/1", 125,
+                 "9d6fffba4c6dba0c", "73096da0703e8f34", id="deg-125"),
+    pytest.param(FRSParams(q=101, m=5, k=8, s=2, r=2), 1, 404,
+                 "1a1d890bb7ec0267", "1c37cf60365d2448", id="deg-404"),
+    pytest.param(FRSParams(q=31, m=5, k=4, s=3, r=2), 1, 1023,
+                 "37a95730ae5d5ee2", "c1c876c0a0c62f5e", id="deg-1023"),
+    pytest.param(FRSParams(q=83, m=2, k=4, s=2, r=2), 1, 250,
+                 "d65ac37efa13e99f", "84ebdd774e78174f", id="deg-250-dim-82"),
+]
+
+
+@pytest.mark.parametrize("params, seed, deg, l_digest, g_digest", _CHAIN_DIGESTS)
+def test_chain_answers_match_recorded_digests(monkeypatch, params, seed, deg, l_digest, g_digest):
+    # L mod R and g = gcd(R, L mod R) inside candidates_from_Q, bit for bit
+    seen = {}
+
+    def recording_gcd(ctx, R, l_mod_r):
+        seen.update(deg=R.shape[0] - 1, L=_digest(l_mod_r), g=_digest(_yp_gcd(ctx, R, l_mod_r)))
+        raise _GcdReached
+
+    monkeypatch.setattr(rootfind, "_yp_gcd", recording_gcd)
+    with pytest.raises(_GcdReached):
+        list_decode(params, _planted_word(params, random.Random(seed)))
+    assert seen == {"deg": deg, "L": l_digest, "g": g_digest}
