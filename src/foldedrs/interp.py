@@ -179,25 +179,26 @@ def _assemble_matrix(problem: InterpolationProblem, exps: np.ndarray) -> np.ndar
     return rows.reshape(-1, len(exps))
 
 
-def _forward_eliminate(A: np.ndarray, q: int, width: int, budget: int) -> list[int]:
+def _forward_eliminate(A: np.ndarray, q: int, width: int, budget: int, scale_first: bool) -> int:
     """Blocked forward elimination of float64 residues A in place, up to the first free column.
 
-    Returns the inverses of the pivots, one per column before the first free
-    column c0, so c0 is the length of the list.  Afterwards rows 0..c0-1 of
-    A hold the pivot rows: their entries in columns i..c0 (row i) form the
-    upper-triangular block U and the column of c0, as residues.
+    Returns the first free column c0.  Afterwards rows 0..c0-1 of A hold the
+    pivot rows, each scaled by its pivot's inverse: their entries in columns
+    i+1..c0 (row i) form the strictly upper part of the unit upper-triangular
+    block U and the column of c0, as residues.
 
     Panels of ``width`` columns are left-looking: column j takes the updates
-    of the panel's earlier pivots as one gemv and is reduced, its first
-    nonzero entry is the pivot, the pivot row takes the same updates over the
-    rest of its row as one gemv and is reduced, and so are the multipliers
-    below the pivot.  The rows below the panel then take its updates on the
-    trailing columns as one gemm.  The panel's columns are reduced at its
-    start, the trailing block only when the panel would take its count of
-    subtracted products past ``budget``.
+    of the panel's earlier pivots as one gemv and is reduced, and its first
+    nonzero entry is the pivot; the multipliers below it stay unscaled.  The
+    pivot row takes the same updates over the rest of its row as one gemv, is
+    scaled by the pivot's inverse and is reduced once; where ``scale_first`` is
+    off it is also reduced before the scaling.  The rows below the panel then
+    take its updates on the trailing columns as one gemm: a multiplier times a
+    scaled row is the scaled multiplier times the row.  The panel's columns are
+    reduced at its start, the trailing block only when the panel would take its
+    count of subtracted products past ``budget``.
     """
     nrows, ncols = A.shape
-    inverses = []
     pending = 0  # products subtracted from the trailing block since it was last reduced
     for j0 in range(0, ncols, width):
         pe = min(j0 + width, ncols)
@@ -211,13 +212,14 @@ def _forward_eliminate(A: np.ndarray, q: int, width: int, budget: int) -> list[i
             if j == nrows or not _fmod(col, q)[0]:  # no pivot in place: search below
                 nz = np.flatnonzero(col)
                 if len(nz) == 0:
-                    return inverses
+                    return j
                 A[[j, j + nz[0]]] = A[[j + nz[0], j]]
             row = A[j, j + 1 :]
             row -= A[j, j0:j] @ A[j0:j, j + 1 :]
+            if not scale_first:
+                _fmod(row, q)
+            row *= pow(int(col[0]), q - 2, q)
             _fmod(row, q)
-            inverses.append(pow(int(col[0]), q - 2, q))
-            _fmod(np.multiply(col[1:], inverses[-1], out=col[1:]), q)
         if pe < min(nrows, ncols):
             A[pe:, pe:] -= A[pe:, j0:pe] @ A[j0:pe, pe:]
             pending += width
@@ -244,23 +246,32 @@ def _residue_kernel_vector(A: np.ndarray, q: int) -> tuple[np.ndarray, int, int]
     Returns (x, c0, c0): the rank of the columns before c0, which is c0, and
     c0 itself.
 
-    Every entry starts as a residue, and is a residue minus at most
-    T = floor((2^53 - q) / (q-1)^2) products of residues before each _fmod,
-    so -T (q-1)^2 <= x <= q - 1 and every sum is exact.  Panels are
-    min(_PANEL, T) wide; q above 2^24 (T < _PANEL // 2) raises ParameterError.
-    Raises AssertionError when every column is a pivot.
+    Every entry starts as a residue, and is a residue minus at most a budget
+    of products of residues before each _fmod.  A pivot row is scaled by its
+    pivot's inverse (at most q - 1) before its one _fmod, so its products are
+    bounded by T1 = floor(((2^53 - q) / (q-1) - (q-1)) / (q-1)^2), which keeps
+    (q-1) (T1 (q-1)^2 + q - 1) <= 2^53 - q: T1 is 9.0e9 at q = 101 and 256 at
+    q = 32749.  Where T1 leaves no room for a full panel (T1 < _PANEL, q above
+    about 52000; T1 = 32 at q = 65521), the row is reduced before it is
+    scaled and the budget is T = floor((2^53 - q) / (q-1)^2), so
+    -T (q-1)^2 <= x <= q - 1.  Either way every sum is exact.  Panels are
+    min(_PANEL, budget) wide; q above 2^24 (T < _PANEL // 2) raises
+    ParameterError.  U has a unit diagonal, so back-substitution takes no
+    inverse.  Raises AssertionError when every column is a pivot.
     """
     _check_float_exact(_PANEL // 2, q, "interpolation kernel")
-    budget = (2**53 - q) // (q - 1) ** 2
+    budget = ((2**53 - q) // (q - 1) - (q - 1)) // (q - 1) ** 2
+    scale_first = budget >= _PANEL
+    if not scale_first:
+        budget = (2**53 - q) // (q - 1) ** 2
     width = min(_PANEL, budget)
-    inverses = _forward_eliminate(A, q, width, budget)
-    c0 = len(inverses)
+    c0 = _forward_eliminate(A, q, width, budget, scale_first)
     y = np.zeros(A.shape[1])  # y = -x, so each sum below is a residue minus products
     rhs = A[:c0, c0].copy()
     for b0 in range(c0 - 1 - (c0 - 1) % width, -1, -width):
         b1 = min(b0 + width, c0)
         for i in range(b1 - 1, b0 - 1, -1):
-            y[i] = int(rhs[i] - A[i, i + 1 : b1] @ y[i + 1 : b1]) * inverses[i] % q
+            y[i] = int(rhs[i] - A[i, i + 1 : b1] @ y[i + 1 : b1]) % q
         rhs[:b0] -= A[:b0, b0:b1] @ y[b0:b1]
         _fmod(rhs[:b0], q)
     y[c0] = q - 1

@@ -634,8 +634,10 @@ def _check_fft_exact(ctx: _ExtCtx, la: int, lb: int, shape: tuple[int, int]) -> 
 
 def _fft_round(ctx: _ExtCtx, prod_hat: np.ndarray, shape: tuple[int, int], rows: int) -> np.ndarray:
     """Rows 0..rows-1 of the product mod X^dim - gamma with weighted transform
-    prod_hat: unweighted, rounded and reduced mod q, as int64."""
-    s = np.fft.irfft2(prod_hat, shape)[:rows] / _weights(ctx.dim, ctx.gamma)
+    prod_hat: unweighted, rounded and reduced mod q, as int64.  The inverse runs
+    along Y, then along X on the kept rows only (the two passes of ``irfft2``)."""
+    s = np.fft.ifft(prod_hat, shape[0], axis=0)[:rows]
+    s = np.fft.irfft(s, shape[1], axis=1) / _weights(ctx.dim, ctx.gamma)
     r = np.rint(s)
     if not np.abs(s - r).max() <= 0.25:  # NaN fails too
         raise FloatingPointError("FFT product strayed from the integers")
@@ -706,35 +708,73 @@ def _yp_monic(ctx: _ExtCtx, a: np.ndarray) -> np.ndarray:
     return _yp_scalar_mul(ctx, a, _sc_inv(ctx, a[-1]))
 
 
-def _yp_unit_rem(ctx: _ExtCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A unit multiple of a mod b for nonzero b, with no inverse: each quotient row
-    multiplies the remainder by lc(b) and subtracts head * b.
+def _yp_unit_rem(ctx: _ExtCtx, rem: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A unit multiple of rem mod b for float64 residues rem (overwritten) and a
+    nonzero b, with no inverse: each quotient row multiplies the live remainder
+    by lc(b), subtracts head * b and reduces it, two products and one _fmod a row.
 
     Both products have entries in [0, dim (q-1)^2], so |x| <= dim (q-1)^2 before
     each exact _fmod, as in ``_yp_divmod``.
     """
-    rem = (a % ctx.q).astype(np.float64)
     lb = b.shape[0]
-    lead = None if _sc_is_one(ctx, b[-1]) else _sc_matrix(ctx, b[-1]).astype(np.float64)
-    bf = b.astype(np.float64)
+    lead = None if _sc_is_one(ctx, b[-1]) else _sc_matrix(ctx, b[-1])
     for top in range(rem.shape[0] - 1, lb - 2, -1):
-        head = rem[top].astype(np.int64)
-        if head.any():
+        if rem[top].any():
+            head = _sc_matrix(ctx, rem[top])
             live = rem[: top + 1]
             if lead is not None:
                 live[:] = live @ lead
-            live[top - lb + 1 :] -= bf @ _sc_matrix(ctx, head).astype(np.float64)
+            live[top - lb + 1 :] -= b @ head
             _fmod(live, ctx.q)
-    return _yp_trim(rem[: lb - 1].astype(np.int64))
+    return _yp_trim(rem[: lb - 1])
 
 
 def _yp_gcd(ctx: _ExtCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The monic gcd: an inverse-free Euclid, and one inverse at the end."""
-    a = _yp_trim(a % ctx.q)
-    b = _yp_trim(b % ctx.q)
+    """The monic gcd: an inverse-free Euclid on float64 residues, and one inverse at the end.
+
+    A normal step, deg a = deg b + 1 = n >= 2, takes in one pass the
+    pseudo-remainder r = lc^2 a - (q1 Y + q0) b, where lc = b_(n-1),
+    q1 = lc a_n and q0 = lc a_(n-1) - a_n b_(n-2) (von zur Gathen & Gerhard,
+    Modern Computer Algebra, §6.12): rows 0..n-2 of a, b and Y b times M(lc^2),
+    M(q0) and M(q1), two subtractions and one _fmod; rows n-1 and n of r vanish
+    by the choice of q1 and q0.  The heads come from one convolution of lc with
+    (lc, a_n, a_(n-1)) laid end to end, padded so the products do not overlap,
+    and one of a_n with b_(n-2), folded with X^dim = gamma and left unreduced:
+    each lies within top = (q-1)^2 (1 + gamma (dim - 1)) of 0, and
+    ``_sc_matrix`` multiplies them by gamma before it reduces them.  Each
+    product has entries in [0, dim (q-1)^2], so -2 dim (q-1)^2 <= r <=
+    dim (q-1)^2 before the _fmod.  max(2 dim (q-1)^2, gamma top) + q <= 2^53 is
+    checked once per call; it holds for prime fields up to q ~ 6.7e7 (gamma = 0),
+    for extensions up to q ~ 1.3e5 at gamma = 2 and for every gamma up to
+    q ~ 1550.  Past it every step goes through ``_yp_unit_rem``, which reduces
+    after each quotient row, and so do all other steps (deg a - deg b != 1, or
+    deg b = 0).
+
+    r is lc times the remainder of ``_yp_unit_rem``'s two rows when its second
+    head q0 vanishes, and equal to it otherwise; a unit factor leaves the
+    monic gcd as it is.
+    """
+    q, dim = ctx.q, ctx.dim
+    a = _yp_trim((a % q).astype(np.float64))
+    b = _yp_trim((b % q).astype(np.float64))
+    fused = max(2 * dim, ctx.gamma * (1 + ctx.gamma * (dim - 1))) * (q - 1) ** 2 + q <= 2**53
+    pad = np.zeros((3, 2 * dim - 1))  # lc, a_n, a_(n-1) in the first dim columns
     while b.shape[0] > 0:
-        a, b = b, _yp_unit_rem(ctx, a, b)
-    return _yp_monic(ctx, a)
+        n = b.shape[0]
+        if not (fused and a.shape[0] == n + 1 and n >= 2):
+            a, b = b, _yp_unit_rem(ctx, a, b)
+            continue
+        lc, an = b[-1], a[-1]
+        pad[0, :dim], pad[1, :dim], pad[2, :dim] = lc, an, a[-2]
+        heads = np.convolve(lc, pad.ravel())[: pad.size].reshape(pad.shape)
+        heads[2] -= np.convolve(an, b[-2])
+        heads[:, : dim - 1] += ctx.gamma * heads[:, dim:]
+        lc2, q1, q0 = _sc_matrix(ctx, heads[:, :dim])
+        r = a[: n - 1] @ lc2
+        r -= b[: n - 1] @ q0
+        r[1:] -= b[: n - 2] @ q1
+        a, b = b, _yp_trim(_fmod(r, q))
+    return _yp_monic(ctx, a.astype(np.int64))
 
 
 class FrobeniusReducer:

@@ -15,9 +15,11 @@ from foldedrs.interp import (
     _PANEL,
     InterpolationProblem,
     ParameterError,
+    _assemble_matrix,
     _column_exponents,
     _derivative_monomials,
     _kernel_vector,
+    _residue_kernel_vector,
     choose_D,
     constraints_per_point,
     degree_bound_formula,
@@ -30,6 +32,7 @@ from foldedrs.poly import (
     enumerate_weighted_monomials,
     hasse_coefficient,
 )
+from test_rootfind import _benchmark_call, _digest
 
 
 def test_degree_bound_formula_examples():
@@ -333,12 +336,18 @@ def test_kernel_vector_rejects_inexact_field_size():
     assert (x.tolist(), rank, c0) == ([16777212, 1], 1, 1)
 
 
-def _largest_products_matrix(q: int, nrows: int, ncols: int, c0: int) -> np.ndarray:
-    """L U mod q where every multiplier and every entry of U above its unit
-    diagonal is q - 1, so each elimination update subtracts (q-1)^2 products;
+def _largest_products_matrix(
+    q: int, nrows: int, ncols: int, c0: int, pivot: int = 1, entry: int | None = None
+) -> np.ndarray:
+    """L U mod q where U has `pivot` on its diagonal and every multiplier, unscaled,
+    and every entry of U above its diagonal, scaled by the row's pivot inverse,
+    is `entry` (q - 1 by default), so each elimination update subtracts entry^2;
     column c0 of U stops at row c0 - 1, which makes c0 the first free column."""
-    L = np.tril(np.full((nrows, nrows), q - 1), -1) + np.eye(nrows, dtype=np.int64)
-    U = np.triu(np.full((nrows, ncols), q - 1), 1) + np.eye(nrows, ncols, dtype=np.int64)
+    entry = q - 1 if entry is None else entry
+    L = np.tril(np.full((nrows, nrows), entry * pow(pivot, q - 2, q) % q), -1)
+    U = np.triu(np.full((nrows, ncols), entry * pivot % q), 1)
+    L += np.eye(nrows, dtype=np.int64)
+    U += pivot * np.eye(nrows, ncols, dtype=np.int64)
     U[c0:, c0] = 0
     return L @ U % q
 
@@ -356,6 +365,20 @@ def test_kernel_vector_reduces_the_trailing_block_at_the_product_budget():
     assert _assert_kernel_matches_reference(_largest_products_matrix(q, 120, 130, 100), q) == 100
     deficient = _matrix_with_free_col(rng, q, 120, 130, 100, duplicate=False)
     assert _assert_kernel_matches_reference(deficient, q) == 100
+
+
+def test_kernel_vector_reduces_the_trailing_block_at_the_scaled_row_budget():
+    # q = 32749 scales each pivot row by its inverse before the row's one
+    # reduction, which allows T1 = floor(((2^53 - q) / (q-1) - (q-1)) / (q-1)^2)
+    # = 256 products: four 64-wide panels, then the trailing block must be
+    # reduced.  Every pivot (q-1)/2 has the inverse q - 2 and every update
+    # subtracts (q-2)^2, all odd, so a fifth panel without the reduction would
+    # scale 320 (q-2)^2 by q - 2, past 2^53, and round
+    q = 32749
+    assert ((2**53 - q) // (q - 1) - (q - 1)) // (q - 1) ** 2 == 4 * _PANEL == 256
+    for nrows, ncols, c0 in [(330, 340, 330), (340, 345, 321)]:
+        M = _largest_products_matrix(q, nrows, ncols, c0, pivot=(q - 1) // 2, entry=q - 2)
+        assert _assert_kernel_matches_reference(M, q) == c0
 
 
 # ---------------------------------------------------------------------------
@@ -417,3 +440,26 @@ def test_frozen_Q_list_recovery_shape(monkeypatch):
     Q, report = interpolate_with_report(problem)
     assert (report.rows, report.cols, report.rank, report.substituted_degree) == (480, 506, 473, 189)
     assert _q_digest(Q) == "fa971095682eacaaf0eaf36569965461ab9717256af2ebd013b64838b004077e"
+
+
+# (params, seed of the word, system shape, first free column, digest of x): the
+# first words of the benchmark workloads at seed 1, recorded with the
+# multipliers scaled by their pivot's inverse and U not monic
+_KERNEL_DIGESTS = [
+    pytest.param(FRSParams(q=13, m=3, k=2, s=2, r=3), "decode-small/1", (80, 91), 78,
+                 "24105264b30a0c42", id="decode-small"),
+    pytest.param(FRSParams(q=101, m=5, k=8, s=1, r=3), "decode-interp/1", (600, 612), 590,
+                 "bf7937a74ce12a75", id="decode-interp"),
+    pytest.param(FRSParams(q=31, m=5, k=2, s=2, r=3), "recover-l2/1", (480, 506), 474,
+                 "7eba38848e4c3386", id="recover-l2"),
+]
+
+
+@pytest.mark.parametrize("params, seed, shape, c0, x_digest", _KERNEL_DIGESTS)
+def test_kernel_vector_matches_recorded_digests(monkeypatch, params, seed, shape, c0, x_digest):
+    problem = _captured_problem(monkeypatch, _benchmark_call(params, seed))
+    matrix = _assemble_matrix(problem, _column_exponents(problem.k, problem.D, problem.s))
+    assert matrix.shape == shape
+    x, rank, free = _residue_kernel_vector(matrix, params.q)
+    assert (rank, free) == (c0, c0)
+    assert _digest(x) == x_digest

@@ -26,6 +26,7 @@ from foldedrs.poly import (
     _fmod,
     _half_field_power,
     _roots_arr,
+    _yp_add,
     _yp_divmod,
     _yp_gcd,
     _yp_mod,
@@ -475,6 +476,53 @@ def test_gcd_matches_long_division_euclid(ctx, rows, common, seed):
         a, b = _ref_mul(ctx, a, h), _ref_mul(ctx, b, h)
     assert np.array_equal(_yp_gcd(ctx, a, b), _ref_gcd(ctx, a, b))
     assert np.array_equal(_yp_gcd(ctx, b, a), _ref_gcd(ctx, b, a))
+
+
+# the largest prime q whose context is exact, (q-1)^2 + q <= 2^53, while
+# 2 (q-1)^2 + q > 2^53 puts it past the fused Euclid step's bound
+_PAST_FUSED_CTX = _ExtCtx(94906249, 1, 0)
+
+
+def _euclid_pair(rng, ctx, g, quotient_degrees):
+    """(a, b) whose Euclidean remainder sequence ends in g, with quotients of the
+    given degrees (>= 1, the last quotient first): one quotient gives b = g."""
+    a, b = g, np.zeros((0, ctx.dim), dtype=np.int64)
+    for d in quotient_degrees:
+        a, b = _yp_add(ctx, _ref_mul(ctx, _shaped_yp(rng, ctx, d + 1, "random"), a), b), a
+    return a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ctx=st.sampled_from(_PROPERTY_CTXS),
+    g_degree=st.sampled_from([0, 1, 2, 5]),
+    quotient_degrees=st.lists(st.sampled_from([1, 1, 1, 2, 3]), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gcd_of_a_built_remainder_sequence(ctx, g_degree, quotient_degrees, seed):
+    # degree-1 quotients are the fused normal steps; a quotient of degree >= 2
+    # in the middle, gcd 1 (g_degree 0), deg g > 1 and g = b (one quotient)
+    # take the row-by-row path between them
+    rng = random.Random(seed)
+    g = _shaped_yp(rng, ctx, g_degree + 1, "random")
+    a, b = _euclid_pair(rng, ctx, g, quotient_degrees)
+    expect = _yp_monic(ctx, g)
+    assert np.array_equal(_ref_gcd(ctx, a, b), expect)
+    assert np.array_equal(_yp_gcd(ctx, a, b), expect)
+    assert np.array_equal(_yp_gcd(ctx, b, a), expect)
+
+
+def test_gcd_past_the_fused_bound_reduces_every_quotient_row():
+    # a fused step could reach 2 (q-1)^2 > 2^53 here and round; every step
+    # takes the row-by-row path, whose rows stay within (q-1)^2
+    ctx = _PAST_FUSED_CTX
+    assert 2 * (ctx.q - 1) ** 2 + ctx.q > 2**53
+    for seed in range(20):
+        rng = random.Random(seed)
+        g = _shaped_yp(rng, ctx, 3, "random")
+        a, b = _euclid_pair(rng, ctx, g, [1, 1, 1, 2, 1, 1, 1, 1])
+        assert np.array_equal(_yp_gcd(ctx, a, b), _yp_monic(ctx, g))
+        assert np.array_equal(_ref_gcd(ctx, a, b), _yp_monic(ctx, g))
 
 
 def _reference_table(reducer):

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foldedrs import rootfind
-from foldedrs.decoder import _threshold_plan, list_decode
-from foldedrs.frs import SHIFTED, STANDARD, FRSParams, encode, interpolation_points
+from foldedrs.decoder import _threshold_plan, list_decode, list_recover
+from foldedrs.frs import SHIFTED, STANDARD, FRSParams, RecoverySets, encode, interpolation_points
 from foldedrs.galois import ExtField, ParameterError, PrimeField, standard_extension
 from foldedrs.harness import ChannelSpec, apply_channel, pipeline_threshold
 from foldedrs.interp import InterpolationProblem, interpolate
@@ -317,17 +317,60 @@ def _planted_word(params, rng):
     return apply_channel(encode(params, msg), spec, rng, q=params.q)
 
 
+def _planted_sets(params, rng, l=2):
+    """Recovery sets as the recover-l2 benchmark workload builds them: the symbols
+    of two planted codewords, and N - t sets of l junk tuples."""
+    def message():
+        return UniPoly.from_ints(params.field, [rng.randrange(params.q) for _ in range(params.k + 1)])
+
+    msgs = (message(), message())
+    while msgs[1] == msgs[0]:
+        msgs = (msgs[0], message())
+    cws = [encode(params, f) for f in msgs]
+    bad = set(rng.sample(range(params.N), params.N - _threshold_plan(params, l)[2]))
+    sets = []
+    for j in range(params.N):
+        planted = S = {cw[j] for cw in cws}
+        if j in bad:
+            S = set()
+            while len(S) < l:
+                tup = tuple(rng.randrange(params.q) for _ in range(params.m))
+                if tup not in planted:
+                    S.add(tup)
+        sets.append(S)
+    return RecoverySets.from_iterables(sets, l)
+
+
+def _benchmark_call(params, seed):
+    """The decode of the first word of a benchmark workload ("<name>/<seed>", each
+    word uniform) or of the CI large-modulus step (an int seed)."""
+    rng = random.Random(seed)
+    if str(seed).startswith("recover-l2/"):
+        return lambda: list_recover(params, _planted_sets(params, rng))
+    return lambda: list_decode(params, _planted_word(params, rng))
+
+
 # (params, seed of the word, deg R, digest of L mod R, digest of g): the first
-# decode-rootfind word of the benchmark at seed 1, the large-modulus decodes of
-# CI, and dim 82 = 2 * 41.  Recorded with the products padded to
+# words of the benchmark at seed 1, the large-modulus decodes of CI, and
+# dim 82 = 2 * 41.  Recorded with the products padded to
 # 2^ceil(log2(2 dim - 1)) along X and folded with X^dim = gamma after rounding
+# (deg 125, 404, 1023, 250), and with the Euclid taking two quotient rows a
+# step (every g)
 _CHAIN_DIGESTS = [
+    pytest.param(FRSParams(q=13, m=3, k=2, s=2, r=3), "decode-small/1", 39,
+                 "d8c9ff228d6cbaa5", "ed72912481ff7600", id="deg-39"),
     pytest.param(FRSParams(q=31, m=4, k=2, s=2, r=3), "decode-rootfind/1", 125,
                  "9d6fffba4c6dba0c", "73096da0703e8f34", id="deg-125"),
+    pytest.param(FRSParams(q=31, m=5, k=2, s=2, r=3), "recover-l2/1", 189,
+                 "b27d373103e122a2", "40bf6e8fdf21c8d7", id="deg-189"),
+    pytest.param(FRSParams(q=101, m=5, k=8, s=1, r=3), "decode-interp/1", 10,
+                 "6f9622fde5a5d632", "a59034c3ae08007e", id="deg-10-dim-100"),
     pytest.param(FRSParams(q=101, m=5, k=8, s=2, r=2), 1, 404,
                  "1a1d890bb7ec0267", "1c37cf60365d2448", id="deg-404"),
     pytest.param(FRSParams(q=31, m=5, k=4, s=3, r=2), 1, 1023,
                  "37a95730ae5d5ee2", "c1c876c0a0c62f5e", id="deg-1023"),
+    pytest.param(FRSParams(q=31, m=5, k=3, s=4, r=2), 1, 1922,
+                 "28de68a5e4f512d5", "18c2129710f3e959", id="deg-1922"),
     pytest.param(FRSParams(q=83, m=2, k=4, s=2, r=2), 1, 250,
                  "d65ac37efa13e99f", "84ebdd774e78174f", id="deg-250-dim-82"),
 ]
@@ -344,5 +387,5 @@ def test_chain_answers_match_recorded_digests(monkeypatch, params, seed, deg, l_
 
     monkeypatch.setattr(rootfind, "_yp_gcd", recording_gcd)
     with pytest.raises(_GcdReached):
-        list_decode(params, _planted_word(params, random.Random(seed)))
+        _benchmark_call(params, seed)()
     assert seen == {"deg": deg, "L": l_digest, "g": g_digest}
