@@ -79,9 +79,7 @@ class DecodeResult:
     stats: DecodeStats
 
 
-def _run_pipeline(
-    params: FRSParams, points, n0: int, D: int, t: int, keep, seed: int
-) -> DecodeResult:
+def _run_pipeline(params: FRSParams, points, n0: int, D: int, t: int, keep) -> DecodeResult:
     problem = InterpolationProblem(
         field=params.field,
         points=tuple(points),
@@ -93,7 +91,7 @@ def _run_pipeline(
     Q, report = interpolate_with_report(problem)
     ext = standard_extension(params.q)
     Q0, _ = strip_E_power(Q, ext.modulus)
-    found = candidates_from_Q(Q0, params, ext, seed=seed)
+    found = candidates_from_Q(Q0, params, ext)
     kept = tuple(f for f in found if keep(f))
     stats = DecodeStats(
         D=D,
@@ -149,7 +147,8 @@ def list_decode(params: FRSParams, received, seed: int = 0) -> DecodeResult:
 
     Completeness holds by the vanishing argument: any message with agreement
     at least t satisfies the Q-identity, hence appears among the recovered
-    roots; soundness is enforced by re-encoding every candidate.
+    roots; soundness is enforced by re-encoding every candidate.  ``seed`` is
+    accepted and ignored: the result is a function of params and the word.
     """
     received = validate_word(params, received)
     y = unfold(params, received)
@@ -159,7 +158,7 @@ def list_decode(params: FRSParams, received, seed: int = 0) -> DecodeResult:
     def keep(f: UniPoly) -> bool:
         return folded_agreement(encode(params, f), received) >= t
 
-    return _run_pipeline(params, points, n0, D, t, keep, seed)
+    return _run_pipeline(params, points, n0, D, t, keep)
 
 
 def list_recover(params: FRSParams, sets: RecoverySets, seed: int = 0) -> DecodeResult:
@@ -169,7 +168,7 @@ def list_recover(params: FRSParams, sets: RecoverySets, seed: int = 0) -> Decode
     interpolation windows; duplicate points are merged before constraint
     generation.  Feasibility is computed with n0 replaced by n0 * l, and the
     reported D_formula uses that n0 too.  With l = 1 this reduces exactly to
-    list decoding.
+    list decoding.  ``seed`` is accepted and ignored, as in ``list_decode``.
     """
     if params.variant != STANDARD:
         raise UnsupportedVariantError("list recovery is defined for the standard point set")
@@ -192,7 +191,7 @@ def list_recover(params: FRSParams, sets: RecoverySets, seed: int = 0) -> Decode
         cw = encode(params, f)
         return sum(1 for j in range(params.N) if cw[j] in sets.sets[j]) >= t
 
-    return _run_pipeline(params, points, n0, D, t, keep, seed)
+    return _run_pipeline(params, points, n0, D, t, keep)
 
 
 # ---------------------------------------------------------------------------

@@ -329,14 +329,16 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("decode", help="list decode a received word file")
     add_code_args(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="accepted and ignored: decoding is deterministic")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", default=None)
 
     p = sub.add_parser("recover", help="list recover from a sets file")
     add_code_args(p)
     p.add_argument("--l", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="accepted and ignored: recovery is deterministic")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", default=None)
 

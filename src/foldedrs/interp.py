@@ -299,7 +299,10 @@ def interpolate_with_report(problem: InterpolationProblem) -> tuple[MultiPoly, I
         )
     matrix = _assemble_matrix(problem, exps)
     x, rank, free_col = _residue_kernel_vector(matrix, q)  # eliminates matrix in place
-    Q = MultiPoly(problem.field, s, k, zip(map(tuple, exps.tolist()), x.tolist()))
+    nz = np.flatnonzero(x)  # x is reduced, and the exponents are valid by construction
+    Q = MultiPoly._from_canonical(
+        problem.field, s, k, dict(zip(map(tuple, exps[nz].tolist()), x[nz].tolist()))
+    )
     assert not Q.is_zero
     # columns go by substituted degree, and free_col is the last one in Q
     sub_deg = sum(j * q**t for t, j in enumerate(exps[free_col, 1:].tolist()))

@@ -23,7 +23,9 @@ Three layers live here:
   polynomial of the low-degree subspace), with L mod R from the powers
   Y^(q^i) mod R (steps through a precomputed table, or squarings up from Y and
   square-and-multiply q-th powers, chosen by a stated cost rule), g from an
-  inverse-free Euclid, then seeded randomized equal-degree splitting of g.
+  inverse-free Euclid, then the roots of g: read coordinate by coordinate in
+  the degree <= k subspace (``_subspace_roots``, deterministic), or, for the
+  field equation, by seeded randomized equal-degree splitting (``_edf_roots``).
 
 All operations are pure; randomized splitting takes an explicit seed so
 concurrent calls never share state.
@@ -341,6 +343,14 @@ class MultiPoly:
         self.s = s
         self.k = k
         self.terms = clean
+
+    @classmethod
+    def _from_canonical(cls, field: PrimeField, s: int, k: int, terms: dict) -> "MultiPoly":
+        """A MultiPoly on `terms` as they stand: tuples of s + 1 nonnegative Python ints
+        mapped to Python ints in [1, q), which the caller guarantees."""
+        Q = object.__new__(cls)
+        Q.field, Q.s, Q.k, Q.terms = field, s, k, terms
+        return Q
 
     @property
     def is_zero(self) -> bool:
@@ -840,9 +850,22 @@ class FrobeniusReducer:
     steps at q = 101 it keeps the table up to d 53 and at d 65-75; timed, the
     table wins at 53 and 66 and loses at 60 and 75.
 
-    The table is built in two parts.  First
-    P[i] = Y^(d+i) mod R for i < q, each from the one before by a one-row
-    shift plus a multiple of P[0] = Y^d - R.  Then row j comes from row j-1,
+    T_build was fitted when the build stepped through all q powers P[i] below;
+    where it squares up to Y^q instead, the rule overestimates the build and
+    errs only toward square-and-multiply.
+
+    The table is built in two parts.  First P[i] = Y^(d+i) mod R for
+    lo <= i < q, lo = max(q - d, 0), the only ones that row j-1 can reach,
+    each from the one before by a one-row shift plus a multiple of
+    P[0] = Y^d - R.  The q - d steps below lo are skipped where squaring up
+    from Y to P[lo] = Y^q mod R is cheaper: floor(log2 q) products, each
+    followed by at most d - 1 long-division rows, against q - d one-row steps;
+    a product counts as three rows, so it squares up when
+    (d + 2) floor(log2 q) < q - d: at d = 10, q = 101 (decode-interp) and
+    d = 2, q = 31, but not at d = 2, q = 13, or d = 10, q = 31 (timed, the
+    squaring to the stepping: 3.3 to 5.8, 0.46 to 0.47, 0.29 to 0.16 and
+    1.1 to 0.65 ms).
+    Then row j comes from row j-1,
     sum(c_t Y^t), in one pass: of Y^q times it, the terms c_t Y^(t+q) with
     t + q < d stay as they are, and the high coefficients h_i = c_(d-q+i)
     (the ones that reach Y^(d+i)) add sum_i h_i P[i].  That sum runs in the
@@ -918,8 +941,16 @@ class FrobeniusReducer:
         lo = max(q - lr, 0)  # Y^q * (row j-1) reaches Y^(lr+i) only for i >= lo
         p_hat = np.empty((dim // 2 + 1, q - lo, lr), dtype=np.complex128)
         p0 = (-self.R[:lr] % q).astype(np.float64)
-        p = p0
-        for i in range(q):
+        p, start = p0, 0
+        if (lr + 2) * (q.bit_length() - 1) < q - lr:  # square up to P[lo] = Y^q mod R
+            y = _yp_monomial(ctx, 1)
+            for bit in format(q, "b")[1:]:
+                y = _yp_mod(ctx, _yp_mul(ctx, y, y), self.R)
+                if bit == "1":
+                    y = np.concatenate((np.zeros((1, dim), dtype=np.int64), y))
+                    y = _yp_mod(ctx, y, self.R)
+            p, start = _yp_pad(y, lr).astype(np.float64), lo
+        for i in range(start, q):
             if i >= lo:
                 p_hat[:, i - lo, :] = np.fft.rfft(p * w, axis=1).T
             top = p[-1]
@@ -1044,26 +1075,30 @@ class FrobeniusReducer:
                 w = self._reduce(np.concatenate((np.zeros((1, ctx.dim), dtype=np.int64), w)))
         return w
 
-    def linearized_residue(self, a) -> np.ndarray:
-        """sum_i a_i Y^(q^i) mod R for base-field scalars a_i.
+    def frobenius_powers(self, n: int) -> list[np.ndarray]:
+        """Y^(q^i) mod R for i = 0..n.
 
         With the table, Y^(q^i) is a step from Y^(q^(i-1)); without it, it comes
         from whichever route makes fewer mulmods: ``_power_of_y``, or a q-th power
         of Y^(q^(i-1)) by ``step``."""
         ctx = self.ctx
         per_step = self._step_mulmods()
-        squarings = [self._squarings(ctx.q**i) for i in range(1, len(a))]
-        self.plan(len(squarings), sum(min(n, per_step) for n in squarings))
-        u = _yp_mod(ctx, _yp_monomial(ctx, 1), self.R)
-        w = _yp_zero(ctx)
-        for i, ai in enumerate(a):
+        squarings = [self._squarings(ctx.q**i) for i in range(1, n + 1)]
+        self.plan(n, sum(min(s, per_step) for s in squarings))
+        out = [_yp_mod(ctx, _yp_monomial(ctx, 1), self.R)]
+        for i, s in enumerate(squarings, 1):
+            if self._table is None and s <= per_step:
+                out.append(self._power_of_y(ctx.q**i))
+            else:
+                out.append(self.step(out[-1]))
+        return out
+
+    def linearized_residue(self, a) -> np.ndarray:
+        """sum_i a_i Y^(q^i) mod R for base-field scalars a_i (``frobenius_powers``)."""
+        w = _yp_zero(self.ctx)
+        for ai, u in zip(a, self.frobenius_powers(len(a) - 1)):
             if ai:
-                w = _yp_add(ctx, w, u * ai % ctx.q)
-            if i < len(squarings):
-                if self._table is None and squarings[i] <= per_step:
-                    u = self._power_of_y(ctx.q ** (i + 1))
-                else:
-                    u = self.step(u)
+                w = _yp_add(self.ctx, w, u * ai % self.ctx.q)
         return w
 
 
@@ -1095,8 +1130,7 @@ def _half_field_power(ctx: _ExtCtx, base: np.ndarray, reducer: FrobeniusReducer)
 def _edf_roots(ctx: _ExtCtx, g: np.ndarray, rng: random.Random) -> list[np.ndarray]:
     """All roots of a monic squarefree g that splits into linear factors over the field.
 
-    Both callers pass g = gcd(R, L mod R), where L = sum a_i Y^(q^i) has all
-    its roots in the field and L' = a_0 != 0, so g qualifies as it is.
+    ``_roots_arr`` passes g = gcd(R, Y^|field| - Y), which qualifies as it is.
     Randomized equal-degree splitting with exponent (|field| - 1) / 2: each
     round draws one random shift c, computes (Y + c)^((|field|-1)/2) modulo g
     once, and splits every remaining factor with gcd(h, that power - 1).  The
@@ -1141,6 +1175,129 @@ def _edf_roots(ctx: _ExtCtx, g: np.ndarray, rng: random.Random) -> list[np.ndarr
                 route(_yp_divmod(ctx, h, d)[0])
             else:
                 pending.append(h)
+    return roots
+
+
+@functools.lru_cache(maxsize=None)
+def _coordinate_functionals(q: int, gamma: int, k: int) -> np.ndarray:
+    """C with ell_j(Y) = sum_i C[j, i] Y^(q^i) mapping sum_(t<=k) f_t X^t to f_j X^j.
+
+    X^t is an eigenvector of the q-power map with eigenvalue gamma^t, so
+    ell_j = P_j(Frobenius) does this for the Lagrange basis polynomial
+    P_j(z) = prod_(t != j) (z - gamma^t) / (gamma^j - gamma^t), which is 1 at
+    gamma^j and 0 at every other gamma^t, t <= k; row j holds its coefficients.
+    """
+    nodes = [pow(gamma, t, q) for t in range(k + 1)]
+    C = np.zeros((k + 1, k + 1), dtype=np.int64)
+    for j, x in enumerate(nodes):
+        P, scale = np.ones(1, dtype=np.int64), 1
+        for t, y in enumerate(nodes):
+            if t != j:
+                P = np.convolve(P, [-y, 1]) % q
+                scale = scale * (x - y) % q
+        C[j] = P * pow(scale, -1, q) % q
+    C.flags.writeable = False
+    return C
+
+
+def _roots_among(ctx: _ExtCtx, h: np.ndarray, cand: np.ndarray) -> list[np.ndarray]:
+    """The rows of cand (candidates, dim) at which h vanishes: Horner's rule on all at once."""
+    mats = _sc_matrix(ctx, cand).astype(np.float64)
+    acc = np.broadcast_to(h[-1].astype(np.float64), cand.shape)
+    for c in h[-2::-1]:
+        acc = _fmod(np.matmul(acc[:, None, :], mats)[:, 0, :] + c, ctx.q)
+    return list(cand[~acc.any(axis=1)])
+
+
+def _value_classes(ctx: _ExtCtx, h: np.ndarray, u: np.ndarray) -> tuple[list, list]:
+    """(roots, classes) for a monic squarefree h and a residue u mod h that takes
+    values in F_q at the roots of h: the roots that splitting h by those values
+    reaches, and pairs (f, u mod f) for the other factors f of h, of degree >= 2,
+    on each of which u takes one value.
+
+    A linear factor gives its root.  Where u mod a factor is a Y + b, a != 0,
+    its roots are among the (c - b) / a, c in F_q, and come out in one pass.
+    Otherwise a factor splits by the quadratic character of u + t for
+    t = 0, 1, 2, ...: gcd(f, (u + t)^((q-1)/2) - 1) collects the roots where
+    u + t is a nonzero square.  Two values c != c' share that class at every
+    t in F_q only if [x is a nonzero square] has period c' - c, that is, is
+    constant, which it is not (0 is not a nonzero square, 1 is).  So q rounds
+    separate every value; a factor left after them has a value outside F_q,
+    and comes back as a class for the caller's checks.
+    """
+    q = ctx.q
+    one = np.eye(1, ctx.dim, dtype=np.int64)
+    roots, classes, parts = [], [], [(h, u, None)]
+    for t in range(q):
+        todo, parts = parts, []
+        for f, uf, reducer in todo:
+            if f.shape[0] == 2:
+                roots.append(-f[0] % q)
+            elif uf.shape[0] <= 1:
+                classes.append((f, uf))
+            elif uf.shape[0] == 2:
+                cand = np.repeat(-uf[:1] % q, q, axis=0)
+                cand[:, 0] = (cand[:, 0] + np.arange(q)) % q
+                roots += _roots_among(ctx, f, cand @ _sc_matrix(ctx, _sc_inv(ctx, uf[1])) % q)
+            else:
+                reducer = reducer or FrobeniusReducer(ctx, f)
+                w = reducer.pow_mod(_yp_add(ctx, uf, t * one), (q - 1) // 2)
+                b = _yp_gcd(ctx, f, _yp_add(ctx, w, -one % q))
+                if 0 < b.shape[0] - 1 < f.shape[0] - 1:
+                    parts += [(p, _yp_mod(ctx, uf, p), None) for p in (b, _yp_divmod(ctx, f, b)[0])]
+                else:
+                    parts.append((f, uf, reducer))
+    return roots, classes + [(f, uf) for f, uf, _ in parts]
+
+
+def _subspace_roots(ctx: _ExtCtx, g: np.ndarray, k: int) -> list[np.ndarray]:
+    """All roots of a monic g whose roots are distinct and lie in the subspace
+    V = {sum_(t<=k) f_t X^t} of F_q[X]/(X^(q-1) - gamma), with no randomness.
+
+    The coordinate functional ell_j (``_coordinate_functionals``) maps a root
+    to f_j X^j, so u_j = X^-j (ell_j mod g) takes the value f_j in F_q at each
+    root (Berlekamp's trace algorithm, Math. Comp. 24, 1970, with coordinates
+    in place of traces).  ell_j mod g is an F_q-combination of the Y^(q^i) mod g,
+    i <= k, from a ``FrobeniusReducer`` on g.  Coordinate by coordinate, each
+    factor is split by the values of u_j (``_value_classes``; a factor on which
+    u_j is constant is left as it is), and its roots' common coordinates are
+    kept.  The last coordinate takes one pass over the q candidates that the
+    others leave.  A linear factor is a root at once.
+
+    Raises AssertionError unless it finds exactly deg g distinct roots, all in
+    V: a root outside V or a repeated root fails loudly.
+    """
+    q, dim = ctx.q, ctx.dim
+    g = _yp_trim(g)
+    n = g.shape[0] - 1
+    roots = [(-g[0]) % q] if n == 1 else []
+    if n >= 2:
+        powers = np.stack([_yp_pad(u, n) for u in FrobeniusReducer(ctx, g).frobenius_powers(k)])
+        ell = np.tensordot(_coordinate_functionals(q, ctx.gamma, k), powers, 1) % q
+        inv_gamma = pow(ctx.gamma, -1, q)
+        parts = [(g, np.zeros(dim, dtype=np.int64))]  # a factor and its roots' known coordinates
+        for j in range(k):
+            u = np.roll(ell[j], -j, axis=1)  # X^-j = X^(dim-j) / gamma
+            u[:, dim - j :] = u[:, dim - j :] * inv_gamma % q
+            todo, parts = parts, []
+            for h, known in todo:
+                found, classes = _value_classes(ctx, h, _yp_mod(ctx, u, h))
+                roots += found
+                for f, uf in classes:
+                    if uf.shape[0] <= 1 and not uf[:, 1:].any():  # one value, in F_q
+                        coords = known.copy()
+                        coords[j] = uf[0, 0] if uf.shape[0] else 0
+                        parts.append((f, coords))
+        for h, known in parts:
+            cand = np.repeat(known[None, :], q, axis=0)
+            cand[:, k] = np.arange(q)
+            roots += _roots_among(ctx, h, cand)
+    distinct = {r.tobytes() for r in roots}
+    if len(roots) != n or len(distinct) != n or any(r[k + 1 :].any() for r in roots):
+        raise AssertionError(
+            f"root extraction found {len(roots)} roots for a degree-{n} g, not {n} distinct "
+            f"roots of representative degree <= {k}"
+        )
     return roots
 
 

@@ -10,14 +10,14 @@ messages appear among the roots of R(Y) = T(Y, Y^q, ..., Y^(q^(s-1))).
 Recovery therefore runs: strip the largest E-power dividing Q, reduce mod E,
 substitute, intersect the root set with the subspace of elements whose
 representative has degree at most k (the kernel of an explicit q-linearized
-polynomial, so the intersection is a gcd), extract the roots, and keep the
+polynomial, so the intersection is a gcd g), read the roots of g coordinate
+by coordinate with no randomness (``poly._subspace_roots``), and keep the
 ones that satisfy the original identity exactly.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .poly import (
     FrobeniusReducer,
     MultiPoly,
     UniPoly,
-    _edf_roots,
+    _subspace_roots,
     _yp_gcd,
     _yp_trim,
     compose_message,
@@ -198,7 +198,7 @@ def candidates_from_Q(
     # q-linearized vanishing polynomial L of that subspace (the other roots
     # are pruned anyway).  L' = a_0 != 0 and L has its q^(k+1) roots in the
     # field, so g divides a separable split polynomial: it is squarefree and
-    # splits, and equal-degree splitting takes it as it is
+    # its roots are exactly the roots of R in the subspace
     reducer = FrobeniusReducer(ctx, R)
     L = low_degree_vanishing_coeffs(q, gamma, k)
     g = _yp_gcd(ctx, reducer.R, reducer.linearized_residue(L))
@@ -207,9 +207,7 @@ def candidates_from_Q(
             f"{g.shape[0] - 1} candidate roots exceed the cap of {cap}"
         )
     out = []
-    for row in _edf_roots(ctx, g, random.Random(seed)):
-        if row[k + 1 :].any():
-            continue
+    for row in _subspace_roots(ctx, g, k):
         msg_coeffs = row[: k + 1].tolist()
         residual = compose_message(Q0, msg_coeffs, gamma)
         if len(residual) == 0:

@@ -17,6 +17,7 @@ from foldedrs.poly import (
     MultiPoly,
     UniPoly,
     _edf_roots,
+    _subspace_roots,
     _yp_gcd,
     _yp_monomial,
     _yp_mul,
@@ -254,6 +255,85 @@ def test_low_degree_gcd_is_split_and_squarefree(q, k, seed):
     assert len(roots) == g.shape[0] - 1
     assert planted <= roots
     assert all(not any(r[k + 1 :]) for r in roots)
+    assert {tuple(r.tolist()) for r in _subspace_roots(ctx, g, k)} == roots
+
+
+def _product_of_linears(ctx, roots):
+    g = _yp_monomial(ctx, 0)
+    for root in roots:
+        g = _yp_mul(ctx, g, np.array([[(-c) % ctx.q for c in root], [1] + [0] * (ctx.dim - 1)]))
+    return g
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_subspace_roots_of_planted_products(data):
+    # g = prod (Y - alpha) over distinct alpha in the degree <= k subspace.  Some
+    # roots share every coordinate but coordinate j and run through up to all q
+    # values of it; with j = k they differ only in the last coordinate, so the
+    # extraction passes every coordinate before it separates them
+    q = data.draw(st.sampled_from([5, 7, 13, 31]), label="q")
+    k = data.draw(st.integers(min_value=1, max_value=min(3, q - 2)), label="k")
+    n = data.draw(st.integers(min_value=1, max_value=q + 2), label="deg g")
+    ctx = standard_extension(q).ctx
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**32 - 1), label="seed"))
+    j = data.draw(st.sampled_from([k, rng.randrange(k + 1)]), label="coordinate")
+    base = [rng.randrange(q) for _ in range(k + 1)]
+    values = rng.sample(range(q), data.draw(st.integers(min_value=1, max_value=min(n, q))))
+    planted = {tuple(base[:j] + [c] + base[j + 1 :]) for c in values}
+    while len(planted) < n:
+        planted.add(tuple(rng.randrange(q) for _ in range(k + 1)))
+    planted = {root + (0,) * (ctx.dim - k - 1) for root in planted}
+    g = _product_of_linears(ctx, sorted(planted))
+    assert g.shape[0] - 1 == n
+    roots = _subspace_roots(ctx, g, k)
+    assert len(roots) == n
+    assert {tuple(r.tolist()) for r in roots} == planted
+
+
+@pytest.mark.parametrize("case", ["root outside the subspace", "repeated root"])
+def test_subspace_roots_fail_loudly(case):
+    # a g whose roots are not deg g distinct elements of the degree <= k
+    # subspace is refused, never answered with fewer or foreign roots
+    q, k = 13, 2
+    ctx = standard_extension(q).ctx
+    inside = [3, 1, 4] + [0] * (ctx.dim - k - 1)
+    other = [5, 9, 2] + [0] * (ctx.dim - k - 1)
+    outside = [2, 7, 1, 8] + [0] * (ctx.dim - k - 2)
+    roots = [inside, outside] if case == "root outside the subspace" else [inside, inside]
+    for extra in ([], [other]):
+        g = _product_of_linears(ctx, roots + extra)
+        with pytest.raises(AssertionError):
+            _subspace_roots(ctx, g, k)
+    if case == "root outside the subspace":
+        with pytest.raises(AssertionError):
+            _subspace_roots(ctx, _product_of_linears(ctx, [outside]), k)
+
+
+def test_candidates_ignore_the_seed():
+    # Q0 = (Y2 - Y1)(Y2 - gamma Y1) over F_31 with k = 2: R = (Y^31 - Y)(Y^31 - gamma Y),
+    # and g has degree 61, the constants and the multiples of X.  The
+    # extraction has no randomness, so every seed gives the same tuple
+    q = 31
+    params = FRSParams(q=q, m=2, k=2, s=2, r=1)
+    ext = standard_extension(q)
+    gamma = ext.gamma.value
+    Q0 = MultiPoly(params.field, s=2, k=2, terms={
+        (0, 0, 2): 1, (0, 1, 1): -(1 + gamma), (0, 2, 0): gamma,
+    })
+    degrees = []
+
+    def recording_roots(ctx, g, k):
+        degrees.append(g.shape[0] - 1)
+        return _subspace_roots(ctx, g, k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rootfind, "_subspace_roots", recording_roots)
+        answers = {seed: candidates_from_Q(Q0, params, ext, seed=seed) for seed in (0, 1, 2, 12345)}
+    assert degrees == [61] * 4
+    assert len(set(answers.values())) == 1
+    expected = {(c, 0, 0) for c in range(q)} | {(0, c, 0) for c in range(q)}
+    assert {f.int_coeffs(pad_to=3) for f in answers[0]} == expected
 
 
 def test_candidates_output_cap():
