@@ -97,6 +97,9 @@ class InterpolationProblem:
     D: int
 
     def __post_init__(self):
+        for name, least in (("r", 1), ("k", 1), ("s", 1), ("D", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"need {name} >= {least}, got {getattr(self, name)}")
         q = self.field.q
         for pt in self.points:
             if len(pt) != self.s + 1:
@@ -300,9 +303,7 @@ def interpolate_with_report(problem: InterpolationProblem) -> tuple[MultiPoly, I
     matrix = _assemble_matrix(problem, exps)
     x, rank, free_col = _residue_kernel_vector(matrix, q)  # eliminates matrix in place
     nz = np.flatnonzero(x)  # x is reduced, and the exponents are valid by construction
-    Q = MultiPoly._from_canonical(
-        problem.field, s, k, dict(zip(map(tuple, exps[nz].tolist()), x[nz].tolist()))
-    )
+    Q = MultiPoly._from_exponents(problem.field, s, k, exps[nz], x[nz])
     assert not Q.is_zero
     # columns go by substituted degree, and free_col is the last one in Q
     sub_deg = sum(j * q**t for t, j in enumerate(exps[free_col, 1:].tolist()))

@@ -4,9 +4,10 @@ Three layers live here:
 
 * ``UniPoly``: a dense univariate polynomial whose coefficients are field
   elements (``FieldElem`` or ``ExtFieldElem``), used at API boundaries.
-* ``MultiPoly``: a sparse multivariate polynomial over F_q in the variables
-  X, Y_1, ..., Y_s, keyed by exponent vectors, together with the
-  (1,k,...,k)-weighted degree bookkeeping and Hasse shift coefficients.
+* ``MultiPoly``: a multivariate polynomial over F_q in X, Y_1, ..., Y_s, held
+  as a matrix of X-coefficients with one column per Y-exponent vector, which
+  interpolation builds and stripping, substitution and re-verification read;
+  its ``terms`` mapping serves evaluation and Hasse shift coefficients.
 * a numpy toolkit for heavy univariate arithmetic over the extension field
   F_q[X]/(X^(q-1) - gamma), where a polynomial of degree d is stored as an
   int64 array of shape (d+1, q-1) whose rows go through the scalar kernels
@@ -36,7 +37,9 @@ from __future__ import annotations
 import functools
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -276,13 +279,38 @@ def _weighted_exponents(k: int, D: int, s: int) -> np.ndarray:
     return exps[np.lexsort((*exps.T[::-1], xs + k * ys.sum(axis=1)))]
 
 
-def enumerate_weighted_monomials(k: int, D: int, s: int) -> list[Monomial]:
+class _Monomials(Sequence):
+    """Read-only Monomials over an int64 array of exponent rows, each made when it is read."""
+
+    def __init__(self, exps: np.ndarray):
+        self._exps = exps
+
+    def __len__(self) -> int:
+        return len(self._exps)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _Monomials(self._exps[i])
+        return Monomial(tuple(self._exps[i].tolist()))
+
+    def __iter__(self):
+        return map(Monomial, map(tuple, self._exps.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, (_Monomials, list)):
+            return NotImplemented
+        return len(other) == len(self) and all(a == b for a, b in zip(self, other))
+
+
+def enumerate_weighted_monomials(k: int, D: int, s: int) -> Sequence[Monomial]:
     """All monomials X^i Y_1^j1 ... Y_s^js with i + k*(j_1+...+j_s) <= D.
 
     Returned in graded lexicographic order: ascending weighted degree, ties
-    broken by the exponent vector (i, j_1, ..., j_s).
+    broken by the exponent vector (i, j_1, ..., j_s).  The sequence is
+    read-only, makes each Monomial when it is read, and equals the list of
+    the same Monomials.
     """
-    return list(map(Monomial, zip(*_weighted_exponents(k, D, s).T.tolist())))
+    return _Monomials(_weighted_exponents(k, D, s))
 
 
 def count_weighted_monomials(k: int, D: int, s: int) -> int:
@@ -317,13 +345,18 @@ def _pascal_mod(q: int, n: int) -> np.ndarray:
 
 
 class MultiPoly:
-    """Sparse multivariate polynomial over F_q in X, Y_1, ..., Y_s.
+    """Multivariate polynomial over F_q in X, Y_1, ..., Y_s, as a polynomial in X.
 
-    ``terms`` maps exponent vectors (i, j_1, ..., j_s) to nonzero coefficients
-    in [1, q).  ``k`` is the weight of each Y variable in the weighted degree.
+    ``jvecs`` (n_y x s int64) holds the distinct Y-exponent vectors of the
+    support in lexicographic order, and ``M`` ((deg_X + 1) x n_y residues, no
+    zero column or last row, dense along X) their X-coefficients: M[i, c] is
+    the coefficient of X^i Y^jvecs[c].  ``terms`` is the read-only mapping
+    from exponent vectors (i, j_1, ..., j_s) to coefficients in [1, q), all
+    Python ints, built on first use.  ``k`` is the weight of each Y in the
+    weighted degree.
     """
 
-    __slots__ = ("field", "s", "k", "terms")
+    __slots__ = ("field", "s", "k", "M", "jvecs", "_terms")
 
     def __init__(self, field: PrimeField, s: int, k: int, terms):
         if s < 1:
@@ -339,57 +372,50 @@ class MultiPoly:
             c = int(coef) % q
             if c:
                 clean[exps] = c
-        self.field = field
-        self.s = s
-        self.k = k
-        self.terms = clean
+        exps = np.array(list(clean), dtype=np.int64).reshape(len(clean), s + 1)
+        self._fill(field, s, k, exps, np.fromiter(clean.values(), np.int64, len(clean)))
 
     @classmethod
-    def _from_canonical(cls, field: PrimeField, s: int, k: int, terms: dict) -> "MultiPoly":
-        """A MultiPoly on `terms` as they stand: tuples of s + 1 nonnegative Python ints
-        mapped to Python ints in [1, q), which the caller guarantees."""
+    def _from_exponents(cls, field: PrimeField, s: int, k: int, exps, coeffs) -> "MultiPoly":
+        """The constructor without its checks: distinct exponent rows exps (n x (s+1)
+        int64, nonnegative) with nonzero residues coeffs, which the caller guarantees."""
         Q = object.__new__(cls)
-        Q.field, Q.s, Q.k, Q.terms = field, s, k, terms
+        Q._fill(field, s, k, exps, coeffs)
         return Q
+
+    def _fill(self, field, s, k, exps, coeffs):
+        jvecs, col = np.unique(exps[:, 1:], axis=0, return_inverse=True)
+        self.M = np.zeros((int(exps[:, 0].max(initial=-1)) + 1, len(jvecs)), dtype=np.int64)
+        self.M[exps[:, 0], col.reshape(-1)] = coeffs
+        self.field, self.s, self.k, self.jvecs, self._terms = field, s, k, jvecs, None
+
+    @property
+    def terms(self) -> MappingProxyType:
+        if self._terms is None:
+            rows, cols = np.nonzero(self.M)
+            exps = map(tuple, np.column_stack([rows, self.jvecs[cols]]).tolist())
+            self._terms = MappingProxyType(dict(zip(exps, self.M[rows, cols].tolist())))
+        return self._terms
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
-    def num_terms(self) -> int:
-        return len(self.terms)
+        return not self.jvecs.shape[0]
 
     def weighted_degree(self) -> int:
         """Max of i + k*(j_1+...+j_s) over the support (-1 for the zero polynomial)."""
-        if not self.terms:
-            return -1
-        return max(e[0] + self.k * sum(e[1:]) for e in self.terms)
+        x_deg = (np.arange(len(self.M))[:, None] * (self.M != 0)).max(axis=0, initial=0)
+        return int((x_deg + self.k * self.jvecs.sum(axis=1)).max(initial=-1))
 
     def y_total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e[1:]) for e in self.terms)
-
-    def y_degree(self, t: int) -> int:
-        """Degree in Y_t (1-based), -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(e[t] for e in self.terms)
+        return int(self.jvecs.sum(axis=1).max(initial=-1))
 
     def __add__(self, other):
         if other.field != self.field or other.s != self.s:
             raise ValueError("incompatible polynomials")
-        q = self.field.q
         merged = dict(self.terms)
         for exps, c in other.terms.items():
-            merged[exps] = (merged.get(exps, 0) + c) % q
+            merged[exps] = merged.get(exps, 0) + c
         return MultiPoly(self.field, self.s, self.k, merged)
-
-    def scale(self, c: int) -> "MultiPoly":
-        return MultiPoly(
-            self.field, self.s, self.k, {e: v * c for e, v in self.terms.items()}
-        )
 
     def evaluate(self, point) -> FieldElem:
         """Full evaluation at a point of F_q^(s+1)."""
@@ -411,11 +437,13 @@ class MultiPoly:
             and other.field == self.field
             and other.s == self.s
             and other.k == self.k
-            and other.terms == self.terms
+            and np.array_equal(other.M, self.M)
+            and np.array_equal(other.jvecs, self.jvecs)
         )
 
     def __repr__(self):
-        return f"MultiPoly(q={self.field.q}, s={self.s}, k={self.k}, {len(self.terms)} terms)"
+        n = np.count_nonzero(self.M)
+        return f"MultiPoly(q={self.field.q}, s={self.s}, k={self.k}, {n} terms)"
 
 
 def hasse_coefficient(Q: MultiPoly, point, target) -> FieldElem:
@@ -433,10 +461,7 @@ def hasse_coefficient(Q: MultiPoly, point, target) -> FieldElem:
     b = target.exponents if isinstance(target, Monomial) else tuple(target)
     if len(b) != Q.s + 1:
         raise ValueError(f"target monomial has {len(b)} exponents, expected {Q.s + 1}")
-    max_e = 0
-    for exps in Q.terms:
-        max_e = max(max_e, max(exps))
-    table = _pascal_mod(q, max(max_e, max(b)))
+    table = _pascal_mod(q, max(len(Q.M) - 1, int(Q.jvecs.max(initial=0)), *b))
     acc = 0
     for exps, c in Q.terms.items():
         term = c
@@ -455,38 +480,30 @@ def compose_message(Q: MultiPoly, msg_coeffs, gamma: int) -> np.ndarray:
     """The univariate polynomial Q(X, f(X), f(gamma X), ..., f(gamma^(s-1) X)) over F_q.
 
     ``msg_coeffs`` are the coefficients of f, low degree first.  Returns the
-    trimmed coefficient array; an empty array means the identity holds.  Q's
-    terms are grouped by Y-exponent vector j: one product of shifted-f powers
-    per distinct j, times that j's polynomial in X, one convolution each.
+    trimmed coefficient array; an empty array means the identity holds.  One
+    product of shifted-f powers per Y-exponent vector j of Q, times j's column
+    of X-coefficients, one convolution each.
     """
     q = Q.field.q
-    s = Q.s
-    f = np.asarray([int(c) % q for c in msg_coeffs], dtype=np.int64)
-    f = _yp_trim(f)
-    columns: dict[tuple[int, ...], dict[int, int]] = {}
-    for exps, c in Q.terms.items():
-        columns.setdefault(exps[1:], {})[exps[0]] = c
+    f = _yp_trim(np.asarray([int(c) % q for c in msg_coeffs], dtype=np.int64))
     pows = []
     g = 1
-    for t in range(s):
+    for t in range(Q.s):
         scale = np.array([pow(g, i, q) for i in range(len(f))], dtype=np.int64)
         shifted = (f * scale) % q if len(f) else f
         g = g * gamma % q
         pt = [np.ones(1, dtype=np.int64)]
-        for _ in range(max((jvec[t] for jvec in columns), default=0)):
+        for _ in range(Q.jvecs[:, t].max(initial=0)):
             pt.append(_np_mul(pt[-1], shifted, q))
         pows.append(pt)
-    max_i = max((max(col) for col in columns.values()), default=0)
-    out_len = max_i + max((sum(jvec) for jvec in columns), default=0) * max(len(f) - 1, 0) + 1
+    out_len = len(Q.M) + int(Q.jvecs.sum(axis=1).max(initial=0)) * max(len(f) - 1, 0)
     acc = np.zeros(out_len, dtype=np.int64)
-    for jvec, col in columns.items():
+    for jvec, col in zip(Q.jvecs.tolist(), Q.M.T):
         prod = np.ones(1, dtype=np.int64)
         for t, j in enumerate(jvec):
             if j:
                 prod = _np_mul(prod, pows[t][j], q)
-        x_poly = np.zeros(max(col) + 1, dtype=np.int64)
-        x_poly[list(col)] = list(col.values())
-        term = _np_mul(x_poly, prod, q)
+        term = _np_mul(col, prod, q)
         acc[: len(term)] += term
     return _yp_trim(acc % q)
 

@@ -17,8 +17,6 @@ ones that satisfy the original identity exactly.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .galois import ExtField, standard_extension
@@ -38,24 +36,6 @@ DEFAULT_CANDIDATE_CAP = 2**16
 
 class CandidateOverflowError(RuntimeError):
     """The candidate list would exceed the hard output cap."""
-
-
-def _x_coeff_matrix(Q: MultiPoly) -> tuple[np.ndarray, np.ndarray]:
-    """Q as a polynomial in X with one coefficient column per Y-exponent vector.
-
-    Returns (M, jvecs): M[i, c] is the coefficient of X^i Y^jvecs[c], where
-    jvecs holds the distinct Y-exponent vectors of Q's terms, one int64 row each.
-    """
-    n = len(Q.terms)
-    exps = np.fromiter(itertools.chain.from_iterable(Q.terms), np.int64, n * (Q.s + 1))
-    exps = exps.reshape(n, Q.s + 1)
-    ys = exps[:, 1:]
-    # one integer per exponent vector (ValueError if they would not fit in int64)
-    keys = np.ravel_multi_index(ys.T, (int(ys.max(initial=0)) + 1,) * Q.s)
-    _, first, col = np.unique(keys, return_index=True, return_inverse=True)
-    M = np.zeros((exps[:, 0].max(initial=0) + 1, len(first)), dtype=np.int64)
-    M[exps[:, 0], col] = np.fromiter(Q.terms.values(), np.int64, n)
-    return M, ys[first]
 
 
 def _divmod_binomial(M: np.ndarray, n: int, g: int, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -85,9 +65,9 @@ def strip_E_power(Q: MultiPoly, E: UniPoly) -> tuple[MultiPoly, int]:
     E must be a binomial a X^n + c (a, c nonzero, n >= 1), as the defining
     polynomial X^(q-1) - gamma is.  Divisibility is tested coefficient-wise,
     viewing Q as a polynomial in the Y variables with coefficients in F_q[X]:
-    one matrix of X-coefficients (``_x_coeff_matrix``), all of whose columns
-    are divided at once (``_divmod_binomial``).  Raises ValueError on Q = 0
-    and on an E that is not such a binomial.
+    all columns of Q's matrix of X-coefficients are divided at once
+    (``_divmod_binomial``).  Raises ValueError on Q = 0 and on an E that is
+    not such a binomial.
 
     E never divides a Q from ``interp.interpolate`` when E = X^(q-1) - gamma,
     so the decoder always gets b = 0.  Every interpolation point has X-coordinate
@@ -109,7 +89,7 @@ def strip_E_power(Q: MultiPoly, E: UniPoly) -> tuple[MultiPoly, int]:
     if n < 1 or not ec[0] or any(ec[1:n]):
         raise ValueError(f"E = {E!r} is not a binomial a X^n + c with a, c nonzero and n >= 1")
     inv_lead = pow(ec[n], q - 2, q)
-    M, jvecs = _x_coeff_matrix(Q)
+    M = Q.M
     b = 0
     while True:
         quo, rem = _divmod_binomial(M, n, -ec[0] * inv_lead % q, q)
@@ -120,8 +100,8 @@ def strip_E_power(Q: MultiPoly, E: UniPoly) -> tuple[MultiPoly, int]:
     if b == 0:
         return Q, 0
     rows, cols = np.nonzero(M)
-    exps = np.column_stack([rows, jvecs[cols]])
-    return MultiPoly(Q.field, Q.s, Q.k, zip(map(tuple, exps.tolist()), M[rows, cols].tolist())), b
+    exps = np.column_stack([rows, Q.jvecs[cols]])
+    return MultiPoly._from_exponents(Q.field, Q.s, Q.k, exps, M[rows, cols]), b
 
 
 def _substituted_poly(T: np.ndarray, jvecs: np.ndarray, q: int) -> np.ndarray:
@@ -171,7 +151,8 @@ def candidates_from_Q(
     direct polynomial composition over F_q[X], an independent check path from
     the extension-field arithmetic.  Raises CandidateOverflowError when the
     root count would exceed ``cap``, and ValueError when ``ext`` is not the
-    extension of ``params`` (another q or gamma).
+    extension of ``params`` (another q or gamma), when Q0 vanishes mod E, and
+    when the total Y-degree of Q0 mod E reaches q.
     """
     if ext is None:
         ext = standard_extension(params.q)
@@ -182,14 +163,13 @@ def candidates_from_Q(
     q = params.q
     k = params.k
     gamma = ext.gamma.value
-    M, jvecs = _x_coeff_matrix(Q0)
-    T = _divmod_binomial(M, ext.dim, gamma, q)[1]  # the X-coefficients mod E
+    T = _divmod_binomial(Q0.M, ext.dim, gamma, q)[1]  # the X-coefficients mod E
     live = T.any(axis=0)
     if not live.any():
         raise ValueError("Q0 reduced to zero mod E; strip_E_power must run first")
-    if jvecs[live].sum(axis=1).max() >= q:
-        raise AssertionError("total Y-degree of T must be below q")
-    R = _substituted_poly(T[:, live], jvecs[live], q)
+    if Q0.jvecs[live].sum(axis=1).max() >= q:
+        raise ValueError(f"total Y-degree of Q0 mod E must be below q = {q}")
+    R = _substituted_poly(T[:, live], Q0.jvecs[live], q)
     assert R.shape[0] > 0, "substituted polynomial vanished despite small Y-degree"
     if R.shape[0] == 1:
         return ()

@@ -171,6 +171,14 @@ def test_interpolate_rejects_y_degree_overflow():
         interpolate(problem)
 
 
+@pytest.mark.parametrize("field_name, value", [("k", 0), ("r", 0), ("s", 0), ("D", -1)])
+def test_problem_names_the_bad_parameter(field_name, value):
+    args = dict(field=PrimeField(13), points=(), r=1, k=1, s=1, D=1)
+    args[field_name] = value
+    with pytest.raises(ValueError, match=f"need {field_name} >= "):
+        InterpolationProblem(**args)
+
+
 def test_interpolate_rejects_infeasible_system():
     field = PrimeField(13)
     pts = tuple((x, x) for x in range(1, 10))

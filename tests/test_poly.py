@@ -164,6 +164,19 @@ def test_enumerate_matches_sorted_reference():
                 assert all(type(e) is int for e in mons[-1].exponents)
 
 
+def test_enumerate_is_a_read_only_sequence():
+    mons = enumerate_weighted_monomials(2, 7, 2)
+    listed = list(mons)
+    assert [mons[i] for i in range(-len(mons), len(mons))] == listed + listed
+    assert mons[2:5] == listed[2:5] and mons[::-1] == listed[::-1]
+    assert mons != listed[:-1] and mons != listed[::-1] and mons != tuple(listed)
+    assert mons != enumerate_weighted_monomials(2, 7, 3)
+    with pytest.raises(TypeError):
+        mons[0] = listed[1]
+    with pytest.raises(IndexError):
+        mons[len(mons)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(k=st.integers(min_value=1, max_value=10), D=st.integers(min_value=0, max_value=60))
 def test_count_matches_closed_form_s2(k, D):
@@ -237,6 +250,50 @@ def test_multipoly_validation():
     Q = MultiPoly(F5, s=1, k=2, terms={(1, 2): 7})
     assert Q.terms == {(1, 2): 2}
     assert Q.weighted_degree() == 5
+
+
+def _ref_terms(pairs, q):
+    """The dict semantics of a terms argument: the last pair per exponent vector
+    wins, coefficients are reduced mod q, and zeros are dropped."""
+    return {e: c % q for e, c in dict(pairs).items() if c % q}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    q=st.sampled_from([3, 5, 13]),
+    s=st.integers(1, 3),
+    k=st.integers(1, 4),
+    data=st.data(),
+)
+def test_multipoly_arrays_match_terms(q, s, k, data):
+    # duplicates, zeros and negative coefficients: the arrays and the terms view
+    # must hold the same polynomial as the dict semantics, in Python ints
+    field = PrimeField(q)
+    exps = st.tuples(*[st.integers(0, 5)] * (s + 1))
+    pairs = data.draw(st.lists(st.tuples(exps, st.integers(-3 * q, 3 * q)), max_size=12))
+    pairs += pairs[: data.draw(st.integers(0, len(pairs)))]  # repeated exponent vectors
+    Q = MultiPoly(field, s, k, pairs)
+    ref = _ref_terms(pairs, q)
+    assert Q.terms == ref and Q.is_zero == (not ref)
+    assert all(type(e) is int for key in Q.terms for e in key)
+    assert all(type(c) is int for c in Q.terms.values())
+    assert Q.M.dtype == Q.jvecs.dtype == np.int64 and Q.jvecs.shape == (Q.M.shape[1], s)
+    assert [tuple(j) for j in Q.jvecs.tolist()] == sorted({e[1:] for e in ref})
+    assert Q.M.any(axis=0).all() and (len(Q.M) == 0 or Q.M[-1].any())
+    for (i, *j), c in ref.items():
+        assert Q.M[i, Q.jvecs.tolist().index(j)] == c
+    assert np.count_nonzero(Q.M) == len(ref)
+    assert Q.weighted_degree() == max((e[0] + k * sum(e[1:]) for e in ref), default=-1)
+    assert Q.y_total_degree() == max((sum(e[1:]) for e in ref), default=-1)
+    same = MultiPoly(field, s, k, list(ref.items())[::-1])
+    assert Q == same and not Q != same
+    if ref:
+        e, c = next(iter(ref.items()))
+        other = MultiPoly(field, s, k, {**ref, e: c + 1})
+        assert Q != other and not Q == other
+        assert Q != MultiPoly(field, s, k + 1, ref)
+    with pytest.raises(TypeError):
+        Q.terms[(0,) * (s + 1)] = 1
 
 
 # ---------------------------------------------------------------------------

@@ -342,6 +342,13 @@ def test_candidates_output_cap():
         candidates_from_Q(Q0, P5, EXT5, cap=2)
 
 
+def test_candidates_reject_total_y_degree_of_q():
+    # Y1^3 Y2^2 over F_5: total Y-degree 5 = q, which the substitution cannot take
+    Q0 = MultiPoly(P5.field, s=2, k=1, terms={(0, 3, 2): 1})
+    with pytest.raises(ValueError, match="total Y-degree"):
+        candidates_from_Q(Q0, P5, EXT5)
+
+
 def test_candidates_size_bounded_by_substituted_degree():
     Q0 = MultiPoly(P5.field, s=2, k=1, terms={(0, 0, 1): 1, (0, 1, 0): -2})
     cands = candidates_from_Q(Q0, P5, EXT5)
