@@ -25,11 +25,14 @@ Three layers live here:
   Y^(q^i) mod R (steps through a precomputed table, or squarings up from Y and
   square-and-multiply q-th powers, chosen by a stated cost rule), g from an
   inverse-free Euclid, then the roots of g: read coordinate by coordinate in
-  the degree <= k subspace (``_subspace_roots``, deterministic), or, for the
-  field equation, by seeded randomized equal-degree splitting (``_edf_roots``).
+  the degree <= k subspace (``_subspace_roots``, deterministic; for the field
+  equation over an extension, k = dim - 1 and the subspace is the whole
+  field), or, for the field equation over a prime field, by seeded randomized
+  equal-degree splitting (``_edf_roots``).
 
-All operations are pure; randomized splitting takes an explicit seed so
-concurrent calls never share state.
+All operations are pure; splitting over prime fields takes an explicit seed
+so concurrent calls never share state, and root finding over extensions has
+no randomness.
 """
 
 from __future__ import annotations
@@ -1119,38 +1122,14 @@ class FrobeniusReducer:
         return w
 
 
-def _half_field_power(ctx: _ExtCtx, base: np.ndarray, reducer: FrobeniusReducer) -> np.ndarray:
-    """base^((|field| - 1) / 2) mod reducer.R.
-
-    Written through the base-q factorization of the exponent:
-    (q^dim - 1)/2 = (1 + q + ... + q^(dim-1)) * (q-1)/2, so the result is the
-    norm-like product prod_i base^(q^i), raised to (q-1)/2.  That product comes
-    from the addition chain of Itoh-Tsujii (as in ``galois._sc_inv``): with
-    beta_m = prod_(i<m) base^(q^i), beta_2m = beta_m * beta_m^(q^m) and
-    beta_(m+1) = base * beta_m^q, so it takes dim - 1 Frobenius steps but only
-    O(log dim) products.  The steps are planned dim - 1 at a time; the caller
-    passes one reducer per modulus, so a table, once built, serves every round.
-    """
-    reducer.plan(ctx.dim - 1)
-    base = _yp_mod(ctx, base, reducer.R)
-    beta, m = base, 1
-    for bit in bin(ctx.dim)[3:]:
-        w = beta
-        for _ in range(m):
-            w = reducer.step(w)
-        beta, m = reducer.mulmod(beta, w), 2 * m
-        if bit == "1":
-            beta, m = reducer.mulmod(base, reducer.step(beta)), m + 1
-    return reducer.pow_mod(beta, (ctx.q - 1) // 2)
-
-
 def _edf_roots(ctx: _ExtCtx, g: np.ndarray, rng: random.Random) -> list[np.ndarray]:
-    """All roots of a monic squarefree g that splits into linear factors over the field.
+    """All roots of a monic squarefree g over a prime field (dim 1) that splits
+    into linear factors.
 
-    ``_roots_arr`` passes g = gcd(R, Y^|field| - Y), which qualifies as it is.
-    Randomized equal-degree splitting with exponent (|field| - 1) / 2: each
-    round draws one random shift c, computes (Y + c)^((|field|-1)/2) modulo g
-    once, and splits every remaining factor with gcd(h, that power - 1).  The
+    ``_roots_arr`` passes g = gcd(R, Y^q - Y), which qualifies as it is.
+    Randomized equal-degree splitting with exponent (q - 1) / 2: each round
+    draws one random shift c in F_q, computes (Y + c)^((q-1)/2) modulo g once,
+    and splits every remaining factor with gcd(h, that power - 1).  The
     randomness comes only from the supplied rng, so results are reproducible
     for a fixed seed.
     """
@@ -1178,11 +1157,8 @@ def _edf_roots(ctx: _ExtCtx, g: np.ndarray, rng: random.Random) -> list[np.ndarr
         rounds += 1
         if rounds > 10_000:  # Las Vegas splitting; this would indicate a bug
             raise AssertionError("equal-degree splitting failed to make progress")
-        c = np.array([rng.randrange(ctx.q) for _ in range(ctx.dim)], dtype=np.int64)
-        base = np.zeros((2, ctx.dim), dtype=np.int64)
-        base[0] = c
-        base[1, 0] = 1
-        power = _half_field_power(ctx, base, reducer)
+        base = np.array([[rng.randrange(ctx.q)], [1]], dtype=np.int64)
+        power = reducer.pow_mod(base, (ctx.q - 1) // 2)
         batch, pending = pending, []
         for h in batch:
             ph = _yp_mod(ctx, power, h)
@@ -1217,8 +1193,19 @@ def _coordinate_functionals(q: int, gamma: int, k: int) -> np.ndarray:
     return C
 
 
+# matrix entries that one slice of _roots_among's candidates may hold: a pass over
+# q candidates is one slice up to q = 127, and 16 MB of int64 plus a float64 copy past it
+_CANDIDATE_ENTRIES = 2**21
+
+
 def _roots_among(ctx: _ExtCtx, h: np.ndarray, cand: np.ndarray) -> list[np.ndarray]:
-    """The rows of cand (candidates, dim) at which h vanishes: Horner's rule on all at once."""
+    """The rows of cand (candidates, dim) at which h vanishes: Horner's rule on all
+    at once, or slice by slice where their dim x dim multiplication matrices would
+    hold more than _CANDIDATE_ENTRIES entries (at least one candidate a slice)."""
+    size = max(_CANDIDATE_ENTRIES // ctx.dim**2, 1)
+    if len(cand) > size:
+        parts = (cand[i : i + size] for i in range(0, len(cand), size))
+        return [r for part in parts for r in _roots_among(ctx, h, part)]
     mats = _sc_matrix(ctx, cand).astype(np.float64)
     acc = np.broadcast_to(h[-1].astype(np.float64), cand.shape)
     for c in h[-2::-1]:
@@ -1329,6 +1316,8 @@ def _roots_arr(ctx: _ExtCtx, arr: np.ndarray, seed: int) -> list[np.ndarray]:
     field_equation = [ctx.q - 1] + [0] * (ctx.dim - 1) + [1]
     reducer = FrobeniusReducer(ctx, arr)
     g = _yp_gcd(ctx, reducer.R, reducer.linearized_residue(field_equation))
+    if ctx.dim > 1:  # representatives of degree <= dim - 1: the whole field
+        return _subspace_roots(ctx, g, ctx.dim - 1)
     return _edf_roots(ctx, g, random.Random(seed))
 
 
@@ -1337,9 +1326,11 @@ def roots_in_field(R: UniPoly, seed: int = 0) -> set:
 
     A thin adapter over the array pipeline ``_roots_arr``: gcd of R with the
     field equation Y^|K| - Y, computed by a chain of Frobenius steps mod R,
-    then randomized equal-degree splitting with exponent (|K|-1)/2 (odd
-    characteristic) seeded by ``seed``.  Prime and extension fields take the
-    same path.
+    then the roots of that gcd.  Over an extension they are read coordinate
+    by coordinate (``_subspace_roots``, the whole field as the subspace) with
+    no randomness, so ``seed`` has no effect there.  Over a prime field they
+    come from randomized equal-degree splitting with exponent (q-1)/2 (odd
+    characteristic) seeded by ``seed``; the set does not depend on it.
 
     Raises ValueError on the zero polynomial.
     """

@@ -135,6 +135,21 @@ def _reference_mul(a, b) -> tuple[int, ...]:
     return tuple(v % q for v in out)
 
 
+def _reference_zeros(ctx, arr, points) -> set[tuple[int, ...]]:
+    """The rows of points (n x dim) at which the polynomial arr ((deg + 1) x dim,
+    low degree first) vanishes: Horner's rule, each product a schoolbook
+    convolution of the representatives folded with X^dim = gamma."""
+    dim = ctx.dim
+    xs = np.ascontiguousarray(points.T)  # one coordinate a row
+    acc = np.zeros_like(xs)
+    for c in arr[::-1]:
+        prod = np.zeros((2 * dim, xs.shape[1]), dtype=np.int64)
+        for i in range(dim):
+            prod[i : i + dim] += acc[i] * xs
+        acc = (prod[:dim] + ctx.gamma * prod[dim:] + c[:, None]) % ctx.q
+    return set(map(tuple, points[~acc.any(axis=0)].tolist()))
+
+
 def _reference_inverse(a) -> tuple[int, ...]:
     ext = a.field
     q = ext.base.q

@@ -24,8 +24,8 @@ from foldedrs.poly import (
     _compositions,
     _fft_round,
     _fmod,
-    _half_field_power,
     _roots_arr,
+    _uni_array,
     _yp_add,
     _yp_divmod,
     _yp_gcd,
@@ -45,7 +45,7 @@ from foldedrs.poly import (
     trivariate_monomial_count,
 )
 from foldedrs.rootfind import low_degree_vanishing_coeffs
-from test_galois import _pext_euclid_inverse, _ppow_mod, _ptrim
+from test_galois import _pext_euclid_inverse, _ppow_mod, _ptrim, _reference_zeros
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -381,6 +381,59 @@ def test_roots_over_extension_reevaluate():
     R = (Y - UniPoly(ext, [a])) * (Y - UniPoly(ext, [b])) * Y
     roots = roots_in_field(R, seed=9)
     assert roots == {a, b, ext.zero()}
+
+
+@pytest.mark.parametrize("q", [5, 7])
+@pytest.mark.parametrize("trial", range(2))
+def test_roots_over_extension_match_exhaustive(q, trial):
+    # R = Y (Y - a)^2 prod (Y - b) times two root-free quadratics (their
+    # discriminants are non-squares), against evaluation at every element of
+    # the field (625 at q = 5, 117 649 at q = 7); root finding over an
+    # extension has no randomness, so every seed gives the same set
+    ext = standard_extension(q)
+    ctx = ext.ctx
+    rng = random.Random(10 * q + trial)
+    Y = UniPoly.x(ext)
+
+    def draw():
+        return ext.element([rng.randrange(q) for _ in range(ctx.dim)])
+
+    planted = {draw() for _ in range(5)}
+    R = Y * (Y - UniPoly(ext, [rng.choice(sorted(planted, key=repr))]))
+    for a in planted:
+        R = R * (Y - UniPoly(ext, [a]))
+    noise_factors = 0
+    while noise_factors < 2:
+        b, c = draw(), draw()
+        if (b * b - c * 4) ** ((ext.size - 1) // 2) != ext.one():
+            R = R * UniPoly(ext, [c, b, ext.one()])
+            noise_factors += 1
+    field_elements = np.indices((q,) * ctx.dim).reshape(ctx.dim, -1).T
+    expect = {ext.element(list(a)) for a in _reference_zeros(ctx, _uni_array(R), field_elements)}
+    assert expect == planted | {ext.zero()}
+    for seed in (0, 1, 2):
+        assert roots_in_field(R, seed=seed) == expect
+
+
+def test_roots_over_extension_sharing_all_middle_coordinates():
+    # the worst case of coordinate-by-coordinate extraction at q = 101 (dim 100):
+    # 20 roots that share every coordinate but the first and the last, 4 values
+    # of the first times 5 of the last, so coordinate 0 splits by quadratic
+    # characters, coordinates 1..98 take one value on each class, and the last
+    # separates each class's 5 roots in the pass over its q candidates
+    ext = standard_extension(101)
+    rng = random.Random(101)
+    middle = [rng.randrange(101) for _ in range(ext.dim - 2)]
+    planted = {
+        ext.element([a] + middle + [b])
+        for a in rng.sample(range(101), 4)
+        for b in rng.sample(range(101), 5)
+    }
+    Y = UniPoly.x(ext)
+    R = UniPoly.one(ext)
+    for a in planted:
+        R = R * (Y - UniPoly(ext, [a]))
+    assert len(planted) == 20 and roots_in_field(R) == planted
 
 
 # ---------------------------------------------------------------------------
@@ -881,24 +934,6 @@ def _ring_poly_mul(ctx, f, g):
                     scale = ctx.gamma if u + t >= ctx.dim else 1
                     out[i + j][(u + t) % ctx.dim] += scale * int(x) * int(y)
     return [[v % ctx.q for v in row] for row in out]
-
-
-def test_half_field_power_matches_generic_power():
-    # the norm-chain factorization of x^((|K|-1)/2) must equal plain
-    # square-and-multiply with the full exponent
-    rng = random.Random(31)
-    for ctx in [standard_extension(q).ctx for q in [5, 7]] + _PRIME_CTXS:
-        half = (ctx.size - 1) // 2
-        for trial in range(5):
-            mod = _random_yp(rng, ctx, 6)
-            if mod.shape[0] < 3:
-                continue
-            base = _random_yp(rng, ctx, mod.shape[0] - 2)
-            expect = _ref_pow_mod(ctx, base, half, mod)
-            got = _half_field_power(ctx, base, FrobeniusReducer(ctx, _yp_trim(mod)))
-            # both are residues mod the monic normalization of mod
-            m = _yp_monic(ctx, mod)
-            assert np.array_equal(_yp_mod(ctx, got, m), _yp_mod(ctx, expect, m))
 
 
 def test_frobenius_power_residue_fixes_field_elements():

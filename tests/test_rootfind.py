@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from foldedrs.poly import (
     FrobeniusReducer,
     MultiPoly,
     UniPoly,
-    _edf_roots,
     _subspace_roots,
     _yp_gcd,
     _yp_monomial,
@@ -30,7 +30,7 @@ from foldedrs.rootfind import (
     low_degree_vanishing_coeffs,
     strip_E_power,
 )
-from test_galois import _pdivmod, _pmul
+from test_galois import _pdivmod, _pmul, _reference_zeros
 
 P5 = FRSParams(q=5, m=2, k=1, s=2, r=1)
 EXT5 = standard_extension(5)
@@ -228,8 +228,9 @@ def test_candidates_reject_foreign_extension():
 )
 def test_low_degree_gcd_is_split_and_squarefree(q, k, seed):
     # g = gcd(R, L mod R) for the low-degree vanishing polynomial L divides
-    # the field equation (so it splits) and is squarefree: equal-degree
-    # splitting returns deg g distinct roots, all of representative degree <= k
+    # the field equation (so it splits) and is squarefree: root extraction
+    # returns deg g distinct roots, all of representative degree <= k, and
+    # they are the zeros of g among all q^(k+1) elements of that subspace
     rng = random.Random(seed)
     ctx = standard_extension(q).ctx
     planted = set()
@@ -251,11 +252,13 @@ def test_low_degree_gcd_is_split_and_squarefree(q, k, seed):
         field_equation = [q - 1] + [0] * (ctx.dim - 1) + [1]
         residue = FrobeniusReducer(ctx, g).linearized_residue(field_equation)
         assert np.array_equal(_yp_gcd(ctx, g, residue), g)
-    roots = {tuple(r.tolist()) for r in _edf_roots(ctx, g, random.Random(seed))}
+    roots = {tuple(r.tolist()) for r in _subspace_roots(ctx, g, k)}
     assert len(roots) == g.shape[0] - 1
     assert planted <= roots
     assert all(not any(r[k + 1 :]) for r in roots)
-    assert {tuple(r.tolist()) for r in _subspace_roots(ctx, g, k)} == roots
+    subspace = np.zeros((q ** (k + 1), ctx.dim), dtype=np.int64)
+    subspace[:, : k + 1] = np.indices((q,) * (k + 1)).reshape(k + 1, -1).T
+    assert _reference_zeros(ctx, g, subspace) == roots
 
 
 def _product_of_linears(ctx, roots):
@@ -308,6 +311,28 @@ def test_subspace_roots_fail_loudly(case):
     if case == "root outside the subspace":
         with pytest.raises(AssertionError):
             _subspace_roots(ctx, _product_of_linears(ctx, [outside]), k)
+
+
+@pytest.mark.parametrize("coordinate", [0, 2])
+def test_quadratic_extraction_at_q_257_in_bounded_memory(coordinate):
+    # a deg-2 g takes one pass over q candidates, through its first coordinate's
+    # value classes or the last coordinate's pass; their dim x dim matrices take
+    # 257 * 256^2 * 16 bytes, ~270 MB, at once, and well under 64 MB in slices.
+    # In the last coordinate's pass the roots are candidates 4 and 256, in the
+    # first and the last slice
+    q, k = 257, 2
+    ctx = standard_extension(q).ctx
+    planted = [[3, 1, 4] + [0] * (ctx.dim - 3) for _ in range(2)]
+    planted[1][coordinate] = q - 1
+    g = _product_of_linears(ctx, planted)
+    tracemalloc.start()
+    try:
+        roots = _subspace_roots(ctx, g, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(r.tolist() for r in roots) == sorted(planted)
+    assert peak < 64 * 2**20
 
 
 def test_candidates_ignore_the_seed():
