@@ -19,27 +19,24 @@ Three layers live here:
   dim, which multiplies mod X^dim - gamma directly (Crandall & Fagin,
   "Discrete weighted transforms and large-integer arithmetic", Math. Comp. 62,
   1994).  ``FrobeniusReducer`` reduces them mod a fixed R by Barrett reduction.  Root
-  finding is one pipeline on these arrays: g = gcd(R, L mod R) for a
-  q-linearized L (the field equation, or in ``rootfind`` the vanishing
-  polynomial of the low-degree subspace), with L mod R from the powers
-  Y^(q^i) mod R (steps through a precomputed table, or squarings up from Y and
-  square-and-multiply q-th powers, chosen by a stated cost rule), g from an
-  inverse-free Euclid, then the roots of g: read coordinate by coordinate in
-  the degree <= k subspace (``_subspace_roots``, deterministic; for the field
-  equation over an extension, k = dim - 1 and the subspace is the whole
-  field), or, for the field equation over a prime field, by seeded randomized
-  equal-degree splitting (``_edf_roots``).
+  finding is one pipeline on these arrays, over every field: the roots of R
+  in the subspace V_k of elements with representative degree <= k are those
+  of g = gcd(R, L_k mod R) (``_subspace_residue``), where L_k is the q-linearized
+  polynomial that vanishes exactly on V_k (``low_degree_vanishing_coeffs``).
+  L_k mod R comes from the powers Y^(q^i) mod R (steps through a precomputed
+  table, or squarings up from Y and square-and-multiply q-th powers, chosen by
+  a stated cost rule), and g from an inverse-free Euclid.  Its roots are read
+  coordinate by coordinate (``_subspace_roots``).  With k = dim - 1, L_k is the
+  field equation Y^(q^dim) - Y and V_k the whole field; over F_q that is k = 0.
+  The decoder takes k from its parameters.
 
-All operations are pure; splitting over prime fields takes an explicit seed
-so concurrent calls never share state, and root finding over extensions has
-no randomness.
+All operations are pure and deterministic: nothing draws random numbers.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -1122,53 +1119,21 @@ class FrobeniusReducer:
         return w
 
 
-def _edf_roots(ctx: _ExtCtx, g: np.ndarray, rng: random.Random) -> list[np.ndarray]:
-    """All roots of a monic squarefree g over a prime field (dim 1) that splits
-    into linear factors.
+def low_degree_vanishing_coeffs(q: int, gamma: int, k: int) -> list[int]:
+    """Coefficients a_0..a_(k+1) of the q-linearized polynomial L_k = sum a_i Y^(q^i)
+    whose roots are exactly the extension elements represented by polynomials
+    of degree at most k.
 
-    ``_roots_arr`` passes g = gcd(R, Y^q - Y), which qualifies as it is.
-    Randomized equal-degree splitting with exponent (q - 1) / 2: each round
-    draws one random shift c in F_q, computes (Y + c)^((q-1)/2) modulo g once,
-    and splits every remaining factor with gcd(h, that power - 1).  The
-    randomness comes only from the supplied rng, so results are reproducible
-    for a fixed seed.
+    X^j is an eigenvector of the q-power map with eigenvalue gamma^j, so the
+    degree <= k subspace is the kernel of the product of (Frobenius - gamma^j)
+    over j = 0..k, and the a_i are the coefficients of the node product
+    prod_(j<=k) (z - gamma^j).  At k = dim - 1 that is z^dim - 1 (gamma has
+    order dim): L_k is the field equation Y^(q^dim) - Y.
     """
-    roots: list[np.ndarray] = []
-    g = _yp_trim(g)
-    if g.shape[0] >= 2 and not g[0].any():
-        roots.append(np.zeros(ctx.dim, dtype=np.int64))
-        g = _yp_trim(g[1:])
-    pending: list[np.ndarray] = []
-
-    def route(h: np.ndarray):
-        deg = h.shape[0] - 1
-        if deg == 1:
-            roots.append((-h[0]) % ctx.q)
-        elif deg >= 2:
-            pending.append(h)
-
-    route(g)
-    if not pending:
-        return roots
-    reducer = FrobeniusReducer(ctx, g)
-    one = np.eye(1, ctx.dim, dtype=np.int64)
-    rounds = 0
-    while pending:
-        rounds += 1
-        if rounds > 10_000:  # Las Vegas splitting; this would indicate a bug
-            raise AssertionError("equal-degree splitting failed to make progress")
-        base = np.array([[rng.randrange(ctx.q)], [1]], dtype=np.int64)
-        power = reducer.pow_mod(base, (ctx.q - 1) // 2)
-        batch, pending = pending, []
-        for h in batch:
-            ph = _yp_mod(ctx, power, h)
-            d = _yp_gcd(ctx, h, _yp_add(ctx, ph, -one % ctx.q))
-            if 0 < d.shape[0] - 1 < h.shape[0] - 1:
-                route(d)
-                route(_yp_divmod(ctx, h, d)[0])
-            else:
-                pending.append(h)
-    return roots
+    a = np.array([q - 1, 1], dtype=np.int64)
+    for j in range(1, k + 1):
+        a = (np.append(0, a) - pow(gamma, j, q) * np.append(a, 0)) % q
+    return a.tolist()
 
 
 @functools.lru_cache(maxsize=None)
@@ -1177,36 +1142,46 @@ def _coordinate_functionals(q: int, gamma: int, k: int) -> np.ndarray:
 
     X^t is an eigenvector of the q-power map with eigenvalue gamma^t, so
     ell_j = P_j(Frobenius) does this for the Lagrange basis polynomial
-    P_j(z) = prod_(t != j) (z - gamma^t) / (gamma^j - gamma^t), which is 1 at
-    gamma^j and 0 at every other gamma^t, t <= k; row j holds its coefficients.
+    P_j(z) = N(z) / ((z - gamma^j) N'(gamma^j)), N the node product of
+    ``low_degree_vanishing_coeffs``, which is 1 at gamma^j and 0 at every other
+    gamma^t, t <= k; row j holds its coefficients.  One synthetic division by
+    z - x runs for all nodes x at once, with Horner's rule for N'(x) beside it.
     """
-    nodes = [pow(gamma, t, q) for t in range(k + 1)]
+    N = low_degree_vanishing_coeffs(q, gamma, k)
+    x = np.array([pow(gamma, t, q) for t in range(k + 1)], dtype=np.int64)
     C = np.zeros((k + 1, k + 1), dtype=np.int64)
-    for j, x in enumerate(nodes):
-        P, scale = np.ones(1, dtype=np.int64), 1
-        for t, y in enumerate(nodes):
-            if t != j:
-                P = np.convolve(P, [-y, 1]) % q
-                scale = scale * (x - y) % q
-        C[j] = P * pow(scale, -1, q) % q
+    acc, deriv = np.full(k + 1, N[-1], dtype=np.int64), np.zeros(k + 1, dtype=np.int64)
+    for i in range(k, -1, -1):  # acc: coefficient i of N(z) / (z - x)
+        C[:, i] = acc
+        deriv = (deriv * x + acc) % q
+        acc = (acc * x + N[i]) % q
+    C = C * np.array([pow(int(d), -1, q) for d in deriv], dtype=np.int64)[:, None] % q
     C.flags.writeable = False
     return C
 
 
-# matrix entries that one slice of _roots_among's candidates may hold: a pass over
-# q candidates is one slice up to q = 127, and 16 MB of int64 plus a float64 copy past it
+# entries of the dim x dim matrices and dim-vectors that one slice of _roots_among's
+# candidates may hold: a pass over q candidates is one slice up to q = 127, and
+# over F_q a slice is 2^20 candidates
 _CANDIDATE_ENTRIES = 2**21
 
 
-def _roots_among(ctx: _ExtCtx, h: np.ndarray, cand: np.ndarray) -> list[np.ndarray]:
-    """The rows of cand (candidates, dim) at which h vanishes: Horner's rule on all
-    at once, or slice by slice where their dim x dim multiplication matrices would
-    hold more than _CANDIDATE_ENTRIES entries (at least one candidate a slice)."""
-    size = max(_CANDIDATE_ENTRIES // ctx.dim**2, 1)
-    if len(cand) > size:
-        parts = (cand[i : i + size] for i in range(0, len(cand), size))
-        return [r for part in parts for r in _roots_among(ctx, h, part)]
-    mats = _sc_matrix(ctx, cand).astype(np.float64)
+def _roots_among(ctx: _ExtCtx, h: np.ndarray, base: np.ndarray, step: np.ndarray) -> list:
+    """The candidates base + c step, c = 0..q-1 in order, at which h vanishes, in
+    slices made when they are evaluated, whose dim x dim multiplication matrices
+    and dim-vectors hold at most _CANDIDATE_ENTRIES entries (at least one
+    candidate a slice)."""
+    q = ctx.q
+    size = max(_CANDIDATE_ENTRIES // (ctx.dim**2 + ctx.dim), 1)
+    found = []
+    for lo in range(0, q, size):  # a call per slice frees its arrays before the next
+        found += _zeros_among(ctx, h, (base + np.arange(lo, min(lo + size, q))[:, None] * step) % q)
+    return found
+
+
+def _zeros_among(ctx: _ExtCtx, h: np.ndarray, cand: np.ndarray) -> list[np.ndarray]:
+    """The rows of cand (candidates, dim) at which h vanishes: Horner's rule on all at once."""
+    mats = _sc_matrix(ctx, cand.astype(np.float64))  # gamma c < q^2: exact
     acc = np.broadcast_to(h[-1].astype(np.float64), cand.shape)
     for c in h[-2::-1]:
         acc = _fmod(np.matmul(acc[:, None, :], mats)[:, 0, :] + c, ctx.q)
@@ -1240,9 +1215,8 @@ def _value_classes(ctx: _ExtCtx, h: np.ndarray, u: np.ndarray) -> tuple[list, li
             elif uf.shape[0] <= 1:
                 classes.append((f, uf))
             elif uf.shape[0] == 2:
-                cand = np.repeat(-uf[:1] % q, q, axis=0)
-                cand[:, 0] = (cand[:, 0] + np.arange(q)) % q
-                roots += _roots_among(ctx, f, cand @ _sc_matrix(ctx, _sc_inv(ctx, uf[1])) % q)
+                inv = _sc_inv(ctx, uf[1])
+                roots += _roots_among(ctx, f, _sc_mul(ctx, -uf[0] % q, inv), inv)
             else:
                 reducer = reducer or FrobeniusReducer(ctx, f)
                 w = reducer.pow_mod(_yp_add(ctx, uf, t * one), (q - 1) // 2)
@@ -1254,9 +1228,21 @@ def _value_classes(ctx: _ExtCtx, h: np.ndarray, u: np.ndarray) -> tuple[list, li
     return roots, classes + [(f, uf) for f, uf, _ in parts]
 
 
+def _subspace_residue(ctx: _ExtCtx, R: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(R made monic, L_k mod R) for R of degree >= 1, where L_k vanishes exactly on
+    the elements of representative degree <= k (``low_degree_vanishing_coeffs``).
+
+    Their gcd g is the monic product of Y - a over the distinct roots a of R of
+    representative degree <= k: L_k' = a_0 != 0 and L_k has its q^(k+1) roots
+    in the field, so g divides a separable split polynomial."""
+    reducer = FrobeniusReducer(ctx, R)
+    return reducer.R, reducer.linearized_residue(low_degree_vanishing_coeffs(ctx.q, ctx.gamma, k))
+
+
 def _subspace_roots(ctx: _ExtCtx, g: np.ndarray, k: int) -> list[np.ndarray]:
     """All roots of a monic g whose roots are distinct and lie in the subspace
-    V = {sum_(t<=k) f_t X^t} of F_q[X]/(X^(q-1) - gamma), with no randomness.
+    V = {sum_(t<=k) f_t X^t} of F_q[X]/(X^(q-1) - gamma), or of F_q at k = 0,
+    with no randomness.
 
     The coordinate functional ell_j (``_coordinate_functionals``) maps a root
     to f_j X^j, so u_j = X^-j (ell_j mod g) takes the value f_j in F_q at each
@@ -1266,7 +1252,8 @@ def _subspace_roots(ctx: _ExtCtx, g: np.ndarray, k: int) -> list[np.ndarray]:
     factor is split by the values of u_j (``_value_classes``; a factor on which
     u_j is constant is left as it is), and its roots' common coordinates are
     kept.  The last coordinate takes one pass over the q candidates that the
-    others leave.  A linear factor is a root at once.
+    others leave (``_roots_among``); at k = 0 that pass is all there is.  A
+    linear factor is a root at once.
 
     Raises AssertionError unless it finds exactly deg g distinct roots, all in
     V: a root outside V or a repeated root fails loudly.
@@ -1275,27 +1262,29 @@ def _subspace_roots(ctx: _ExtCtx, g: np.ndarray, k: int) -> list[np.ndarray]:
     g = _yp_trim(g)
     n = g.shape[0] - 1
     roots = [(-g[0]) % q] if n == 1 else []
-    if n >= 2:
-        powers = np.stack([_yp_pad(u, n) for u in FrobeniusReducer(ctx, g).frobenius_powers(k)])
-        ell = np.tensordot(_coordinate_functionals(q, ctx.gamma, k), powers, 1) % q
+    parts = [(g, np.zeros(dim, dtype=np.int64))] if n >= 2 else []  # factors, known coordinates
+    if parts and k:
+        powers = np.zeros((k + 1, n, dim), dtype=np.int64)
+        for i, u in enumerate(FrobeniusReducer(ctx, g).frobenius_powers(k)):
+            powers[i, : u.shape[0]] = u
+        C = _coordinate_functionals(q, ctx.gamma, k)
         inv_gamma = pow(ctx.gamma, -1, q)
-        parts = [(g, np.zeros(dim, dtype=np.int64))]  # a factor and its roots' known coordinates
-        for j in range(k):
-            u = np.roll(ell[j], -j, axis=1)  # X^-j = X^(dim-j) / gamma
-            u[:, dim - j :] = u[:, dim - j :] * inv_gamma % q
-            todo, parts = parts, []
-            for h, known in todo:
-                found, classes = _value_classes(ctx, h, _yp_mod(ctx, u, h))
-                roots += found
-                for f, uf in classes:
-                    if uf.shape[0] <= 1 and not uf[:, 1:].any():  # one value, in F_q
-                        coords = known.copy()
-                        coords[j] = uf[0, 0] if uf.shape[0] else 0
-                        parts.append((f, coords))
-        for h, known in parts:
-            cand = np.repeat(known[None, :], q, axis=0)
-            cand[:, k] = np.arange(q)
-            roots += _roots_among(ctx, h, cand)
+    for j in range(k):
+        if not parts:
+            break
+        u = np.roll(np.tensordot(C[j], powers, 1) % q, -j, axis=1)  # X^-j = X^(dim-j) / gamma
+        u[:, dim - j :] = u[:, dim - j :] * inv_gamma % q
+        todo, parts = parts, []
+        for h, known in todo:
+            found, classes = _value_classes(ctx, h, _yp_mod(ctx, u, h))
+            roots += found
+            for f, uf in classes:
+                if uf.shape[0] <= 1 and not uf[:, 1:].any():  # one value, in F_q
+                    coords = known.copy()
+                    coords[j] = uf[0, 0] if uf.shape[0] else 0
+                    parts.append((f, coords))
+    for h, known in parts:
+        roots += _roots_among(ctx, h, known, np.eye(1, dim, k, dtype=np.int64)[0])
     distinct = {r.tobytes() for r in roots}
     if len(roots) != n or len(distinct) != n or any(r[k + 1 :].any() for r in roots):
         raise AssertionError(
@@ -1305,20 +1294,16 @@ def _subspace_roots(ctx: _ExtCtx, g: np.ndarray, k: int) -> list[np.ndarray]:
     return roots
 
 
-def _roots_arr(ctx: _ExtCtx, arr: np.ndarray, seed: int) -> list[np.ndarray]:
-    """All roots in the field of a nonzero polynomial given as a coefficient array."""
+def _roots_arr(ctx: _ExtCtx, arr: np.ndarray) -> list[np.ndarray]:
+    """All roots in the field of a nonzero polynomial given as a coefficient array:
+    those of representative degree <= dim - 1, so the field is the subspace."""
     arr = _yp_trim(arr % ctx.q)
     if arr.shape[0] == 0:
         raise ValueError("root finding needs a nonzero polynomial")
     if arr.shape[0] == 1:
         return []
-    # the roots in the field are those of g = gcd(R, Y^(q^dim) - Y)
-    field_equation = [ctx.q - 1] + [0] * (ctx.dim - 1) + [1]
-    reducer = FrobeniusReducer(ctx, arr)
-    g = _yp_gcd(ctx, reducer.R, reducer.linearized_residue(field_equation))
-    if ctx.dim > 1:  # representatives of degree <= dim - 1: the whole field
-        return _subspace_roots(ctx, g, ctx.dim - 1)
-    return _edf_roots(ctx, g, random.Random(seed))
+    g = _yp_gcd(ctx, *_subspace_residue(ctx, arr, ctx.dim - 1))
+    return _subspace_roots(ctx, g, ctx.dim - 1)
 
 
 def roots_in_field(R: UniPoly, seed: int = 0) -> set:
@@ -1326,18 +1311,16 @@ def roots_in_field(R: UniPoly, seed: int = 0) -> set:
 
     A thin adapter over the array pipeline ``_roots_arr``: gcd of R with the
     field equation Y^|K| - Y, computed by a chain of Frobenius steps mod R,
-    then the roots of that gcd.  Over an extension they are read coordinate
-    by coordinate (``_subspace_roots``, the whole field as the subspace) with
-    no randomness, so ``seed`` has no effect there.  Over a prime field they
-    come from randomized equal-degree splitting with exponent (q-1)/2 (odd
-    characteristic) seeded by ``seed``; the set does not depend on it.
+    then the roots of that gcd, read coordinate by coordinate with the whole
+    field as the subspace (``_subspace_roots``; over F_q one pass over its q
+    elements).  There is no randomness: ``seed`` is accepted and ignored.
 
     Raises ValueError on the zero polynomial.
     """
     if R.is_zero:
         raise ValueError("cannot find roots of the zero polynomial")
     field = R.field
-    roots = _roots_arr(field.ctx, _uni_array(R), seed)
+    roots = _roots_arr(field.ctx, _uni_array(R))
     if isinstance(field, PrimeField):
         return {field.element(int(r[0])) for r in roots}
     return {field._wrap(r) for r in roots}

@@ -21,15 +21,16 @@ import numpy as np
 
 from .galois import ExtField, standard_extension
 from .poly import (
-    FrobeniusReducer,
     MultiPoly,
     UniPoly,
+    _subspace_residue,
     _subspace_roots,
     _yp_gcd,
     _yp_trim,
     compose_message,
 )
-from .poly import roots_in_field  # noqa: F401  (perfbench's traced run wraps this name)
+# re-exported; perfbench's traced run wraps roots_in_field under this name
+from .poly import low_degree_vanishing_coeffs, roots_in_field  # noqa: F401
 
 DEFAULT_CANDIDATE_CAP = 2**16
 
@@ -117,26 +118,6 @@ def _substituted_poly(T: np.ndarray, jvecs: np.ndarray, q: int) -> np.ndarray:
     return _yp_trim(R)
 
 
-def low_degree_vanishing_coeffs(q: int, gamma: int, k: int) -> list[int]:
-    """Coefficients a_0..a_(k+1) of the q-linearized polynomial sum a_i Y^(q^i)
-    whose roots are exactly the extension elements represented by polynomials
-    of degree at most k.
-
-    X^j is an eigenvector of the q-power map with eigenvalue gamma^j, so the
-    degree <= k subspace is the kernel of the product of (Frobenius - gamma^j)
-    over j = 0..k; composing the factors gives the recurrence below.
-    """
-    a = [(-1) % q, 1]
-    for j in range(1, k + 1):
-        gj = pow(gamma, j, q)
-        nxt = [0] * (len(a) + 1)
-        for i, ai in enumerate(a):
-            nxt[i + 1] = (nxt[i + 1] + ai) % q
-            nxt[i] = (nxt[i] - gj * ai) % q
-        a = nxt
-    return a
-
-
 def candidates_from_Q(
     Q0: MultiPoly,
     params,
@@ -174,14 +155,9 @@ def candidates_from_Q(
     if R.shape[0] == 1:
         return ()
     ctx = ext.ctx
-    # restrict to roots whose representative has degree <= k: gcd with the
-    # q-linearized vanishing polynomial L of that subspace (the other roots
-    # are pruned anyway).  L' = a_0 != 0 and L has its q^(k+1) roots in the
-    # field, so g divides a separable split polynomial: it is squarefree and
-    # its roots are exactly the roots of R in the subspace
-    reducer = FrobeniusReducer(ctx, R)
-    L = low_degree_vanishing_coeffs(q, gamma, k)
-    g = _yp_gcd(ctx, reducer.R, reducer.linearized_residue(L))
+    # restrict to roots whose representative has degree <= k: g has them as its
+    # distinct roots (``_subspace_residue``), and the other roots are pruned anyway
+    g = _yp_gcd(ctx, *_subspace_residue(ctx, R, k))
     if g.shape[0] - 1 > cap:  # g has deg g distinct roots, so this caps the output
         raise CandidateOverflowError(
             f"{g.shape[0] - 1} candidate roots exceed the cap of {cap}"

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -341,7 +342,7 @@ def test_roots_reevaluate_and_match_exhaustive(q, data):
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_generic_gcd_path_matches_exhaustive_on_prime(data):
-    # drive the gcd + splitting machinery directly on a small prime field,
+    # drive the gcd + extraction machinery directly on a small prime field,
     # where exhaustive evaluation provides an independent answer
     q = 13
     field = PrimeField(q)
@@ -353,14 +354,14 @@ def test_generic_gcd_path_matches_exhaustive_on_prime(data):
         return
     ctx = field.ctx
     arr = np.array([[c.value] for c in f.coeffs], dtype=np.int64)
-    got = {int(r[0]) for r in _roots_arr(ctx, arr, seed=5)}
+    got = {int(r[0]) for r in _roots_arr(ctx, arr)}
     brute = {x for x in range(q) if f(field.element(x)) == field.zero()}
     assert got == brute
 
 
 def test_roots_large_prime_field_uses_gcd_path():
     # a prime field too large for a Frobenius table sized by q: drives the
-    # frobenius-powering + splitting route end to end on a prime field
+    # frobenius-powering route and the pass over all q elements end to end
     field = PrimeField(65537)
     a, b = field.element(12345), field.element(54321)
     x = UniPoly.x(field)
@@ -370,6 +371,39 @@ def test_roots_large_prime_field_uses_gcd_path():
     assert pow(-3 % 65537, (65537 - 1) // 2, 65537) == 65536
     no_roots = UniPoly.from_ints(field, [3, 0, 1])
     assert roots_in_field(no_roots, seed=3) == set()
+
+
+def test_roots_of_many_planted_roots_over_a_large_prime_field():
+    # 200 planted roots times the root-free Y^2 + 3 (-3 is a non-residue mod
+    # 65537): the roots are exactly the planted ones, whatever the seed
+    field = PrimeField(65537)
+    rng = random.Random(65537)
+    planted = {field.element(v) for v in rng.sample(range(65537), 200)}
+    x = UniPoly.x(field)
+    R = UniPoly.from_ints(field, [3, 0, 1])
+    for a in planted:
+        R = R * (x - UniPoly(field, [a]))
+    for seed in (0, 1, 2):
+        assert roots_in_field(R, seed=seed) == planted
+
+
+def test_prime_field_roots_in_bounded_memory():
+    # the pass over q = 4194319 elements evaluates them in slices, each made
+    # when it is evaluated; all of them at once take over 100 MB
+    field = PrimeField(4194319)
+    x = UniPoly.x(field)
+    planted = {field.element(v) for v in (0, 12345, 4194318)}
+    R = UniPoly.one(field)
+    for a in planted:
+        R = R * (x - UniPoly(field, [a]))
+    tracemalloc.start()
+    try:
+        roots = roots_in_field(R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert roots == planted
+    assert peak < 64 * 2**20
 
 
 def test_roots_over_extension_reevaluate():

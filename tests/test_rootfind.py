@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foldedrs import rootfind
+from foldedrs import poly, rootfind
 from foldedrs.decoder import _threshold_plan, list_decode, list_recover
 from foldedrs.frs import SHIFTED, STANDARD, FRSParams, RecoverySets, encode, interpolation_points
 from foldedrs.galois import ExtField, ParameterError, PrimeField, standard_extension
@@ -405,6 +405,34 @@ def test_low_degree_vanishing_poly_kills_exactly_low_degrees():
                 assert not L(elem)
             else:
                 assert L(elem)
+
+
+@pytest.mark.parametrize("q", [5, 7, 13, 31, 101])
+def test_low_degree_vanishing_poly_of_the_whole_field_is_the_field_equation(q):
+    # gamma has order dim = q - 1, so the node product at k = dim - 1 is
+    # z^dim - 1; over F_q (gamma = 0 in its context) k = 0 gives Y^q - Y
+    gamma = standard_extension(q).gamma.value
+    assert low_degree_vanishing_coeffs(q, gamma, q - 2) == [q - 1] + [0] * (q - 2) + [1]
+    ctx = PrimeField(q).ctx
+    assert low_degree_vanishing_coeffs(q, ctx.gamma, 0) == [q - 1, 1]
+
+
+@pytest.mark.parametrize("q", [5, 13, 31, 101])
+def test_coordinate_functionals_match_lagrange_products(q):
+    # row j holds prod_(t != j) (z - gamma^t) / (gamma^j - gamma^t), built
+    # here pair by pair
+    gamma = standard_extension(q).gamma.value
+    for k in sorted({0, 1, 2, q - 2}):
+        nodes = [pow(gamma, t, q) for t in range(k + 1)]
+        expected = []
+        for j, x in enumerate(nodes):
+            P, scale = np.ones(1, dtype=np.int64), 1
+            for t, y in enumerate(nodes):
+                if t != j:
+                    P = np.convolve(P, [-y, 1]) % q
+                    scale = scale * (x - y) % q
+            expected.append(P * pow(scale, -1, q) % q)
+        assert np.array_equal(poly._coordinate_functionals(q, gamma, k), np.array(expected))
 
 
 def test_exhaustive_candidates_budget():
