@@ -279,6 +279,7 @@ def _gamma_pows(q: int, dim: int, gamma: int) -> np.ndarray:
     out = np.ones(dim, dtype=np.int64)
     for i in range(1, dim):
         out[i] = out[i - 1] * gamma % q
+    out.flags.writeable = False
     return out
 
 
@@ -289,7 +290,9 @@ def _window_index(dim: int) -> np.ndarray:
     # columns already scaled by gamma
     u = np.arange(dim)[:, None]
     t = np.arange(dim)[None, :]
-    return dim - u + t
+    index = dim - u + t
+    index.flags.writeable = False
+    return index
 
 
 def _sc_matrix(ctx: _ExtCtx, c: np.ndarray) -> np.ndarray:

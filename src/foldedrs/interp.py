@@ -21,10 +21,22 @@ matrix, with the delayed modular reduction of Dumas, Giorgi and Pernet
 (FFLAS-FFPACK, 2008): an entry is reduced by ``poly._fmod`` only before it
 could hold more than T = floor((2^53 - q) / (q-1)^2) products of residues,
 so |x| <= T (q-1)^2 <= 2^53 - q and every float64 sum is exact.
+
+Half of the system belongs to the code, not to the word.  An entry is a
+binomial-and-X-power factor, fixed by q, k, r, s, D and the points' distinct
+X-coordinates, times a Y-power factor of the received values.  So a plan
+(``_Plan``), built on first use and kept for the last _PLANS codes, holds per
+code the column and shift orders, the staircase of zero entries and the
+first factor of every entry, one row per distinct X-coordinate.  Per word
+there remain the Y-powers, one product and one reduction per entry, the
+elimination and Q.  Every product of residues is reduced whenever its next
+factor could take it past 2^53 - q, so each is exact; the plan stores
+residues below q <= 2^24 (checked) in float32, which holds them exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,7 +45,8 @@ import numpy as np
 from .galois import ParameterError, PrimeField, _check_float_exact
 from .poly import MultiPoly, _fmod, _pascal_mod, _weighted_exponents, count_weighted_monomials
 
-_PANEL = 64  # widest elimination panel; see _kernel_vector
+_PANEL = 64  # widest elimination panel; see _residue_kernel_vector
+_PLANS = 4  # codes whose interpolation plans stay cached; see _plan
 
 
 def _integer_root(value: int, degree: int) -> int:
@@ -143,52 +156,141 @@ def _column_exponents(k: int, D: int, s: int) -> np.ndarray:
     return exps[np.lexsort((*exps.T[::-1], wdeg, *exps[:, 1:].T))]
 
 
+def _powers(base: np.ndarray, top: int, q: int) -> np.ndarray:
+    """pows[..., e] = base^e mod q for e <= top, from float64 residues base."""
+    pows = np.empty(base.shape + (top + 1,))
+    pows[..., 0] = 1
+    for e in range(1, top + 1):
+        pows[..., e] = _fmod(pows[..., e - 1] * base, q)
+    return pows
+
+
+class _Plan:
+    """What the Hasse system takes from its code: q, k, r, s, D and the distinct
+    X-coordinates xs of its points (see the module docstring), in read-only arrays.
+
+    Shift i (in ``_assemble_matrix``'s order) has its rows zero left of column
+    ``starts[i]``; from there ``w[i]`` holds the binomials and X-powers of its
+    entries, one row per X-coordinate in xs, and ``gidx[i]`` each column's
+    entry of the word's Y-power factors (``matrix``).  In a system of npts
+    points, rows from npts * stair[c] on vanish on columns 0..c.
+    """
+
+    __slots__ = ("q", "top", "row", "exps", "jlex", "vlex", "ydeg", "w", "starts", "gidx", "stair")
+
+    def __init__(self, q: int, k: int, r: int, s: int, D: int, xs: tuple[int, ...]):
+        _check_float_exact(_PANEL // 2, q, "interpolation kernel")  # so float32 holds residues
+        exps = _column_exponents(k, D, s)
+        shifts = sorted(_derivative_monomials(r, s), key=lambda b: (b[:0:-1], b[0]))
+        self.q, self.top, self.exps = q, D // k, exps
+        self.row = {x: i for i, x in enumerate(xs)}
+        self.jlex, vlex = np.unique(exps[:, 1:], axis=0, return_inverse=True)
+        self.vlex = vlex = vlex.reshape(-1)
+        # a shift's rows vanish left of the first column whose Y-part is not before its own
+        firsts = np.flatnonzero(np.r_[True, (exps[1:, 1:] != exps[:-1, 1:]).any(axis=1), True])
+        keys = [tuple(exps[c, :0:-1].tolist()) for c in firsts[:-1]]
+        parts = {b: g for g, b in enumerate(dict.fromkeys(b[1:] for b in shifts))}
+        bys = np.array(list(parts), dtype=np.int64).reshape(-1, s)
+        # binomials prod_t C(j_t, b_t) and exponents j - b, per (shift Y-part, column Y-part)
+        pascal = _pascal_mod(q, max(D, r)).astype(np.float64)
+        yb = np.ones((len(bys), len(self.jlex)))
+        for t in range(s):
+            yb = _fmod(yb * pascal[self.jlex[:, t], bys[:, t, None]], q)
+        self.ydeg = np.maximum(self.jlex - bys[:, None], 0).reshape(-1, s).T.copy()
+        xpow = _powers(np.array(xs, dtype=np.float64), D, q)
+        w, starts, gidx = [], [], []
+        for b in shifts:
+            g, start = parts[b[1:]], int(firsts[sum(key < b[:0:-1] for key in keys)])
+            e0 = exps[start:, 0]
+            coef = _fmod(pascal[e0, b[0]] * yb[g, vlex[start:]], q)
+            w.append(_fmod(coef * xpow[:, np.maximum(e0 - b[0], 0)], q).astype(np.float32))
+            starts.append(start)
+            gidx.append(g * len(self.jlex) + vlex[start:])
+        self.w, self.starts, self.gidx = tuple(w), tuple(starts), tuple(gidx)
+        self.stair = np.searchsorted(starts, np.arange(len(exps)), side="right")
+        for a in (exps, self.jlex, vlex, self.ydeg, self.stair, *w, *gidx):
+            a.flags.writeable = False
+
+    def matrix(self, points) -> np.ndarray:
+        """The system at points whose distinct X-coordinates, in order of first
+        appearance, are the plan's xs."""
+        q = self.q
+        ys = np.array(points, dtype=np.float64).reshape(-1, len(self.ydeg) + 1)[:, 1:]
+        ypow = _powers(ys, self.top, q)
+        G, bound = ypow[:, 0].take(self.ydeg[0], axis=1), q - 1
+        for t in range(1, len(self.ydeg)):  # G[p, (shift Y-part, column Y-part)]
+            if bound * (q - 1) > 2**53 - q:
+                G, bound = _fmod(G, q), q - 1
+            G *= ypow[:, t].take(self.ydeg[t], axis=1)
+            bound *= q - 1
+        _fmod(G, q)
+        # where no X-coordinate repeats, the points' X-coordinates are xs in order
+        rows = np.array([self.row[int(pt[0])] for pt in points]) if len(ys) > len(self.row) else None
+        A = np.zeros((len(self.w), len(ys), len(self.exps)))
+        for i, (w, start, gidx) in enumerate(zip(self.w, self.starts, self.gidx)):
+            np.multiply(w if rows is None else w.take(rows, axis=0), G.take(gidx, axis=1),
+                        out=A[i, :, start:])
+            _fmod(A[i, :, start:], q)  # shift by shift, while its rows are in cache
+        return A.reshape(-1, len(self.exps))
+
+    def kernel_vector(self, points) -> tuple[np.ndarray, int]:
+        """(x, c0) of the system at points (see ``matrix``)."""
+        return _residue_kernel_vector(self.matrix(points), self.q, len(points) * self.stair)[:2]
+
+    def poly(self, field: PrimeField, s: int, k: int, x: np.ndarray) -> MultiPoly:
+        """Q with coefficient x[c] on column c, from one scatter."""
+        nz = np.flatnonzero(x)
+        xdeg = self.exps[nz, 0]
+        M = np.zeros((int(xdeg.max(initial=-1)) + 1, len(self.jlex)), dtype=np.int64)
+        M[xdeg, self.vlex[nz]] = x[nz]
+        live = M.any(axis=0)
+        return MultiPoly._from_arrays(field, s, k, M[:, live], self.jlex[live])
+
+
+_code_plan = functools.lru_cache(maxsize=_PLANS)(_Plan)
+
+
+def _plan(problem: InterpolationProblem) -> _Plan:
+    """The plan of the problem's code, built on first use; the _PLANS most
+    recently used stay cached.  It is keyed by the points' distinct
+    X-coordinates, so list-recovery words of one code share it however their
+    sets merge points."""
+    xs = tuple(dict.fromkeys(int(pt[0]) for pt in problem.points))
+    return _code_plan(problem.field.q, problem.k, problem.r, problem.s, problem.D, xs)
+
+
 def _assemble_matrix(problem: InterpolationProblem, exps: np.ndarray) -> np.ndarray:
     """One row per (point, shift monomial) pair; entries are Hasse shift coefficients.
 
     The coefficient of the shift monomial b in the translate of X^e0 Y^e is
-    prod_t C(e_t, b_t) * a_t^(e_t - b_t).  The binomial part depends on the
-    column only and the power part is a lookup in per-point power tables, so
-    each shift monomial fills its rows for all points at once.  Rows are
-    shift-major: row i * len(points) + p belongs to shift i and point p, and
-    column c to exps[c].  The shifts b go by their Y-part (b_1, ..., b_s) in
-    the order of the columns' Y-parts (substituted degree), then by b0.  The
-    rows of b vanish on every column e without e >= b, so on every column
-    whose Y-part comes before b's; in this order the rows form a staircase
-    along the columns, and the elimination meets fewer zero diagonal entries.
-    Row order does not change the kernel vector (see _kernel_vector).
-    Entries are float64 residues; each product of two is reduced at once,
-    exactly for every q that _residue_kernel_vector accepts, which takes the
-    matrix as it is.
+    prod_t C(e_t, b_t) * a_t^(e_t - b_t).  Rows are shift-major: row
+    i * len(points) + p belongs to shift i and point p, and column c to
+    exps[c], which must be ``_column_exponents(k, D, s)``.  The shifts b go by
+    their Y-part (b_1, ..., b_s) in the order of the columns' Y-parts
+    (substituted degree), then by b0.  The rows of b vanish on every column e
+    without e >= b, so on every column whose Y-part comes before b's; in this
+    order the rows form a staircase along the columns, and the elimination
+    meets fewer zero diagonal entries and stops each column at the staircase.
+    Row order does not change the kernel vector (see _residue_kernel_vector).
+    Entries are float64 residues: the plan's factor times the word's Y-power
+    factor, reduced once (see the module docstring).
     """
-    q = problem.field.q
-    s = problem.s
-    max_e = int(exps.max())
-    pascal = _pascal_mod(q, max_e).astype(np.float64)
-    # pows[p, t, e] = a_t^e for coordinate t of point p
-    coords = np.array(problem.points, dtype=np.float64).reshape(-1, s + 1)
-    pows = np.ones((len(coords), s + 1, max_e + 1))
-    for e in range(1, max_e + 1):
-        pows[:, :, e] = _fmod(pows[:, :, e - 1] * coords, q)
-    dmons = sorted(_derivative_monomials(problem.r, s), key=lambda b: (b[:0:-1], b[0]))
-    rows = np.empty((len(dmons), len(coords), len(exps)))
-    for i, b in enumerate(dmons):
-        entry = (exps >= np.array(b)).all(axis=1).astype(np.float64)
-        for t in range(s + 1):
-            entry = _fmod(entry * pascal[exps[:, t], np.minimum(b[t], exps[:, t])], q)
-        for t in range(s + 1):  # the power factors broadcast entry over the points
-            entry = _fmod(entry * pows[:, t, np.maximum(exps[:, t] - b[t], 0)], q)
-        rows[i] = entry
-    return rows.reshape(-1, len(exps))
+    plan = _plan(problem)
+    if not np.array_equal(exps, plan.exps):
+        raise ValueError("exps must be the columns _column_exponents(k, D, s)")
+    return plan.matrix(problem.points)
 
 
-def _forward_eliminate(A: np.ndarray, q: int, width: int, budget: int, scale_first: bool) -> int:
+def _forward_eliminate(
+    A: np.ndarray, q: int, width: int, budget: int, scale_first: bool, row_end: np.ndarray
+) -> int:
     """Blocked forward elimination of float64 residues A in place, up to the first free column.
 
-    Returns the first free column c0.  Afterwards rows 0..c0-1 of A hold the
-    pivot rows, each scaled by its pivot's inverse: their entries in columns
-    i+1..c0 (row i) form the strictly upper part of the unit upper-triangular
-    block U and the column of c0, as residues.
+    Returns the first free column c0.  Rows from row_end[j] on must vanish on
+    columns 0..j, row_end nondecreasing (a staircase).  Afterwards rows
+    0..c0-1 of A hold the pivot rows, each scaled by its pivot's inverse:
+    their entries in columns i+1..c0 (row i) form the strictly upper part of
+    the unit upper-triangular block U and the column of c0, as residues.
 
     Panels of ``width`` columns are left-looking: column j takes the updates
     of the panel's earlier pivots as one gemv and is reduced, and its first
@@ -199,20 +301,22 @@ def _forward_eliminate(A: np.ndarray, q: int, width: int, budget: int, scale_fir
     take its updates on the trailing columns as one gemm: a multiplier times a
     scaled row is the scaled multiplier times the row.  The panel's columns are
     reduced at its start, the trailing block only when the panel would take its
-    count of subtracted products past ``budget``.
+    count of subtracted products past ``budget``.  Column updates, pivot
+    searches and gemms stop at the staircase: rows from row_end[j] on take no
+    update of column j, and no row swap.
     """
     nrows, ncols = A.shape
     pending = 0  # products subtracted from the trailing block since it was last reduced
     for j0 in range(0, ncols, width):
         pe = min(j0 + width, ncols)
         if pending + width > budget:
-            _fmod(A[j0:, pe:], q)
+            _fmod(A[j0 : row_end[j0 - 1], pe:], q)
             pending = 0
-        _fmod(A[j0:, j0:pe], q)
+        _fmod(A[j0 : row_end[pe - 1], j0:pe], q)
         for j in range(j0, pe):
-            col = A[j:, j]
-            col -= A[j:, j0:j] @ A[j0:j, j]
-            if j == nrows or not _fmod(col, q)[0]:  # no pivot in place: search below
+            col = A[j : row_end[j], j]
+            col -= A[j : row_end[j], j0:j] @ A[j0:j, j]
+            if not len(col) or not _fmod(col, q)[0]:  # no pivot in place: search below
                 nz = np.flatnonzero(col)
                 if len(nz) == 0:
                     return j
@@ -224,7 +328,7 @@ def _forward_eliminate(A: np.ndarray, q: int, width: int, budget: int, scale_fir
             row *= pow(int(col[0]), q - 2, q)
             _fmod(row, q)
         if pe < min(nrows, ncols):
-            A[pe:, pe:] -= A[pe:, j0:pe] @ A[j0:pe, pe:]
+            A[pe : row_end[pe - 1], pe:] -= A[pe : row_end[pe - 1], j0:pe] @ A[j0:pe, pe:]
             pending += width
     raise AssertionError("no free column: the system was not underdetermined")
 
@@ -235,7 +339,9 @@ def _kernel_vector(matrix: np.ndarray, q: int) -> tuple[np.ndarray, int, int]:
     return _residue_kernel_vector(_fmod(np.array(matrix, dtype=np.float64), q), q)
 
 
-def _residue_kernel_vector(A: np.ndarray, q: int) -> tuple[np.ndarray, int, int]:
+def _residue_kernel_vector(
+    A: np.ndarray, q: int, row_end: np.ndarray | None = None
+) -> tuple[np.ndarray, int, int]:
     """First-free-column kernel vector of a float64 matrix A of residues mod q,
     eliminated in place (``_assemble_matrix`` emits such a matrix).
 
@@ -243,11 +349,12 @@ def _residue_kernel_vector(A: np.ndarray, q: int) -> tuple[np.ndarray, int, int]
     it.  Columns 0..c0-1 are then linearly independent, so there is exactly
     one kernel vector x with x[c0] = 1 and x[c] = 0 for c > c0.  Both c0 and
     x depend on the matrix only, not on which rows serve as pivots, so
-    forward elimination over the unused rows (_forward_eliminate) finds c0,
-    and back-substitution through the c0 x c0 upper-triangular pivot block U
-    solves U x[:c0] = -(column c0 of the pivot rows), by blocks of columns.
-    Returns (x, c0, c0): the rank of the columns before c0, which is c0, and
-    c0 itself.
+    forward elimination over the unused rows (_forward_eliminate, which
+    takes the staircase ``row_end``, all rows by default) finds c0, and
+    back-substitution through the c0 x c0 upper-triangular pivot
+    block U solves U x[:c0] = -(column c0 of the pivot rows), by blocks of
+    columns.  Returns (x, c0, c0): the rank of the columns before c0, which is
+    c0, and c0 itself.
 
     Every entry starts as a residue, and is a residue minus at most a budget
     of products of residues before each _fmod.  A pivot row is scaled by its
@@ -268,7 +375,9 @@ def _residue_kernel_vector(A: np.ndarray, q: int) -> tuple[np.ndarray, int, int]
     if not scale_first:
         budget = (2**53 - q) // (q - 1) ** 2
     width = min(_PANEL, budget)
-    c0 = _forward_eliminate(A, q, width, budget, scale_first)
+    if row_end is None:
+        row_end = np.full(A.shape[1], A.shape[0])
+    c0 = _forward_eliminate(A, q, width, budget, scale_first, row_end)
     y = np.zeros(A.shape[1])  # y = -x, so each sum below is a residue minus products
     rhs = A[:c0, c0].copy()
     for b0 in range(c0 - 1 - (c0 - 1) % width, -1, -width):
@@ -295,22 +404,22 @@ def interpolate_with_report(problem: InterpolationProblem) -> tuple[MultiPoly, I
             f"floor(D/k) = {D // k} >= q = {q}: Y-degrees too large for root finding"
         )
     n_conditions = len(problem.points) * constraints_per_point(r, s)
-    exps = _column_exponents(k, D, s)
-    if len(exps) <= n_conditions:
+    ncols = count_weighted_monomials(k, D, s)
+    if ncols <= n_conditions:
         raise ParameterError(
-            f"{len(exps)} monomials vs {n_conditions} conditions: system not underdetermined"
+            f"{ncols} monomials vs {n_conditions} conditions: system not underdetermined"
         )
-    matrix = _assemble_matrix(problem, exps)
-    x, rank, free_col = _residue_kernel_vector(matrix, q)  # eliminates matrix in place
-    nz = np.flatnonzero(x)  # x is reduced, and the exponents are valid by construction
-    Q = MultiPoly._from_exponents(problem.field, s, k, exps[nz], x[nz])
-    assert not Q.is_zero
+    plan = _plan(problem)
+    x, free_col = plan.kernel_vector(problem.points)
+    Q = plan.poly(problem.field, s, k, x)
+    if Q.is_zero:
+        raise AssertionError("kernel vector without its entry x[c0] = 1: Q vanished")
     # columns go by substituted degree, and free_col is the last one in Q
-    sub_deg = sum(j * q**t for t, j in enumerate(exps[free_col, 1:].tolist()))
+    sub_deg = sum(j * q**t for t, j in enumerate(plan.exps[free_col, 1:].tolist()))
     report = InterpReport(
-        rows=matrix.shape[0],
-        cols=matrix.shape[1],
-        rank=rank,
+        rows=n_conditions,
+        cols=ncols,
+        rank=free_col,
         pivot_cols=free_col,
         substituted_degree=sub_deg,
     )

@@ -341,6 +341,7 @@ def _pascal_mod(q: int, n: int) -> np.ndarray:
     table[:, 0] = 1
     for row in range(1, n + 1):
         table[row, 1 : row + 1] = (table[row - 1, 1 : row + 1] + table[row - 1, 0:row]) % q
+    table.flags.writeable = False
     return table
 
 
@@ -383,11 +384,22 @@ class MultiPoly:
         Q._fill(field, s, k, exps, coeffs)
         return Q
 
+    @classmethod
+    def _from_arrays(cls, field: PrimeField, s: int, k: int, M, jvecs) -> "MultiPoly":
+        """The constructor from ``M`` and ``jvecs`` in the form the class docstring
+        states, which the caller guarantees."""
+        Q = object.__new__(cls)
+        Q._set(field, s, k, M, jvecs)
+        return Q
+
     def _fill(self, field, s, k, exps, coeffs):
         jvecs, col = np.unique(exps[:, 1:], axis=0, return_inverse=True)
-        self.M = np.zeros((int(exps[:, 0].max(initial=-1)) + 1, len(jvecs)), dtype=np.int64)
-        self.M[exps[:, 0], col.reshape(-1)] = coeffs
-        self.field, self.s, self.k, self.jvecs, self._terms = field, s, k, jvecs, None
+        M = np.zeros((int(exps[:, 0].max(initial=-1)) + 1, len(jvecs)), dtype=np.int64)
+        M[exps[:, 0], col.reshape(-1)] = coeffs
+        self._set(field, s, k, M, jvecs)
+
+    def _set(self, field, s, k, M, jvecs):
+        self.field, self.s, self.k, self.M, self.jvecs, self._terms = field, s, k, M, jvecs, None
 
     @property
     def terms(self) -> MappingProxyType:

@@ -151,7 +151,8 @@ def candidates_from_Q(
     if Q0.jvecs[live].sum(axis=1).max() >= q:
         raise ValueError(f"total Y-degree of Q0 mod E must be below q = {q}")
     R = _substituted_poly(T[:, live], Q0.jvecs[live], q)
-    assert R.shape[0] > 0, "substituted polynomial vanished despite small Y-degree"
+    if R.shape[0] == 0:  # distinct Y-exponents below q substitute to distinct powers of Y
+        raise AssertionError("R vanished although Q0 mod E is nonzero with Y-degree below q")
     if R.shape[0] == 1:
         return ()
     ctx = ext.ctx

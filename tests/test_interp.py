@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foldedrs import decoder
-from foldedrs.frs import FRSParams, RecoverySets, encode
+from foldedrs import decoder, galois, interp, poly
+from foldedrs.frs import FRSParams, RecoverySets, encode, interpolation_points
 from foldedrs.galois import PrimeField
 from foldedrs.harness import ChannelSpec, apply_channel
 from foldedrs.interp import (
@@ -27,6 +27,7 @@ from foldedrs.interp import (
     interpolate_with_report,
 )
 from foldedrs.poly import (
+    MultiPoly,
     UniPoly,
     count_weighted_monomials,
     enumerate_weighted_monomials,
@@ -471,3 +472,195 @@ def test_kernel_vector_matches_recorded_digests(monkeypatch, params, seed, shape
     x, rank, free = _residue_kernel_vector(matrix, params.q)
     assert (rank, free) == (c0, c0)
     assert _digest(x) == x_digest
+
+
+# ---------------------------------------------------------------------------
+# the per-code plan
+# ---------------------------------------------------------------------------
+
+
+def _plan_problem(rng, q, s, r, kind, npts=5):
+    """A problem at q, s, r whose points come from a standard or shifted point set
+    (kind "standard", "shifted") or repeat their X-coordinates ("repeated")."""
+    variant = "shifted" if kind == "shifted" else "standard"
+    m = max(s, 2 if q == 5 else 3)
+    params = FRSParams(q=q, m=m, k=1, s=s, r=r, variant=variant)
+    pts = interpolation_points(params, [rng.randrange(q) for _ in range(params.n)])[:npts]
+    if kind == "repeated":
+        pts = pts[: (npts + 1) // 2]
+        pts += [(x,) + tuple((y + 1) % q for y in ys) for x, *ys in reversed(pts)]
+    k = rng.randint(1, 2)
+    D = choose_D(k, len(pts), r, s)
+    return InterpolationProblem(field=params.field, points=tuple(pts), r=r, k=k, s=s, D=D)
+
+
+def _shift_order(r, s):
+    return sorted(_derivative_monomials(r, s), key=lambda b: (b[:0:-1], b[0]))
+
+
+@pytest.mark.parametrize("q", [5, 7, 13])
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_plan_matrix_matches_hasse_coefficients(q, s, r):
+    rng = random.Random(q * 100 + s * 10 + r)
+    kinds = ["standard", "repeated"] + (["shifted"] if s == 2 else [])
+    for kind in kinds:
+        problem = _plan_problem(rng, q, s, r, kind)
+        exps = _column_exponents(problem.k, problem.D, problem.s)
+        matrix = _assemble_matrix(problem, exps)
+        assert matrix.shape == (len(problem.points) * constraints_per_point(r, s), len(exps))
+        rows = [(b, pt) for b in _shift_order(r, s) for pt in problem.points]
+        for c, e in enumerate(exps.tolist()):
+            monomial = MultiPoly(problem.field, s, problem.k, {tuple(e): 1})
+            column = [hasse_coefficient(monomial, pt, b).value for b, pt in rows]
+            assert matrix[:, c].tolist() == column, (kind, c)
+
+
+@pytest.mark.parametrize("params, seed, shape, c0, x_digest", _KERNEL_DIGESTS)
+def test_plan_kernel_vector_matches_recorded_digests(monkeypatch, params, seed, shape, c0, x_digest):
+    # the path decoding takes: the plan's system, eliminated along its staircase
+    problem = _captured_problem(monkeypatch, _benchmark_call(params, seed))
+    x, free = interp._plan(problem).kernel_vector(problem.points)
+    assert free == c0
+    assert _digest(x) == x_digest
+
+
+def test_plan_cache_is_keyed_by_the_x_coordinates():
+    # two codes with the same q, k, r, s and D whose points differ only in
+    # their X-coordinates, interleaved with a repeated word: every Q equals
+    # the one a cold cache gives
+    rng = random.Random(19)
+    field = PrimeField(13)
+    xs_a, xs_b = [1, 2, 3, 4, 5, 6], [7, 8, 9, 10, 11, 12]
+
+    def problem(xs):
+        pts = tuple((x, rng.randrange(13), rng.randrange(13)) for x in xs)
+        return InterpolationProblem(field=field, points=pts, r=2, k=2, s=2, D=choose_D(2, 6, 2, 2))
+
+    problems = [problem(xs_a), problem(xs_b), problem(xs_a), problem(xs_b)]
+    problems.append(problems[0])
+    cold = []
+    for p in problems:
+        interp._code_plan.cache_clear()
+        cold.append(interp.interpolate_with_report(p))
+    interp._code_plan.cache_clear()
+    warm = [interp.interpolate_with_report(p) for p in problems]
+    assert interp._code_plan.cache_info().currsize == 2
+    for (Qc, rc), (Qw, rw) in zip(cold, warm):
+        assert Qc == Qw and rc == rw
+
+
+def test_list_recovery_words_of_one_code_share_a_plan(monkeypatch):
+    # sets of different sizes, and tuples that share windows, so merged
+    # points: the words' point tuples differ, yet their distinct
+    # X-coordinates, and so their plan, are those of the code
+    p = FRSParams(q=31, m=5, k=2, s=2, r=3)
+    rng = random.Random(8)
+    cw = encode(p, _random_message(p, rng))
+    problems = []
+    for extra in [0, 1, 2]:
+        sets = [{cw[j]} for j in range(p.N)]
+        where = rng.sample(range(p.N), 2 * extra + 1)
+        for j in where[: extra + 1]:  # the symbol with its last entry changed
+            sets[j].add(cw[j][:-1] + ((cw[j][-1] + 1) % p.q,))
+        for j in where[extra + 1 :]:
+            sets[j].add(tuple(rng.randrange(p.q) for _ in range(p.m)))
+        recovery = RecoverySets.from_iterables(sets, 2)
+        problems.append(_captured_problem(monkeypatch, lambda: decoder.list_recover(p, recovery)))
+    assert len({len(pb.points) for pb in problems}) == 3
+    interp._code_plan.cache_clear()
+    warm = [interpolate_with_report(pb) for pb in problems]
+    info = interp._code_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    for pb, (Q, _) in zip(problems, warm):  # each point's rows come from its own X-coordinate
+        for pt in pb.points:
+            for b in _derivative_monomials(pb.r, pb.s):
+                assert hasse_coefficient(Q, pt, b) == p.field.zero()
+
+
+@pytest.mark.parametrize("q", [13, 31, 101])
+def test_rank_deficient_leading_block_matches_reference(q):
+    # few distinct X-coordinates with many points each: more Y-part-0 columns
+    # (D + 1) than distinct X times r, so the leading block has a free column,
+    # and the first free column c0 of the whole system lies inside it
+    rng = random.Random(q)
+    field = PrimeField(q)
+    for s, r, nx in [(1, 1, 1), (1, 2, 2), (2, 1, 2), (2, 2, 1), (1, 3, 2), (3, 1, 2)]:
+        xs = rng.sample(range(q), nx)
+        pts = set()
+        while len(pts) < 3 * nx + 2:
+            pts.add((rng.choice(xs),) + tuple(rng.randrange(q) for _ in range(s)))
+        k = 1
+        D = choose_D(k, len(pts), r, s)
+        problem = InterpolationProblem(field=field, points=tuple(sorted(pts)), r=r, k=k, s=s, D=D)
+        assert D + 1 > nx * r
+        exps = _column_exponents(k, D, s)
+        matrix = _assemble_matrix(problem, exps).astype(np.int64)
+        x_ref, _, c0_ref = _reference_kernel_vector(matrix, q)
+        Q, report = interpolate_with_report(problem)
+        assert report.pivot_cols == c0_ref <= D
+        assert Q == MultiPoly(field, s, k, {tuple(e): v for e, v in zip(exps.tolist(), x_ref.tolist())})
+
+
+def test_repeated_x_matches_reference():
+    # list-recovery-shaped problems: every X-coordinate twice, so the plan
+    # holds one row per distinct X and each word picks its rows; c0 lies past
+    # the leading block
+    rng = random.Random(5)
+    for q, s, r in [(13, 1, 2), (13, 2, 2), (31, 2, 3), (31, 1, 3)]:
+        problem = _plan_problem(rng, q, s, r, "repeated", npts=12)
+        plan = interp._plan(problem)
+        assert 2 * len(plan.row) == len(problem.points)
+        exps = _column_exponents(problem.k, problem.D, s)
+        matrix = _assemble_matrix(problem, exps).astype(np.int64)
+        x_ref, _, c0_ref = _reference_kernel_vector(matrix, q)
+        Q, report = interpolate_with_report(problem)
+        assert report.pivot_cols == c0_ref > problem.D
+        x = {tuple(e): v for e, v in zip(exps.tolist(), x_ref.tolist())}
+        assert Q == MultiPoly(problem.field, s, problem.k, x)
+
+
+def test_plan_cache_stays_within_its_bound():
+    field = PrimeField(13)
+    interp._code_plan.cache_clear()
+    for shift in range(interp._PLANS + 3):
+        pts = tuple((x + shift, x) for x in range(1, 5))
+        problem = InterpolationProblem(field=field, points=pts, r=1, k=1, s=1, D=choose_D(1, 4, 1, 1))
+        plan = interp._plan(problem)
+        interpolate(problem)
+        assert interp._code_plan.cache_info().currsize == min(shift + 1, interp._PLANS)
+    assert interp._plan(problem) is plan
+
+
+def test_cached_arrays_refuse_writes():
+    # a caller that writes into a cached array would corrupt every later decode
+    p = FRSParams(q=13, m=3, k=2, s=2, r=3)
+    problem = InterpolationProblem(
+        field=p.field, points=tuple(interpolation_points(p, list(range(p.n)))), r=3, k=2, s=2, D=10
+    )
+    plan = interp._plan(problem)
+    arrays = [
+        poly._pascal_mod(13, 6),
+        galois._gamma_pows(13, 12, 2),
+        galois._window_index(5),
+        poly._weights(12, 2),
+        poly._coordinate_functionals(13, 2, 2),
+    ]
+    for name in interp._Plan.__slots__:
+        value = getattr(plan, name)
+        arrays += [a for a in (value if isinstance(value, tuple) else (value,)) if isinstance(a, np.ndarray)]
+    assert len(arrays) == 5 + 5 + 2 * constraints_per_point(3, 2)  # w and gidx per shift
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 0
+
+
+def test_vanished_Q_raises_the_named_invariant(monkeypatch):
+    # a kernel vector without x[c0] = 1 would give Q = 0; the check is a raise,
+    # so it holds under python -O as well
+    problem = InterpolationProblem(field=PrimeField(5), points=((1, 1, 1),), r=1, k=1, s=2, D=2)
+    monkeypatch.setattr(
+        interp, "_residue_kernel_vector", lambda A, q, *args: (np.zeros(A.shape[1], dtype=np.int64), 0, 0)
+    )
+    with pytest.raises(AssertionError, match="Q vanished"):
+        interpolate(problem)

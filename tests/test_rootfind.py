@@ -529,3 +529,12 @@ def test_chain_answers_match_recorded_digests(monkeypatch, params, seed, deg, l_
     with pytest.raises(_GcdReached):
         _benchmark_call(params, seed)()
     assert seen == {"deg": deg, "L": l_digest, "g": g_digest}
+
+
+def test_vanished_substitution_raises_the_named_invariant(monkeypatch):
+    # distinct Y-exponents below q substitute to distinct powers of Y, so R is
+    # nonzero; the check is a raise, so it holds under python -O as well
+    Q0 = MultiPoly(P5.field, s=2, k=1, terms={(0, 1, 0): 1})
+    monkeypatch.setattr(rootfind, "_substituted_poly", lambda T, jvecs, q: np.zeros((0, EXT5.dim), np.int64))
+    with pytest.raises(AssertionError, match="R vanished"):
+        candidates_from_Q(Q0, P5, EXT5)
