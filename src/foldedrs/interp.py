@@ -169,11 +169,25 @@ class _Plan:
     """What the Hasse system takes from its code: q, k, r, s, D and the distinct
     X-coordinates xs of its points (see the module docstring), in read-only arrays.
 
-    Shift i (in ``_assemble_matrix``'s order) has its rows zero left of column
-    ``starts[i]``; from there ``w[i]`` holds the binomials and X-powers of its
-    entries, one row per X-coordinate in xs, and ``gidx[i]`` each column's
-    entry of the word's Y-power factors (``matrix``).  In a system of npts
-    points, rows from npts * stair[c] on vanish on columns 0..c.
+    The system (``matrix``) has one row per (point, shift monomial) pair, and
+    its entries are Hasse shift coefficients: that of the shift monomial b in
+    the translate of X^e0 Y^e is prod_t C(e_t, b_t) * a_t^(e_t - b_t).  Rows are
+    shift-major: row i * len(points) + p belongs to shift i and point p, and
+    column c to exps[c] = ``_column_exponents(k, D, s)``[c].  The shifts b go by
+    their Y-part (b_1, ..., b_s) in the order of the columns' Y-parts
+    (substituted degree), then by b0.  The rows of b vanish on every column e
+    without e >= b, so on every column whose Y-part comes before b's; in this
+    order the rows form a staircase along the columns, and the elimination
+    meets fewer zero diagonal entries and stops each column at the staircase.
+    Row order does not change the kernel vector (see _residue_kernel_vector).
+    Entries are float64 residues: the plan's factor times the word's Y-power
+    factor, reduced once (see the module docstring).
+
+    Shift i has its rows zero left of column ``starts[i]``; from there ``w[i]``
+    holds the binomials and X-powers of its entries, one row per X-coordinate
+    in xs, and ``gidx[i]`` each column's entry of the word's Y-power factors.
+    In a system of npts points, rows from npts * stair[c] on vanish on columns
+    0..c.
     """
 
     __slots__ = ("q", "top", "row", "exps", "jlex", "vlex", "ydeg", "w", "starts", "gidx", "stair")
@@ -259,28 +273,6 @@ def _plan(problem: InterpolationProblem) -> _Plan:
     return _code_plan(problem.field.q, problem.k, problem.r, problem.s, problem.D, xs)
 
 
-def _assemble_matrix(problem: InterpolationProblem, exps: np.ndarray) -> np.ndarray:
-    """One row per (point, shift monomial) pair; entries are Hasse shift coefficients.
-
-    The coefficient of the shift monomial b in the translate of X^e0 Y^e is
-    prod_t C(e_t, b_t) * a_t^(e_t - b_t).  Rows are shift-major: row
-    i * len(points) + p belongs to shift i and point p, and column c to
-    exps[c], which must be ``_column_exponents(k, D, s)``.  The shifts b go by
-    their Y-part (b_1, ..., b_s) in the order of the columns' Y-parts
-    (substituted degree), then by b0.  The rows of b vanish on every column e
-    without e >= b, so on every column whose Y-part comes before b's; in this
-    order the rows form a staircase along the columns, and the elimination
-    meets fewer zero diagonal entries and stops each column at the staircase.
-    Row order does not change the kernel vector (see _residue_kernel_vector).
-    Entries are float64 residues: the plan's factor times the word's Y-power
-    factor, reduced once (see the module docstring).
-    """
-    plan = _plan(problem)
-    if not np.array_equal(exps, plan.exps):
-        raise ValueError("exps must be the columns _column_exponents(k, D, s)")
-    return plan.matrix(problem.points)
-
-
 def _forward_eliminate(
     A: np.ndarray, q: int, width: int, budget: int, scale_first: bool, row_end: np.ndarray
 ) -> int:
@@ -343,7 +335,7 @@ def _residue_kernel_vector(
     A: np.ndarray, q: int, row_end: np.ndarray | None = None
 ) -> tuple[np.ndarray, int, int]:
     """First-free-column kernel vector of a float64 matrix A of residues mod q,
-    eliminated in place (``_assemble_matrix`` emits such a matrix).
+    eliminated in place (``_Plan.matrix`` emits such a matrix).
 
     Let c0 be the first column that lies in the span of the columns before
     it.  Columns 0..c0-1 are then linearly independent, so there is exactly

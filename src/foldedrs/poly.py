@@ -374,15 +374,10 @@ class MultiPoly:
             if c:
                 clean[exps] = c
         exps = np.array(list(clean), dtype=np.int64).reshape(len(clean), s + 1)
-        self._fill(field, s, k, exps, np.fromiter(clean.values(), np.int64, len(clean)))
-
-    @classmethod
-    def _from_exponents(cls, field: PrimeField, s: int, k: int, exps, coeffs) -> "MultiPoly":
-        """The constructor without its checks: distinct exponent rows exps (n x (s+1)
-        int64, nonnegative) with nonzero residues coeffs, which the caller guarantees."""
-        Q = object.__new__(cls)
-        Q._fill(field, s, k, exps, coeffs)
-        return Q
+        jvecs, col = np.unique(exps[:, 1:], axis=0, return_inverse=True)
+        M = np.zeros((int(exps[:, 0].max(initial=-1)) + 1, len(jvecs)), dtype=np.int64)
+        M[exps[:, 0], col.reshape(-1)] = np.fromiter(clean.values(), np.int64, len(clean))
+        self._set(field, s, k, M, jvecs)
 
     @classmethod
     def _from_arrays(cls, field: PrimeField, s: int, k: int, M, jvecs) -> "MultiPoly":
@@ -391,12 +386,6 @@ class MultiPoly:
         Q = object.__new__(cls)
         Q._set(field, s, k, M, jvecs)
         return Q
-
-    def _fill(self, field, s, k, exps, coeffs):
-        jvecs, col = np.unique(exps[:, 1:], axis=0, return_inverse=True)
-        M = np.zeros((int(exps[:, 0].max(initial=-1)) + 1, len(jvecs)), dtype=np.int64)
-        M[exps[:, 0], col.reshape(-1)] = coeffs
-        self._set(field, s, k, M, jvecs)
 
     def _set(self, field, s, k, M, jvecs):
         self.field, self.s, self.k, self.M, self.jvecs, self._terms = field, s, k, M, jvecs, None
@@ -816,93 +805,78 @@ def _yp_gcd(ctx: _ExtCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _yp_monic(ctx, a.astype(np.int64))
 
 
+# quotients of fewer rows come from long division (~20 us a row), which beats the
+# ~200 us of a Barrett reduction's three transforms there
+_BARRETT_ROWS = 8
+
+
 class FrobeniusReducer:
-    """Arithmetic modulo a fixed monic R over F_q[X]/(X^dim - gamma): products,
-    powers, the Frobenius step u -> u^q, and the residue sum a_i Y^(q^i) mod R
-    of ``linearized_residue`` that both root-finding entry points take a gcd with.
+    """Arithmetic modulo a fixed monic R of degree d over F_q[X]/(X^dim - gamma):
+    products, powers, the Frobenius step u -> u^q, and the residue sum
+    a_i Y^(q^i) mod R of ``linearized_residue`` that both root-finding entry
+    points take a gcd with.  Three rules choose how it works.
 
-    ``mulmod`` is a Barrett reduction (von zur Gathen & Gerhard, Modern Computer
-    Algebra, ch. 9) of an FFT product (``_yp_mul``): with d = deg R, the quotient
-    of a product a (at most 2d - 1 rows) is the reversal of rev(a) * inv mod
-    Y^(d-1), where inv = rev(R)^-1 mod Y^(d-1) comes from Newton iteration once
-    per reducer; a - quotient * R is then taken mod Y^N - 1 for N >= d + 1, a
-    cyclic product of half the length.  The weighted transforms of inv and R are cached.
-    Every product checks the float64 bound of ``_check_fft_exact``.  Quotients of
-    fewer than 8 rows come from long division, cheaper there than three transforms.
+    Long division or Barrett (``_reduce``, the one remainder mod R).  A
+    quotient of fewer than _BARRETT_ROWS rows, or of d rows or more, comes from
+    long division (``_yp_mod``).  Otherwise (a product of residues has at most
+    2d - 1 rows, so d - 1 quotient rows) the quotient is the reversal of
+    rev(a) * inv mod Y^(d-1) (von zur Gathen & Gerhard, Modern Computer Algebra,
+    ch. 9), where inv = rev(R)^-1 mod Y^(d-1) comes from Newton iteration once per reducer;
+    a - quotient * R is then taken mod Y^N - 1 for N >= d + 1, a cyclic product
+    of half the length.  The weighted transforms of inv and R are cached, and
+    every product checks the float64 bound of ``_check_fft_exact``.  The Newton
+    round from precision p to 2p needs only rows p..2p-1 of e = rev(R) * inv - 1,
+    which vanishes below p: they are rows of the product mod Y^N - 1 for
+    N >= 2p, whose rows past N wrap below p, and the correction is the
+    (2p-1)-row product inv * e[p:2p].  A coefficient of a cyclic product of la
+    and lb <= N rows is still a sum of at most min(la, lb) * dim products of
+    residues, so the sizes of the final inverse and of R, checked before the
+    iteration, bound every round.
 
-    The Newton round from precision p to 2p needs only rows p..2p-1 of
-    e = rev(R) * inv - 1, which vanishes below p.  They are rows of the product
-    mod Y^N - 1 for N >= 2p, whose rows past N wrap below p; the correction is
-    the (2p-1)-row product inv * e[p:2p].  A coefficient of a cyclic product of
-    la and lb <= N rows is still a sum of at most min(la, lb) * dim products of
-    residues, so ``_check_fft_exact`` bounds it as it stands, and the sizes of
-    the final inverse and of R, checked before the iteration, bound every round.
+    Square from Y or step from the previous power (``frobenius_powers``).
+    ``step`` takes u^q as one contraction of the table of Y^(q j) mod R, j < d,
+    with the coefficientwise q-th power (the gamma-scaling map), since
+    (sum c_j Y^j)^q = sum c_j^q Y^(q j); without the table, by square-and-multiply
+    over ``mulmod``: floor(log2 q) squarings plus popcount(q) - 1 products.
+    ``_power_of_y`` squares up to Y^e from Y^e0, e0 the longest binary prefix of
+    e with e0 <= 2d - 2, reduced once: a squaring per remaining bit of e and a
+    one-row shift (times Y) per 1-bit.  Without the table each Y^(q^i) takes
+    whichever makes fewer mulmods; at q = 31 and d = 125 squaring up takes 0, 2
+    and 7 squarings for i = 1, 2, 3 against 8 mulmods a step.
 
-    ``step`` has two paths.  After ``plan`` builds the table of Y^(q j) mod R for
-    j < d, a step is one contraction of that table with the coefficientwise q-th
-    power (the gamma-scaling map), since (sum c_j Y^j)^q = sum c_j^q Y^(q j).
-    Otherwise it is u^q by square-and-multiply over ``mulmod``:
-    floor(log2 q) squarings plus popcount(q) - 1 products.
-
-    ``linearized_residue`` needs only the powers Y^(q^i).  With the table each
-    is a step from the one before.  Without it each comes from whichever route
-    makes fewer mulmods: a q-th power step from Y^(q^(i-1)), or squaring up from
-    Y (``_power_of_y``): Y^e0 for the longest binary prefix e0 of q^i with
-    e0 <= 2d - 2, reduced once, then one squaring per remaining bit of q^i and
-    a one-row shift (times Y) per 1-bit.  At q = 31 and d = 125 squaring up
-    takes 0, 2 and 7 squarings for i = 1, 2, 3 against 8 mulmods a step; at
-    q = 101 and d = 404 it wins only for i <= 2.
-
-    ``plan(steps, products)`` builds the table when it is exact (see below) and
-    T_build + steps * T_table < products * T_mul + T_setup, where `products`
-    is the mulmod count of the chain without a table (by default, steps q-th
-    power steps) and T_setup is the Newton set-up when it has not run yet and
-    d >= 9 (Barrett is used at all).  The costs are in seconds, with
-    M(n) = 2^ceil(log2 n) * dim the points of a product transform:
+    Table or not (``plan(steps, products)``).  The table is built when it is
+    exact (see below) and T_build + steps * T_table < products * T_mul + T_setup,
+    where `products` is the mulmod count of the chain without a table (by
+    default, steps q-th power steps) and T_setup is the Newton set-up when it
+    has not run yet and products reach Barrett at all.  The costs are in
+    seconds, with M(n) = 2^ceil(log2 n) * dim the points of a product transform:
     T_build = 8.9e-10 d^2 q dim + 3.2e-5 (d + q), the table build below;
     T_table = 1.5e-10 d^2 dim^2 + 7.2e-5, one contraction;
     t(n) = 4.4e-9 M(n) log2 M(n) + 2.0e-4, a mulmod whose product has n rows,
     so T_mul = t(2d - 1), and T_setup = sum of t(2p - 1) over the Newton
-    precisions p = 2, 4, ..., d - 1 (a round costs about a mulmod modulo a
-    degree-p polynomial; timed, the set-up is 1.1-1.9 mulmods at d 250-1023
-    and 2-3.7 at d 16-189).  Each formula is a least-squares fit, in relative
-    error, to the minimum of interleaved timings (25 rounds; 7 for the build)
-    on a 2-vCPU x86 VM with one BLAS thread, over q in {13, 31, 47, 61, 83, 101}
-    and d from 10 to 600 (125 for the table); the fits are within 0.75-1.5x
-    of every timing, the mulmod at dim 82 (a radix-41 pass) running slowest.
-    For k + 1 = 3 steps the rule keeps the table up to d 54 at q = 13, 53 at
-    q = 31, 30 at q = 61 and 24 at q = 101, and again just past the point where
-    the product transform doubles (d 66-69 at q = 13, 65-68 at q = 31, 33-40
-    at q = 61); timed, the crossover lies between d 54 and 60 at q = 13,
-    between 30 and 48 at q = 61 and between 24 and 30 at q = 101, while at
-    q = 31 the table still wins by 8 % at d 60-66 and loses at 72.  For 9
-    steps at q = 101 it keeps the table up to d 53 and at d 65-75; timed, the
-    table wins at 53 and 66 and loses at 60 and 75.
-
-    T_build was fitted when the build stepped through all q powers P[i] below;
-    where it squares up to Y^q instead, the rule overestimates the build and
-    errs only toward square-and-multiply.
+    precisions p = 2, 4, ..., d - 1.  Each formula is a least-squares fit, in
+    relative error, to the minimum of interleaved timings on a 2-vCPU x86 VM
+    with one BLAS thread, over q in {13, 31, 47, 61, 83, 101} and d from 10 to
+    600 (125 for the table), within 0.75-1.5x of every timing.  For k + 1 = 3
+    steps the rule keeps the table up to d 54 at q = 13, 53 at q = 31, 30 at
+    q = 61 and 24 at q = 101; timed, the crossover lies between d 54 and 60 at
+    q = 13, between 30 and 48 at q = 61 and between 24 and 30 at q = 101.
+    T_build was fitted on a build that stepped through all q powers P[i] below;
+    where d < q the build takes Y^q from ``_power_of_y`` instead, so the rule
+    overestimates it there and errs only toward square-and-multiply.
 
     The table is built in two parts.  First P[i] = Y^(d+i) mod R for
-    lo <= i < q, lo = max(q - d, 0), the only ones that row j-1 can reach,
-    each from the one before by a one-row shift plus a multiple of
-    P[0] = Y^d - R.  The q - d steps below lo are skipped where squaring up
-    from Y to P[lo] = Y^q mod R is cheaper: floor(log2 q) products, each
-    followed by at most d - 1 long-division rows, against q - d one-row steps;
-    a product counts as three rows, so it squares up when
-    (d + 2) floor(log2 q) < q - d: at d = 10, q = 101 (decode-interp) and
-    d = 2, q = 31, but not at d = 2, q = 13, or d = 10, q = 31 (timed, the
-    squaring to the stepping: 3.3 to 5.8, 0.46 to 0.47, 0.29 to 0.16 and
-    1.1 to 0.65 ms).
-    Then row j comes from row j-1,
-    sum(c_t Y^t), in one pass: of Y^q times it, the terms c_t Y^(t+q) with
-    t + q < d stay as they are, and the high coefficients h_i = c_(d-q+i)
-    (the ones that reach Y^(d+i)) add sum_i h_i P[i].  That sum runs in the
-    Fourier domain along X: gamma-weighted real FFTs of length dim (``_weights``),
-    one (1 x q) @ (q x d) complex product per frequency, dim // 2 + 1 of them,
-    and an inverse FFT that gives w_k times the coefficients of X^k mod
-    X^dim - gamma.  These are unweighted, rounded and reduced mod q.  Only the
-    transformed P is kept.
+    lo <= i < q, lo = max(q - d, 0), the only ones that row j-1 can reach:
+    P[lo] is P[0] = Y^d - R when lo = 0 and Y^q mod R (``_power_of_y``)
+    otherwise, and each next one is a one-row shift plus a multiple of P[0].
+    Then row j comes from row j-1, sum(c_t Y^t), in one pass: of Y^q times it,
+    the terms c_t Y^(t+q) with t + q < d stay as they are, and the high
+    coefficients h_i = c_(d-q+i) (the ones that reach Y^(d+i)) add
+    sum_i h_i P[i].  That sum runs in the Fourier domain along X:
+    gamma-weighted real FFTs of length dim (``_weights``), one (1 x q) @ (q x d)
+    complex product per frequency, dim // 2 + 1 of them, and an inverse FFT that
+    gives w_k times the coefficients of X^k mod X^dim - gamma.  These are
+    unweighted, rounded and reduced mod q.  Only the transformed P is kept.
 
     Exactness of the table: each coefficient is a sum over q pairs (h_i, P[i]_t)
     of dim products of residues, gamma times the ones that wrap, so it lies in
@@ -947,7 +921,7 @@ class FrobeniusReducer:
             return 4.4e-9 * m * math.log2(m) + 2.0e-4
 
         t_direct = products * t_mul(2 * d - 1)
-        if products and d >= 9 and self._inv_hat is None:  # Barrett set-up: see _reduce
+        if products and d - 1 >= _BARRETT_ROWS and self._inv_hat is None:  # Barrett set-up
             prec = 1
             while prec < d - 1:
                 prec = min(2 * prec, d - 1)
@@ -970,18 +944,9 @@ class FrobeniusReducer:
         lo = max(q - lr, 0)  # Y^q * (row j-1) reaches Y^(lr+i) only for i >= lo
         p_hat = np.empty((dim // 2 + 1, q - lo, lr), dtype=np.complex128)
         p0 = (-self.R[:lr] % q).astype(np.float64)
-        p, start = p0, 0
-        if (lr + 2) * (q.bit_length() - 1) < q - lr:  # square up to P[lo] = Y^q mod R
-            y = _yp_monomial(ctx, 1)
-            for bit in format(q, "b")[1:]:
-                y = _yp_mod(ctx, _yp_mul(ctx, y, y), self.R)
-                if bit == "1":
-                    y = np.concatenate((np.zeros((1, dim), dtype=np.int64), y))
-                    y = _yp_mod(ctx, y, self.R)
-            p, start = _yp_pad(y, lr).astype(np.float64), lo
-        for i in range(start, q):
-            if i >= lo:
-                p_hat[:, i - lo, :] = np.fft.rfft(p * w, axis=1).T
+        p = _yp_pad(self._power_of_y(q), lr).astype(np.float64) if lo else p0
+        for i in range(lo, q):
+            p_hat[:, i - lo, :] = np.fft.rfft(p * w, axis=1).T
             top = p[-1]
             p = np.concatenate((np.zeros((1, dim)), p[:-1]))
             if top.any():
@@ -1033,14 +998,13 @@ class FrobeniusReducer:
         self._r_hat = _fft(ctx, self.R, self._r_shape)
 
     def _reduce(self, a: np.ndarray) -> np.ndarray:
-        """a mod R for a reduced a; Barrett for products of residues (at most
-        2 deg R - 1 rows), whose quotient fits the precision of inv."""
+        """a mod R for a reduced a: the long-division-or-Barrett rule (class docstring)."""
         ctx = self.ctx
         d = self.R.shape[0] - 1
         m = a.shape[0] - d  # quotient rows
         if m <= 0:
             return a
-        if m < 8 or m >= d:  # long division: ~20 us a row beats ~200 us of transforms
+        if m < _BARRETT_ROWS or m >= d:
             return _yp_mod(ctx, a, self.R)
         if self._inv_hat is None:
             self._setup_barrett()
@@ -1057,8 +1021,8 @@ class FrobeniusReducer:
         return self._reduce(_yp_mul(self.ctx, a, b))
 
     def pow_mod(self, u: np.ndarray, e: int) -> np.ndarray:
-        """u^e mod R by left-to-right square-and-multiply over ``mulmod``."""
-        u = _yp_mod(self.ctx, u, self.R)
+        """u^e mod R for a reduced u by left-to-right square-and-multiply over ``mulmod``."""
+        u = self._reduce(u)
         if e == 0:
             return _yp_monomial(self.ctx, 0)
         w = u
@@ -1114,7 +1078,7 @@ class FrobeniusReducer:
         per_step = self._step_mulmods()
         squarings = [self._squarings(ctx.q**i) for i in range(1, n + 1)]
         self.plan(n, sum(min(s, per_step) for s in squarings))
-        out = [_yp_mod(ctx, _yp_monomial(ctx, 1), self.R)]
+        out = [self._power_of_y(1)]
         for i, s in enumerate(squarings, 1):
             if self._table is None and s <= per_step:
                 out.append(self._power_of_y(ctx.q**i))

@@ -100,9 +100,8 @@ def strip_E_power(Q: MultiPoly, E: UniPoly) -> tuple[MultiPoly, int]:
         b += 1
     if b == 0:
         return Q, 0
-    rows, cols = np.nonzero(M)
-    exps = np.column_stack([rows, Q.jvecs[cols]])
-    return MultiPoly._from_exponents(Q.field, Q.s, Q.k, exps, M[rows, cols]), b
+    # exact division by E^b empties no column; the trim drops zero top rows
+    return MultiPoly._from_arrays(Q.field, Q.s, Q.k, _yp_trim(M), Q.jvecs), b
 
 
 def _substituted_poly(T: np.ndarray, jvecs: np.ndarray, q: int) -> np.ndarray:

@@ -684,13 +684,15 @@ def _reference_table(reducer):
     return table
 
 
-@pytest.mark.parametrize("q", [2, 3, 5, 7, 13, 31])
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 13, 31, 101])
 def test_frobenius_table_matches_schoolbook_chain(q):
     # deg R on both sides of q: no row stays low when q >= deg R, deg R = 1 is
-    # a one-row table and q = 2 has dim = 1; R is not monic
+    # a one-row table and q = 2 has dim = 1; R is not monic.  At q = 101, deg R
+    # 9 and 10 (decode-interp's shape), Y^q takes three squarings reduced by Barrett
     rng = random.Random(41 + q)
     ctx = _ctx_q(q)
-    for deg in sorted({1, 2, q - 2, q - 1, q, q + 1, 3 * q} - {0}):
+    degs = {9, 10} if q == 101 else {1, 2, q - 2, q - 1, q, q + 1, 3 * q} - {0}
+    for deg in sorted(degs):
         R = np.array([[rng.randrange(q) for _ in range(ctx.dim)] for _ in range(deg + 1)])
         R[deg, rng.randrange(ctx.dim)] = rng.randrange(1, q)
         reducer = FrobeniusReducer(ctx, R)
@@ -698,6 +700,7 @@ def test_frobenius_table_matches_schoolbook_chain(q):
         assert reducer._table.dtype == np.float64
         assert reducer._table.shape == (deg, deg, ctx.dim)
         assert np.array_equal(reducer._table, _reference_table(reducer))
+        assert (reducer._inv_hat is not None) == (q == 101)
 
 
 def test_frobenius_reducer_step_matches_generic_power():
@@ -755,12 +758,23 @@ def test_frobenius_reducer_untabled_path_matches():
         assert untabled._table is None
 
 
-class _FirstStep(Exception):
+class _Planned(Exception):
     pass
 
 
-def _stop_at_first_step(*args):
-    raise _FirstStep
+def _stop_after_plan(reducer):
+    # the table build itself calls _power_of_y, so the chain is stopped only
+    # once plan has returned, at its first power of Y
+    plan = reducer.plan
+
+    def stop(*args):
+        raise _Planned
+
+    def plan_then_stop(*args):
+        plan(*args)
+        reducer.step = reducer._power_of_y = stop
+
+    reducer.plan = plan_then_stop
 
 
 def test_cost_rule_keeps_the_table_where_it_pays():
@@ -769,7 +783,7 @@ def test_cost_rule_keeps_the_table_where_it_pays():
     # steps and deg R 404 at q = 101 with 9 do not, and a prime field too
     # large for an exact table never builds one.  Each case is planned for
     # general q-th power steps, and as linearized_residue plans its chain of
-    # powers of Y (stopped at its first step)
+    # powers of Y (stopped once planned)
     cases = [
         (13, 39, 3, True),
         (101, 10, 9, True),
@@ -784,8 +798,8 @@ def test_cost_rule_keeps_the_table_where_it_pays():
         reducer.plan(steps)
         assert (reducer._table is not None) == tabled
         reducer = FrobeniusReducer(ctx, _yp_monomial(ctx, deg))
-        reducer.step = reducer._power_of_y = _stop_at_first_step
-        with pytest.raises(_FirstStep):
+        _stop_after_plan(reducer)
+        with pytest.raises(_Planned):
             reducer.linearized_residue([1] * (steps + 1))
         assert (reducer._table is not None) == tabled
     ctx = _PRIME_CTXS[1]
