@@ -834,10 +834,11 @@ class FrobeniusReducer:
     iteration, bound every round.
 
     Square from Y or step from the previous power (``frobenius_powers``).
-    ``step`` takes u^q as one contraction of the table of Y^(q j) mod R, j < d,
-    with the coefficientwise q-th power (the gamma-scaling map), since
-    (sum c_j Y^j)^q = sum c_j^q Y^(q j); without the table, by square-and-multiply
-    over ``mulmod``: floor(log2 q) squarings plus popcount(q) - 1 products.
+    With the table T[j] = Y^(q j) mod R, j < d, ``step`` takes u^q as
+    sum_j sigma(c_j) T[j] for u = sum c_j Y^j, sigma the coefficientwise q-th
+    power (the gamma-scaling map), in the weighted X-transform domain
+    (``_fourier_sum``); without the table, by square-and-multiply over
+    ``mulmod``: floor(log2 q) squarings plus popcount(q) - 1 products.
     ``_power_of_y`` squares up to Y^e from Y^e0, e0 the longest binary prefix of
     e with e0 <= 2d - 2, reduced once: a squaring per remaining bit of e and a
     one-row shift (times Y) per 1-bit.  Without the table each Y^(q^i) takes
@@ -851,16 +852,16 @@ class FrobeniusReducer:
     has not run yet and products reach Barrett at all.  The costs are in
     seconds, with M(n) = 2^ceil(log2 n) * dim the points of a product transform:
     T_build = 8.9e-10 d^2 q dim + 3.2e-5 (d + q), the table build below;
-    T_table = 1.5e-10 d^2 dim^2 + 7.2e-5, one contraction;
+    T_table = 4.6e-10 d^2 dim + 2.0e-8 d dim + 3.3e-5, one step;
     t(n) = 4.4e-9 M(n) log2 M(n) + 2.0e-4, a mulmod whose product has n rows,
     so T_mul = t(2d - 1), and T_setup = sum of t(2p - 1) over the Newton
     precisions p = 2, 4, ..., d - 1.  Each formula is a least-squares fit, in
     relative error, to the minimum of interleaved timings on a 2-vCPU x86 VM
     with one BLAS thread, over q in {13, 31, 47, 61, 83, 101} and d from 10 to
     600 (125 for the table), within 0.75-1.5x of every timing.  For k + 1 = 3
-    steps the rule keeps the table up to d 54 at q = 13, 53 at q = 31, 30 at
-    q = 61 and 24 at q = 101; timed, the crossover lies between d 54 and 60 at
-    q = 13, between 30 and 48 at q = 61 and between 24 and 30 at q = 101.
+    steps the rule keeps the table up to d 58, 60, 48 and 28 at q = 13, 31, 61
+    and 101; timed, the crossovers lie at d 50-54, 48-52, 34-40 and 36-40 (the
+    modelled chain is 1.2-1.4x its timing at q = 31 and 61).
     T_build was fitted on a build that stepped through all q powers P[i] below;
     where d < q the build takes Y^q from ``_power_of_y`` instead, so the rule
     overestimates it there and errs only toward square-and-multiply.
@@ -876,17 +877,19 @@ class FrobeniusReducer:
     gamma-weighted real FFTs of length dim (``_weights``), one (1 x q) @ (q x d)
     complex product per frequency, dim // 2 + 1 of them, and an inverse FFT that
     gives w_k times the coefficients of X^k mod X^dim - gamma.  These are
-    unweighted, rounded and reduced mod q.  Only the transformed P is kept.
+    unweighted, rounded and reduced mod q.  Only the transforms of P and of
+    the rows, laid out (frequency, j, t), are kept.
 
-    Exactness of the table: each coefficient is a sum over q pairs (h_i, P[i]_t)
-    of dim products of residues, gamma times the ones that wrap, so it lies in
-    [0, top] with top = q (q-1)^2 (1 + gamma (dim - 1)), and B = q dim (q-1)^2
-    bounds sum_i ||h_i||_2 ||P[i]_t||_2.  The bound of ``_check_fft_exact``
-    carries over with the transforms' kappa(dim) + 3 replaced by
-    kappa(dim) + 2q + 3, the extra 2q for the q-term complex sum.  ``plan``
+    Exactness: a coefficient of the build's sum adds min(q, d) pairs
+    (h_i, P[i]_t), and a step's at most d pairs (sigma(c_j), T[j]_t), of dim
+    products of residues, gamma times the ones that wrap.  So with
+    n = max(q, d) it lies in [0, top], top = n (q-1)^2 (1 + gamma (dim - 1)),
+    and B = n dim (q-1)^2 bounds the pairs' sum of ||.||_2 ||.||_2.  The bound
+    of ``_check_fft_exact`` carries over with kappa(dim) + 3 replaced by
+    kappa(dim) + 2n + 3, the extra 2n for the n-term complex sum.  ``plan``
     never builds a table where that reaches 1/4 (``_build_table`` refuses it
-    with ParameterError), and the build checks that every value lies within 1/4
-    of an integer before it is rounded.
+    with ParameterError), and every sum checks that each value lies within
+    1/4 of an integer before it is rounded.
     """
 
     def __init__(self, ctx: _ExtCtx, R: np.ndarray):
@@ -894,17 +897,18 @@ class FrobeniusReducer:
         self.R = _yp_monic(ctx, R)
         if self.R.shape[0] < 2:
             raise ValueError("modulus must have degree at least 1")
-        # a table step contracts deg R rows and dim columns at once
+        # a table step sums deg R * dim products of residues (rounding: _table_error)
         _check_float_exact((self.R.shape[0] - 1) * ctx.dim, ctx.q, "Frobenius step")
         self._table: np.ndarray | None = None
         self._inv_hat: np.ndarray | None = None
 
     def _table_error(self) -> float:
-        """2^53 times the table build's error bound (the exactness argument above)."""
+        """2^53 times the error bound of the build's and a step's sums (see Exactness above)."""
         ctx = self.ctx
         q, dim = ctx.q, ctx.dim
-        top = q * (q - 1) ** 2 * (1 + ctx.gamma * (dim - 1))
-        return _rounding_error(ctx, q * dim * (q - 1) ** 2, top, _transform_error(dim) + 2 * q + 3)
+        n = max(q, self.R.shape[0] - 1)  # pairs in a build's sum (<= q) and a step's (<= deg R)
+        top = n * (q - 1) ** 2 * (1 + ctx.gamma * (dim - 1))
+        return _rounding_error(ctx, n * dim * (q - 1) ** 2, top, _transform_error(dim) + 2 * n + 3)
 
     def plan(self, steps: int, products: int | None = None) -> None:
         """Build the table if it is exact and pays for `steps` more steps that would
@@ -927,7 +931,7 @@ class FrobeniusReducer:
                 prec = min(2 * prec, d - 1)
                 t_direct += t_mul(2 * prec - 1)
         t_build = 8.9e-10 * d * d * q * dim + 3.2e-5 * (d + q)
-        t_table = 1.5e-10 * d * d * dim * dim + 7.2e-5
+        t_table = 4.6e-10 * d * d * dim + 2.0e-8 * d * dim + 3.3e-5
         if t_build + steps * t_table < t_direct:
             self._build_table()
 
@@ -952,24 +956,30 @@ class FrobeniusReducer:
             if top.any():
                 p = _fmod(p + p0 @ _sc_matrix(ctx, top.astype(np.int64)).astype(np.float64), q)
         keep = max(lr - q, 0)  # rows of row j-1 that stay below Y^lr after the shift
-        table = np.zeros((lr, lr, dim), dtype=np.float64)
-        table[0, 0, 0] = 1
-        for j in range(1, lr):
-            prev, row = table[j - 1], table[j]
-            row[q:] = prev[:keep]
-            high = prev[keep:]
-            if not high.any():
-                continue
-            h_hat = np.fft.rfft(high * w, axis=1)
-            s_hat = np.matmul(h_hat.T[:, None, :], p_hat)[:, 0, :]
-            s = np.fft.irfft(s_hat.T, n=dim, axis=1) / w
-            r = np.rint(s)
-            if not np.abs(s - r).max() <= 0.25:  # NaN fails too
-                raise FloatingPointError("Fourier-domain sum strayed from the integers")
-            # below q + top < 2^51 (see the bound above): exact before the one reduction
-            row += r
-            _fmod(row, q)
+        table = np.empty((dim // 2 + 1, lr, lr), dtype=np.complex128)
+        row = np.zeros((lr, dim))
+        row[0, 0] = 1
+        for j in range(lr):
+            row_hat = np.fft.rfft(row * w, axis=1)
+            table[:, j, :] = row_hat.T
+            if j + 1 < lr:  # row j+1: the high rows add sum_i h_i P[i], the low ones shift
+                low = row[:keep]
+                row = self._fourier_sum(row_hat[keep:], p_hat)
+                row[lr - keep :] += low
+                _fmod(row, q)  # below q + top < 2^51 (see the bound above): exact before it
         self._table = table
+
+    def _fourier_sum(self, h_hat: np.ndarray, p_hat: np.ndarray) -> np.ndarray:
+        """sum_i h_i P_i, rounded but not reduced, from the weighted X-transforms h_hat
+        (n, F) of scalars and p_hat (F, n, cols) of rows of cols residues: one
+        (1 x n) @ (n x cols) product per frequency and one inverse transform."""
+        w = _weights(self.ctx.dim, self.ctx.gamma)
+        s_hat = np.matmul(h_hat.T[:, None, :], p_hat)[:, 0, :]
+        s = np.fft.irfft(s_hat.T, n=self.ctx.dim, axis=1) / w
+        r = np.rint(s)
+        if not np.abs(s - r).max() <= 0.25:  # NaN fails too
+            raise FloatingPointError("Fourier-domain sum strayed from the integers")
+        return r
 
     def _setup_barrett(self):
         """inv = rev(R)^-1 mod Y^(d-1) by Newton iteration, and the transforms of inv and R.
@@ -1040,10 +1050,9 @@ class FrobeniusReducer:
             return u
         if self._table is None:
             return self.pow_mod(u, ctx.q)
-        u = _sc_frobenius(ctx, u, 1)
-        mats = _sc_matrix(ctx, u).astype(np.float64)
-        prod = np.tensordot(self._table[: u.shape[0]], mats, axes=([0, 2], [0, 1]))
-        return _yp_trim(prod.astype(np.int64) % ctx.q)
+        u_hat = np.fft.rfft(_sc_frobenius(ctx, u, 1) * _weights(ctx.dim, ctx.gamma), axis=1)
+        prod = self._fourier_sum(u_hat, self._table[:, : u.shape[0]])
+        return _yp_trim(_fmod(prod, ctx.q).astype(np.int64))
 
     def _step_mulmods(self) -> int:
         """The mulmods of a q-th power step without the table (class docstring)."""

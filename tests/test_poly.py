@@ -697,10 +697,30 @@ def test_frobenius_table_matches_schoolbook_chain(q):
         R[deg, rng.randrange(ctx.dim)] = rng.randrange(1, q)
         reducer = FrobeniusReducer(ctx, R)
         reducer._build_table()
-        assert reducer._table.dtype == np.float64
-        assert reducer._table.shape == (deg, deg, ctx.dim)
-        assert np.array_equal(reducer._table, _reference_table(reducer))
+        # the table is kept as its weighted X-transform, laid out (frequency, j, t)
+        w = poly._weights(ctx.dim, ctx.gamma)
+        table = np.fft.irfft(reducer._table.transpose(1, 2, 0), n=ctx.dim, axis=2) / w
+        assert np.array_equal(np.rint(table), _reference_table(reducer))
         assert (reducer._inv_hat is not None) == (q == 101)
+
+
+@pytest.mark.parametrize("q, deg", [(101, 9), (101, 10), (13, 39), (31, 2)])
+def test_fourier_domain_step_matches_reference_power(q, deg):
+    # decode-interp's deg R 9 and 10 at dim 100, deg R 39 > q = 13, where the
+    # step's sum over deg R rows sets the bound, and a deg-2 split at q = 31;
+    # u of one row up to deg R rows, and all-(q-1) rows, whose sums are largest
+    rng = random.Random(1000 * q + deg)
+    ctx = standard_extension(q).ctx
+    reducer = FrobeniusReducer(ctx, _shaped_yp(rng, ctx, deg + 1, "random"))
+    reducer._build_table()
+    inputs = [_shaped_yp(rng, ctx, rows, "random") for rows in sorted({1, max(deg // 2, 1), deg})]
+    inputs += [np.full((rows, ctx.dim), q - 1, dtype=np.int64) for rows in (1, deg)]
+    for u in inputs:
+        assert np.array_equal(reducer.step(u), _ref_pow_mod(ctx, u, q, reducer.R))
+    # a fault in the stored transform moves the sums off the integers
+    reducer._table[1, 0, 0] += 0.4
+    with pytest.raises(FloatingPointError):
+        reducer.step(inputs[-1])
 
 
 def test_frobenius_reducer_step_matches_generic_power():
@@ -923,6 +943,16 @@ def test_float64_paths_refuse_inexact_sizes():
     for j, row in enumerate(rem):
         expect[j] = [(x + int(y)) % q for x, y in zip(expect[j], row)]
     assert expect == a.tolist()
+
+
+def test_table_bound_charges_the_steps_sum():
+    # a build sums at most q pairs and a step deg R, so past deg R = q the
+    # bound grows with deg R: with q = 3047, dim 3 and gamma 3 a q-pair sum is
+    # exact, and the deg R = q + 1 table is refused before it is built
+    ctx = _ExtCtx(3047, 3, 3)
+    FrobeniusReducer(ctx, _yp_monomial(ctx, 1))._build_table()
+    with pytest.raises(ParameterError):
+        FrobeniusReducer(ctx, _yp_monomial(ctx, 3048))._build_table()
 
 
 def test_fft_product_refuses_inexact_sizes():
