@@ -18,7 +18,8 @@ Three layers live here:
   power-of-two transform, along X a gamma-weighted cyclic transform of length
   dim, which multiplies mod X^dim - gamma directly (Crandall & Fagin,
   "Discrete weighted transforms and large-integer arithmetic", Math. Comp. 62,
-  1994).  ``FrobeniusReducer`` reduces them mod a fixed R by Barrett reduction.  Root
+  1994), one product with a cached real-DFT matrix up to dim 100 (``_x_dft``).
+  ``FrobeniusReducer`` reduces them mod a fixed R by Barrett reduction.  Root
   finding is one pipeline on these arrays, over every field: the roots of R
   in the subspace V_k of elements with representative degree <= k are those
   of g = gcd(R, L_k mod R) (``_subspace_residue``), where L_k is the q-linearized
@@ -584,9 +585,73 @@ def _weights(dim: int, gamma: int) -> np.ndarray:
     return w
 
 
+# the longest X-transform that runs as one matrix product (``_x_dft``).  On one
+# BLAS thread the product beat pocketfft's rfft and irfft at dim 12, 30 and 60
+# on 16 to 256 rows, and at dim 100 on up to 64 (table steps and builds 9-24 %
+# faster, mulmods within 5 %); at 128, 160 and 256 it lost from 64 rows on, as
+# its O(dim^2) flops per row overtake O(dim log dim)
+_X_MATMUL_DIM = 100
+
+
+@functools.lru_cache(maxsize=None)
+def _x_dft(dim: int, gamma: int) -> tuple[np.ndarray, np.ndarray]:
+    """(forward, inverse): the gamma-weighted real DFT of length dim along X as a
+    (dim, 2F) float64 matrix, F = dim // 2 + 1, and its unweighting inverse as a
+    (2F, dim) one.  Columns 2f and 2f + 1 of forward hold w_j cos and -w_j sin of
+    2 pi j f / dim, so a @ forward views as complex128 rfft(a w); inverse takes
+    such rows back to irfft(.) / w, row 2f + 1 the imaginary parts (zero at f = 0
+    and f = dim / 2, which irfft ignores).
+
+    Each twiddle cos, sin of 2 pi m / dim is that of an angle reduced to
+    [-pi/4, pi/4], rotated by its quadrant: within 3.4 * 2^-53 (2.4 for the
+    angle's three roundings, 1 for libm), and exact where the angle is 0.
+    Folding in w_j rounds once more, and 2/dim or 1/dim and 1/w_k three times,
+    so each entry is within 7 * 2^-53 of its value at the computed weights,
+    relative to w_j or (2/dim)/w_k (``_x_transform_error``).
+    """
+    tw = np.empty((dim, 2))  # cos and sin of 2 pi m / dim
+    for m in range(dim):
+        quad, r = divmod(8 * m + dim, 2 * dim)  # 2 pi m / dim = quad pi / 2 + phi
+        phi = math.pi * (r - dim) / (4 * dim)
+        c, s = math.cos(phi), math.sin(phi)
+        tw[m] = ((c, s), (-s, c), (-c, -s), (s, -c))[quad % 4]
+    n_freq = dim // 2 + 1
+    m = np.outer(np.arange(dim), np.arange(n_freq)) % dim  # j f mod dim
+    w = _weights(dim, gamma)
+    forward = np.empty((dim, n_freq, 2))
+    forward[..., 0] = tw[m, 0] * w[:, None]
+    forward[..., 1] = -tw[m, 1] * w[:, None]
+    scale = np.full(n_freq, 2 / dim)  # frequency f stands for f and dim - f
+    scale[0] = 1 / dim
+    if dim % 2 == 0:
+        scale[-1] = 1 / dim  # dim / 2 is its own partner
+    inverse = np.empty((n_freq, 2, dim))
+    inverse[:, 0] = tw[m.T, 0] * scale[:, None] / w
+    inverse[:, 1] = -tw[m.T, 1] * scale[:, None] / w
+    forward, inverse = forward.reshape(dim, 2 * n_freq), inverse.reshape(2 * n_freq, dim)
+    forward.flags.writeable = inverse.flags.writeable = False
+    return forward, inverse
+
+
+def _x_forward(ctx: _ExtCtx, a: np.ndarray) -> np.ndarray:
+    """rfft(a w) along X for (rows, dim) residues a: one product with ``_x_dft`` up
+    to _X_MATMUL_DIM, pocketfft above."""
+    if ctx.dim > _X_MATMUL_DIM:
+        return np.fft.rfft(a * _weights(ctx.dim, ctx.gamma), axis=1)
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    return (a @ _x_dft(ctx.dim, ctx.gamma)[0]).view(np.complex128)
+
+
+def _x_inverse(ctx: _ExtCtx, s: np.ndarray) -> np.ndarray:
+    """irfft(s) / w along X for (rows, dim // 2 + 1) complex s, as ``_x_forward``."""
+    if ctx.dim > _X_MATMUL_DIM:
+        return np.fft.irfft(s, ctx.dim, axis=1) / _weights(ctx.dim, ctx.gamma)
+    return np.ascontiguousarray(s).view(np.float64) @ _x_dft(ctx.dim, ctx.gamma)[1]
+
+
 def _fft(ctx: _ExtCtx, a: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """The weighted transform of (rows, dim) residues a, zero-padded along Y to shape[0]."""
-    return np.fft.rfft2(a * _weights(ctx.dim, ctx.gamma), shape)
+    return np.fft.fft(_x_forward(ctx, a), shape[0], axis=0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -600,6 +665,15 @@ def _transform_error(n: int) -> float:
             n //= p
         p += 1
     return total
+
+
+@functools.lru_cache(maxsize=None)
+def _x_transform_error(dim: int) -> float:
+    """kappa_X(dim), the error growth along X (``_check_fft_exact``): kappa(dim) above
+    _X_MATMUL_DIM, and the matrix path's 3 sqrt(2 dim) (dim + 10) up to it, 0 at dim 1."""
+    if dim > _X_MATMUL_DIM:
+        return _transform_error(dim)
+    return 0.0 if dim == 1 else 3 * math.sqrt(2 * dim) * (dim + 10)
 
 
 def _rounding_error(ctx: _ExtCtx, norms: float, top: float, kappa: float) -> float:
@@ -621,8 +695,9 @@ def _check_fft_exact(ctx: _ExtCtx, la: int, lb: int, shape: tuple[int, int]) -> 
     B = sqrt(la lb) dim (q-1)^2 bounds ||a||_2 ||b||_2.  The weights w_j <= w_(dim-1)
     raise each norm by at most gamma^((dim-1)/dim) (a factor 1 at dim = 1).
 
-    The transform along Y is radix-2 and the one along X has length dim = q - 1,
-    which can have a large prime factor (46 = 2 * 23, 82 = 2 * 41).  Percival's
+    The transform along Y is radix-2 pocketfft.  The one along X has length
+    dim = q - 1, which can have a large prime factor (46 = 2 * 23, 82 = 2 * 41);
+    up to _X_MATMUL_DIM it is a matrix product, and above it pocketfft.  Percival's
     bound for radix-2 FFT products ("Rapid multiplication modulo the sum and
     difference of highly composite numbers", Math. Comp. 72, 2003; twiddle
     factors accurate to 2^-53) charges 13 * 2^-53 per factor 2 of the length
@@ -639,19 +714,34 @@ def _check_fft_exact(ctx: _ExtCtx, la: int, lb: int, shape: tuple[int, int]) -> 
     algorithm only at lengths of 50 and more whose largest prime factor p has
     p^2 > length, and only where its cost model prefers it (p above ~150);
     Bluestein's bound, two transforms of a smooth length below 4 * length with
-    radices <= 11, is below kappa(p) for every such p.  So the weighted cyclic
-    product is within gamma^(2 (dim-1)/dim) B (kappa(shape[0]) + kappa(dim) + 3)
-    2^-53 of w_k c_k, and dividing by w_k >= 1 does not raise that.  The weights
-    themselves are within (2 + ln gamma) 2^-53 relatively (pow of an argument
-    j/dim rounded once), the weighting and the division round once each, and
-    those errors move each term of c_k relatively, by at most (3 ln gamma + 9)
-    2^-53 together; so they add (3 ln gamma + 9) top 2^-53.  Products are
-    refused where the sum reaches 1/4 (``_rounding_error``); ``_fft_round``
-    checks the rest at run time.
+    radices <= 11, is below kappa(p) for every such p.
+
+    The matrix path (``_x_dft``) is a direct inner-product bound instead.  Each
+    real output of a forward or inverse product sums at most dim + 2 products,
+    so in any order of summation, BLAS blocking and threads included, it is
+    within gamma_(dim+2) |x|^T |y| of the sum over its cached entries (Higham,
+    §3.1), and each entry is within 7 * 2^-53 of its value: together within
+    (dim + 10) 2^-53 times the 1-norm of the weighted row (forward) or 1/dim
+    times that of the full spectrum (inverse).  The 1-norm is at most sqrt(dim)
+    times the 2-norm, and a complex value is two real ones, so each of the
+    three transforms has relative 2-norm error at most sqrt(2 dim) (dim + 10)
+    2^-53: kappa_X(dim) = 3 sqrt(2 dim) (dim + 10) (``_x_transform_error``; above
+    _X_MATMUL_DIM, kappa_X(dim) = kappa(dim)).  At dim 1 the matrices are
+    [1, 0] and its transpose, and the path is exact: kappa_X(1) = 0.
+
+    So the weighted cyclic product is within gamma^(2 (dim-1)/dim) B
+    (kappa(shape[0]) + kappa_X(dim) + 3) 2^-53 of w_k c_k, and dividing by
+    w_k >= 1 does not raise that.  The weights themselves are within
+    (2 + ln gamma) 2^-53 relatively (pow of an argument j/dim rounded once), the
+    weighting and the division round once each (in the matrix path, inside the
+    entries' 7), and those errors move each term of c_k relatively, by at most
+    (3 ln gamma + 9) 2^-53 together; so they add (3 ln gamma + 9) top 2^-53.
+    Products are refused where the sum reaches 1/4 (``_rounding_error``);
+    ``_fft_round`` checks the rest at run time.
     """
     norms = math.sqrt(la * lb) * ctx.dim * (ctx.q - 1) ** 2
     top = min(la, lb) * (ctx.q - 1) ** 2 * (1 + ctx.gamma * (ctx.dim - 1))
-    kappa = _transform_error(shape[0]) + _transform_error(ctx.dim) + 3
+    kappa = _transform_error(shape[0]) + _x_transform_error(ctx.dim) + 3
     if 4 * _rounding_error(ctx, norms, top, kappa) >= 2**53:
         raise ParameterError(
             f"FFT product: {la} x {lb} rows over q = {ctx.q}, dim = {ctx.dim}, "
@@ -663,9 +753,8 @@ def _check_fft_exact(ctx: _ExtCtx, la: int, lb: int, shape: tuple[int, int]) -> 
 def _fft_round(ctx: _ExtCtx, prod_hat: np.ndarray, shape: tuple[int, int], rows: int) -> np.ndarray:
     """Rows 0..rows-1 of the product mod X^dim - gamma with weighted transform
     prod_hat: unweighted, rounded and reduced mod q, as int64.  The inverse runs
-    along Y, then along X on the kept rows only (the two passes of ``irfft2``)."""
-    s = np.fft.ifft(prod_hat, shape[0], axis=0)[:rows]
-    s = np.fft.irfft(s, shape[1], axis=1) / _weights(ctx.dim, ctx.gamma)
+    along Y, then along X on the kept rows only (``_x_inverse``)."""
+    s = _x_inverse(ctx, np.fft.ifft(prod_hat, shape[0], axis=0)[:rows])
     r = np.rint(s)
     if not np.abs(s - r).max() <= 0.25:  # NaN fails too
         raise FloatingPointError("FFT product strayed from the integers")
@@ -827,8 +916,9 @@ class FrobeniusReducer:
     every product checks the float64 bound of ``_check_fft_exact``.  The Newton
     round from precision p to 2p needs only rows p..2p-1 of e = rev(R) * inv - 1,
     which vanishes below p: they are rows of the product mod Y^N - 1 for
-    N >= 2p, whose rows past N wrap below p, and the correction is the
-    (2p-1)-row product inv * e[p:2p].  A coefficient of a cyclic product of la
+    N >= 2p, whose rows past N wrap below p.  The correction, the (2p-1)-row
+    product inv * e[p:2p], does not wrap at that N either, so it reuses the
+    transform of inv and checks its own size.  A coefficient of a cyclic product of la
     and lb <= N rows is still a sum of at most min(la, lb) * dim products of
     residues, so the sizes of the final inverse and of R, checked before the
     iteration, bound every round.
@@ -851,20 +941,23 @@ class FrobeniusReducer:
     default, steps q-th power steps) and T_setup is the Newton set-up when it
     has not run yet and products reach Barrett at all.  The costs are in
     seconds, with M(n) = 2^ceil(log2 n) * dim the points of a product transform:
-    T_build = 8.9e-10 d^2 q dim + 3.2e-5 (d + q), the table build below;
-    T_table = 4.6e-10 d^2 dim + 2.0e-8 d dim + 3.3e-5, one step;
-    t(n) = 4.4e-9 M(n) log2 M(n) + 2.0e-4, a mulmod whose product has n rows,
+    T_build = 6.1e-10 d^2 q dim + 2.0e-5 (d + q), the table build below on a
+    fresh reducer (with Y^q from ``_power_of_y`` where d < q);
+    T_table = 6.3e-10 d^2 dim + 2.6e-10 d dim^2 + 2.3e-5, one step, whose two
+    X-transforms are products with dim x dim matrices;
+    t(n) = 3.4e-9 M(n) log2 M(n) + 9.3e-5, a mulmod whose product has n rows,
     so T_mul = t(2d - 1), and T_setup = sum of t(2p - 1) over the Newton
     precisions p = 2, 4, ..., d - 1.  Each formula is a least-squares fit, in
-    relative error, to the minimum of interleaved timings on a 2-vCPU x86 VM
+    relative error, to the minimum of 15 interleaved timings on a 2-vCPU x86 VM
     with one BLAS thread, over q in {13, 31, 47, 61, 83, 101} and d from 10 to
-    600 (125 for the table), within 0.75-1.5x of every timing.  For k + 1 = 3
-    steps the rule keeps the table up to d 58, 60, 48 and 28 at q = 13, 31, 61
-    and 101; timed, the crossovers lie at d 50-54, 48-52, 34-40 and 36-40 (the
-    modelled chain is 1.2-1.4x its timing at q = 31 and 61).
-    T_build was fitted on a build that stepped through all q powers P[i] below;
-    where d < q the build takes Y^q from ``_power_of_y`` instead, so the rule
-    overestimates it there and errs only toward square-and-multiply.
+    600 (125 for the table): within 0.72-1.20x of every mulmod timing,
+    0.75-1.25x of every step and 0.69-1.19x of every build.  For k + 1 = 3
+    steps the rule keeps the table up to d 46, 56, 46 and 26 at q = 13, 31, 61
+    and 101; timed, the crossovers lie at d 48-52, 52-56 (a tie up to 80),
+    40-44 and 40-44.  M(n) doubles where n passes a power of two, but a
+    mulmod's time rises ~25 % there (its X-transforms and the reduction run on
+    the unpadded rows), so the rule misplaces a few d just past one: it keeps
+    the table at q = 61, d 66 and drops it at q = 101, d 28-32.
 
     The table is built in two parts.  First P[i] = Y^(d+i) mod R for
     lo <= i < q, lo = max(q - d, 0), the only ones that row j-1 can reach:
@@ -874,10 +967,10 @@ class FrobeniusReducer:
     the terms c_t Y^(t+q) with t + q < d stay as they are, and the high
     coefficients h_i = c_(d-q+i) (the ones that reach Y^(d+i)) add
     sum_i h_i P[i].  That sum runs in the Fourier domain along X:
-    gamma-weighted real FFTs of length dim (``_weights``), one (1 x q) @ (q x d)
-    complex product per frequency, dim // 2 + 1 of them, and an inverse FFT that
-    gives w_k times the coefficients of X^k mod X^dim - gamma.  These are
-    unweighted, rounded and reduced mod q.  Only the transforms of P and of
+    gamma-weighted real DFTs of length dim (``_x_forward``), one (1 x q) @ (q x d)
+    complex product per frequency, dim // 2 + 1 of them, and an unweighting
+    inverse (``_x_inverse``) that gives the coefficients of X^k mod
+    X^dim - gamma, rounded and reduced mod q.  Only the transforms of P and of
     the rows, laid out (frequency, j, t), are kept.
 
     Exactness: a coefficient of the build's sum adds min(q, d) pairs
@@ -885,8 +978,10 @@ class FrobeniusReducer:
     products of residues, gamma times the ones that wrap.  So with
     n = max(q, d) it lies in [0, top], top = n (q-1)^2 (1 + gamma (dim - 1)),
     and B = n dim (q-1)^2 bounds the pairs' sum of ||.||_2 ||.||_2.  The bound
-    of ``_check_fft_exact`` carries over with kappa(dim) + 3 replaced by
-    kappa(dim) + 2n + 3, the extra 2n for the n-term complex sum.  ``plan``
+    of ``_check_fft_exact`` carries over with kappa(N) + kappa_X(dim) + 3
+    replaced by kappa_X(dim) + 2n + 3: no transform along Y, and 2n for the
+    n-term complex sum; kappa_X(dim) is the matrix path's direct inner-product
+    bound up to _X_MATMUL_DIM (``_x_transform_error``).  ``plan``
     never builds a table where that reaches 1/4 (``_build_table`` refuses it
     with ParameterError), and every sum checks that each value lies within
     1/4 of an integer before it is rounded.
@@ -908,7 +1003,8 @@ class FrobeniusReducer:
         q, dim = ctx.q, ctx.dim
         n = max(q, self.R.shape[0] - 1)  # pairs in a build's sum (<= q) and a step's (<= deg R)
         top = n * (q - 1) ** 2 * (1 + ctx.gamma * (dim - 1))
-        return _rounding_error(ctx, n * dim * (q - 1) ** 2, top, _transform_error(dim) + 2 * n + 3)
+        kappa = _x_transform_error(dim) + 2 * n + 3
+        return _rounding_error(ctx, n * dim * (q - 1) ** 2, top, kappa)
 
     def plan(self, steps: int, products: int | None = None) -> None:
         """Build the table if it is exact and pays for `steps` more steps that would
@@ -922,7 +1018,7 @@ class FrobeniusReducer:
 
         def t_mul(rows):  # a mulmod whose product has `rows` rows
             m = math.prod(_fft_shape(self.ctx, rows))
-            return 4.4e-9 * m * math.log2(m) + 2.0e-4
+            return 3.4e-9 * m * math.log2(m) + 9.3e-5
 
         t_direct = products * t_mul(2 * d - 1)
         if products and d - 1 >= _BARRETT_ROWS and self._inv_hat is None:  # Barrett set-up
@@ -930,8 +1026,8 @@ class FrobeniusReducer:
             while prec < d - 1:
                 prec = min(2 * prec, d - 1)
                 t_direct += t_mul(2 * prec - 1)
-        t_build = 8.9e-10 * d * d * q * dim + 3.2e-5 * (d + q)
-        t_table = 4.6e-10 * d * d * dim + 2.0e-8 * d * dim + 3.3e-5
+        t_build = 6.1e-10 * d * d * q * dim + 2.0e-5 * (d + q)
+        t_table = 6.3e-10 * d * d * dim + 2.6e-10 * d * dim * dim + 2.3e-5
         if t_build + steps * t_table < t_direct:
             self._build_table()
 
@@ -944,13 +1040,12 @@ class FrobeniusReducer:
                 f"Frobenius table: q = {q}, dim = {dim}, gamma = {ctx.gamma}: the rounding "
                 f"bound of the Fourier-domain sum reaches 1/4, it would not be exact"
             )
-        w = _weights(dim, ctx.gamma)
         lo = max(q - lr, 0)  # Y^q * (row j-1) reaches Y^(lr+i) only for i >= lo
         p_hat = np.empty((dim // 2 + 1, q - lo, lr), dtype=np.complex128)
         p0 = (-self.R[:lr] % q).astype(np.float64)
         p = _yp_pad(self._power_of_y(q), lr).astype(np.float64) if lo else p0
         for i in range(lo, q):
-            p_hat[:, i - lo, :] = np.fft.rfft(p * w, axis=1).T
+            p_hat[:, i - lo, :] = _x_forward(ctx, p).T
             top = p[-1]
             p = np.concatenate((np.zeros((1, dim)), p[:-1]))
             if top.any():
@@ -960,7 +1055,7 @@ class FrobeniusReducer:
         row = np.zeros((lr, dim))
         row[0, 0] = 1
         for j in range(lr):
-            row_hat = np.fft.rfft(row * w, axis=1)
+            row_hat = _x_forward(ctx, row)
             table[:, j, :] = row_hat.T
             if j + 1 < lr:  # row j+1: the high rows add sum_i h_i P[i], the low ones shift
                 low = row[:keep]
@@ -973,9 +1068,8 @@ class FrobeniusReducer:
         """sum_i h_i P_i, rounded but not reduced, from the weighted X-transforms h_hat
         (n, F) of scalars and p_hat (F, n, cols) of rows of cols residues: one
         (1 x n) @ (n x cols) product per frequency and one inverse transform."""
-        w = _weights(self.ctx.dim, self.ctx.gamma)
         s_hat = np.matmul(h_hat.T[:, None, :], p_hat)[:, 0, :]
-        s = np.fft.irfft(s_hat.T, n=self.ctx.dim, axis=1) / w
+        s = _x_inverse(self.ctx, s_hat.T)
         r = np.rint(s)
         if not np.abs(s - r).max() <= 0.25:  # NaN fails too
             raise FloatingPointError("Fourier-domain sum strayed from the integers")
@@ -998,11 +1092,14 @@ class FrobeniusReducer:
         while inv.shape[0] < n:
             old = inv.shape[0]
             prec = min(2 * old, n)
-            # rows old..prec-1 of e = rev(R) * inv - 1, from a cyclic product (class docstring)
+            # rows old..prec-1 of e = rev(R) * inv - 1, from a cyclic product, and the
+            # correction inv * e[old:] (prec - 1 rows) at the same length, on the same
+            # transform of inv (class docstring)
             shape = _fft_shape(ctx, prec)
-            e_hat = _fft(ctx, rev[:prec], shape) * _fft(ctx, inv, shape)
-            e = _fft_round(ctx, e_hat, shape, prec)[old:]
-            corr = _yp_pad(_yp_mul(ctx, inv, e), prec - old)
+            inv_hat = _fft(ctx, inv, shape)
+            e = _fft_round(ctx, _fft(ctx, rev[:prec], shape) * inv_hat, shape, prec)[old:]
+            _check_fft_exact(ctx, old, prec - old, shape)
+            corr = _fft_round(ctx, inv_hat * _fft(ctx, e, shape), shape, prec - old)
             inv = np.concatenate((inv, -corr % ctx.q))
         self._inv_hat = _fft(ctx, inv, self._inv_shape)
         self._r_hat = _fft(ctx, self.R, self._r_shape)
@@ -1050,7 +1147,7 @@ class FrobeniusReducer:
             return u
         if self._table is None:
             return self.pow_mod(u, ctx.q)
-        u_hat = np.fft.rfft(_sc_frobenius(ctx, u, 1) * _weights(ctx.dim, ctx.gamma), axis=1)
+        u_hat = _x_forward(ctx, _sc_frobenius(ctx, u, 1))
         prod = self._fourier_sum(u_hat, self._table[:, : u.shape[0]])
         return _yp_trim(_fmod(prod, ctx.q).astype(np.int64))
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import tracemalloc
@@ -723,6 +724,89 @@ def test_fourier_domain_step_matches_reference_power(q, deg):
         reducer.step(inputs[-1])
 
 
+# the X-transform helpers at small dims, ladder dims, and on both sides of the
+# crossover from the matrix product to pocketfft
+_X_DIMS = sorted({1, 2, 6, 12, 30, 64, 100, poly._X_MATMUL_DIM - 1, poly._X_MATMUL_DIM + 1})
+
+
+@pytest.mark.parametrize("dim", _X_DIMS)
+def test_x_transform_matches_pocketfft_within_the_stated_bound(dim):
+    # each frequency of the matrix path is within sqrt(2) (dim + 10) 2^-53 ||a w||_1
+    # of the exact transform (``_check_fft_exact``) and pocketfft's within
+    # kappa(dim) / 3 2^-53 sqrt(dim) ||a w||_2; above the crossover the helpers
+    # are pocketfft's rfft and irfft, bit for bit
+    ctx = _ExtCtx(65537, dim, 3)
+    w = poly._weights(dim, 3)
+    rng = np.random.default_rng(dim)
+    a = np.vstack([rng.integers(0, ctx.q, (6, dim)), np.full((1, dim), ctx.q - 1)])
+    got, ref = poly._x_forward(ctx, a), np.fft.rfft(a * w, axis=1)
+    assert got.shape == ref.shape == (7, dim // 2 + 1)
+    if dim > poly._X_MATMUL_DIM:
+        assert np.array_equal(got, ref)
+        assert np.array_equal(poly._x_inverse(ctx, ref), np.fft.irfft(ref, dim, axis=1) / w)
+        assert poly._x_transform_error(dim) == poly._transform_error(dim)
+        return
+    x = a * w
+    bound = math.sqrt(2) * (dim + 10) * np.abs(x).sum(axis=1)
+    bound += poly._transform_error(dim) / 3 * math.sqrt(dim) * np.linalg.norm(x, axis=1)
+    assert (np.abs(got - ref) <= bound[:, None] * 2.0**-53).all()
+    assert poly._x_transform_error(dim) == (0 if dim == 1 else 3 * math.sqrt(2 * dim) * (dim + 10))
+    if dim == 1:  # [1, 0] and its transpose: exact
+        assert np.array_equal(got, a.astype(np.complex128))
+    forward, inverse = poly._x_dft(dim, 3)
+    for m in (forward, inverse):
+        with pytest.raises(ValueError, match="read-only"):
+            m.flat[0] = 0
+
+
+@pytest.mark.parametrize("dim", _X_DIMS)
+def test_x_transform_round_trip_is_exact(dim):
+    # integer residues through the forward and the inverse helper come back
+    # within 1/4 of themselves, so rounding returns them exactly
+    ctx = _ExtCtx(65537, dim, 3)
+    rng = np.random.default_rng(100 + dim)
+    a = np.vstack([rng.integers(0, ctx.q, (9, dim)), np.full((1, dim), ctx.q - 1)])
+    a = np.vstack([a, np.eye(1, dim, dim - 1, dtype=np.int64)])
+    back = poly._x_inverse(ctx, poly._x_forward(ctx, a))
+    assert np.abs(back - a).max() <= 0.25
+    assert np.array_equal(np.rint(back).astype(np.int64), a)
+
+
+def _nudged_dft(which):
+    """A stand-in for ``poly._x_dft`` whose forward (0) or inverse (1) matrix has its
+    frequency-2 real entry at j = 3 (forward) or k = 3 (inverse) moved by 0.01."""
+    clean = poly._x_dft
+
+    def nudged(dim, gamma):
+        mats = [m.copy() for m in clean(dim, gamma)]
+        mats[which][(3, 4) if which == 0 else (4, 3)] += 0.01
+        return tuple(mats)
+
+    return nudged
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_x_transform_fault_is_caught(monkeypatch, which):
+    # a wrong entry in a cached matrix moves the product and the Fourier-domain
+    # sum off the integers, and both refuse to round them
+    ctx = standard_extension(13).ctx
+    a = np.full((9, ctx.dim), ctx.q - 1, dtype=np.int64)
+    shape = poly._fft_shape(ctx, 17)
+    reducer = FrobeniusReducer(ctx, _shaped_yp(random.Random(13), ctx, 40, "random"))
+    reducer._build_table()
+    square = _fft_round(ctx, poly._fft(ctx, a, shape) ** 2, shape, 17)
+    assert np.array_equal(square, _ref_mul(ctx, a, a))
+    h_hat = poly._x_forward(ctx, a)
+    monkeypatch.setattr(poly, "_x_dft", _nudged_dft(which))
+    with pytest.raises(FloatingPointError):
+        _fft_round(ctx, poly._fft(ctx, a, shape) ** 2, shape, 17)
+    # a nudged forward reaches the sum through the transform of the row it sums,
+    # a nudged inverse through the sum's inverse transform
+    h = poly._x_forward(ctx, a) if which == 0 else h_hat
+    with pytest.raises(FloatingPointError):
+        reducer._fourier_sum(h, reducer._table[:, :9])
+
+
 def test_frobenius_reducer_step_matches_generic_power():
     # u -> u^q mod R on both paths (table, square-and-multiply) must agree
     # with reference powering for monomial, single-row, top-row-only and
@@ -861,6 +945,23 @@ def test_newton_inverse_of_reversed_modulus(ctx, deg, seed):
     assert np.array_equal(_yp_trim(prod[:n]), _yp_monomial(ctx, 0))
 
 
+@pytest.mark.parametrize(
+    "deg, digest", [(125, "0a3c146847aa9bfb"), (189, "efdeaa2c7da79fe2"), (1922, "4dcdf838157304b3")]
+)
+def test_newton_inverse_matches_recorded_digests(deg, digest):
+    # each Newton round's correction runs at the length of its e product, on the
+    # same transform of inv; the inverse is bit for bit the one recorded when the
+    # correction was a product of its own, at 2^ceil(log2(prec - 1)) rows
+    ctx = standard_extension(31).ctx
+    rng = random.Random(deg)
+    R = np.array([[rng.randrange(31) for _ in range(ctx.dim)] for _ in range(deg + 1)], dtype=np.int64)
+    R[-1] = np.eye(1, ctx.dim, dtype=np.int64)[0]
+    reducer = FrobeniusReducer(ctx, R)
+    reducer._setup_barrett()
+    inv = _fft_round(ctx, reducer._inv_hat, reducer._inv_shape, deg - 1)
+    assert hashlib.sha256(inv.tobytes()).hexdigest()[:16] == digest
+
+
 def test_linearized_residue_squares_up_from_y():
     # deg R 125 over F_31^30 with the k = 2 vanishing polynomial: Y^(q^i) for
     # i = 1, 2, 3 take 0, 2 and 7 squarings from Y, where q-th power steps
@@ -915,12 +1016,13 @@ def test_float64_paths_refuse_inexact_sizes():
     with pytest.raises(ParameterError):
         FrobeniusReducer(ctx, _yp_monomial(ctx, 2**7))
     # building the table sums q pairs of weighted length-dim transforms per
-    # coefficient: 3^(2 * 63/64) B (kappa(64) + 2q + 3) + (3 ln 3 + 9) top must
+    # coefficient: 3^(2 * 63/64) B (kappa_X(64) + 2q + 3) + (3 ln 3 + 9) top must
     # stay below 2^51 with B = q dim (q-1)^2, top = q (q-1)^2 (1 + 3 (dim - 1))
-    # and kappa(64) = 6 * 13; with dim = 2^6 and gamma = 3, q = 1183 reaches it
-    ctx = _ExtCtx(1182, 2**6, 3)
+    # and the matrix path's kappa_X(64) = 3 sqrt(128) (64 + 10); with dim = 2^6
+    # and gamma = 3, q = 969 reaches it
+    ctx = _ExtCtx(968, 2**6, 3)
     FrobeniusReducer(ctx, _yp_monomial(ctx, 1))._build_table()
-    ctx = _ExtCtx(1183, 2**6, 3)
+    ctx = _ExtCtx(969, 2**6, 3)
     with pytest.raises(ParameterError):
         FrobeniusReducer(ctx, _yp_monomial(ctx, 1))._build_table()
     # long division leaves window values down to -dim (q-1)^2 for _fmod, which
@@ -947,12 +1049,12 @@ def test_float64_paths_refuse_inexact_sizes():
 
 def test_table_bound_charges_the_steps_sum():
     # a build sums at most q pairs and a step deg R, so past deg R = q the
-    # bound grows with deg R: with q = 3047, dim 3 and gamma 3 a q-pair sum is
+    # bound grows with deg R: with q = 3039, dim 3 and gamma 3 a q-pair sum is
     # exact, and the deg R = q + 1 table is refused before it is built
-    ctx = _ExtCtx(3047, 3, 3)
+    ctx = _ExtCtx(3039, 3, 3)
     FrobeniusReducer(ctx, _yp_monomial(ctx, 1))._build_table()
     with pytest.raises(ParameterError):
-        FrobeniusReducer(ctx, _yp_monomial(ctx, 3048))._build_table()
+        FrobeniusReducer(ctx, _yp_monomial(ctx, 3040))._build_table()
 
 
 def test_fft_product_refuses_inexact_sizes():
@@ -968,12 +1070,13 @@ def test_fft_product_refuses_inexact_sizes():
     with pytest.raises(ParameterError):
         _yp_mul(ctx, b, b)
     # weighted, with q - 1 = 2^16, dim = 6 = 2 * 3 and gamma = 5:
-    # 5^(2 * 5/6) n dim (q-1)^2 (kappa(N) + kappa(6) + 3) + (3 ln 5 + 9) top
-    # reaches 2^51 first at n = 43 (N = 128); top = n (q-1)^2 (1 + 5 * 5)
+    # 5^(2 * 5/6) n dim (q-1)^2 (kappa(N) + kappa_X(6) + 3) + (3 ln 5 + 9) top
+    # reaches 2^51 first at n = 24 (N = 64), with the matrix path's
+    # kappa_X(6) = 3 sqrt(12) (6 + 10); top = n (q-1)^2 (1 + 5 * 5)
     ctx = _ExtCtx(2**16 + 1, 6, 5)
-    a = np.full((42, 6), ctx.q - 1, dtype=np.int64)
+    a = np.full((23, 6), ctx.q - 1, dtype=np.int64)
     assert _yp_mul(ctx, a, a).tolist() == _ring_poly_mul(ctx, a, a)
-    b = np.full((43, 6), ctx.q - 1, dtype=np.int64)
+    b = np.full((24, 6), ctx.q - 1, dtype=np.int64)
     with pytest.raises(ParameterError):
         _yp_mul(ctx, b, b)
 
