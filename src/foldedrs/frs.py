@@ -97,12 +97,6 @@ class FRSParams:
             pts.append(pts[-1] * g % q)
         return pts
 
-    def message_from_ints(self, coeffs) -> UniPoly:
-        msg = UniPoly.from_ints(self.field, coeffs)
-        if msg.degree > self.k:
-            raise ValueError(f"message degree {msg.degree} exceeds the bound k = {self.k}")
-        return msg
-
 
 def encode(params: FRSParams, msg: UniPoly) -> Codeword:
     """Folded codeword of a message polynomial.

@@ -94,11 +94,6 @@ class PrimeField:
     def one(self) -> "FieldElem":
         return FieldElem(1, self)
 
-    def elements(self):
-        """All field elements, in value order."""
-        for v in range(self.q):
-            yield FieldElem(v, self)
-
     @property
     def size(self) -> int:
         return self.q

@@ -7,8 +7,9 @@ Exit codes: 0 success, 1 decode-parameter rejection, 2 I/O or format error,
 File formats: a message file holds k+1 whitespace-separated ints, low degree
 first; a word file holds N lines of m space-separated ints; a recovery-sets
 file holds N lines, each a ';'-separated list of comma-separated m-tuples
-(for example "1,2;4,3" is a two-element set of pairs).  Simulation and bound
-CSVs print exact integers or 6-decimal fixed point.
+(for example "1,2;4,3" is a two-element set of pairs); an empty line is the
+empty set.  Simulation and bound CSVs print exact integers or 6-decimal
+fixed point.
 """
 
 from __future__ import annotations
@@ -135,9 +136,10 @@ def apply_channel(cw, spec: ChannelSpec, rng: random.Random | None = None, q: in
             raise ValueError("error position out of range")
     values = None
     if spec.kind == FIXED and spec.values is not None:
-        if len(spec.values) != spec.e:
+        # each value goes with its position in the caller's order
+        values = {p: tuple(v) for p, v in zip(spec.positions, spec.values)}
+        if len(spec.values) != spec.e or len(values) != spec.e:
             raise ValueError("need one replacement tuple per position")
-        values = {p: tuple(v) for p, v in zip(positions, spec.values)}
     for p in positions:
         if values is not None:
             repl = values[p]
@@ -265,16 +267,13 @@ def emit_bound_curves(m_list, s_list, r: int, grid_step: float) -> str:
 
 
 def read_recovery_sets(path: str, params: FRSParams, l: int) -> RecoverySets:
+    """One set per line; an empty line is the empty set (an erased position)."""
     rows = []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
-            if not line:
-                continue
-            tuples = []
-            for chunk in line.split(";"):
-                tuples.append(tuple(int(v) for v in chunk.split(",")))
-            rows.append(tuples)
+            chunks = line.split(";") if line else []
+            rows.append([tuple(int(v) for v in chunk.split(",")) for chunk in chunks])
     return RecoverySets.from_iterables(rows, l)
 
 

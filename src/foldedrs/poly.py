@@ -19,7 +19,9 @@ Three layers live here:
   dim, which multiplies mod X^dim - gamma directly (Crandall & Fagin,
   "Discrete weighted transforms and large-integer arithmetic", Math. Comp. 62,
   1994), one product with a cached real-DFT matrix up to dim 100 (``_x_dft``).
-  ``FrobeniusReducer`` reduces them mod a fixed R by Barrett reduction.  Root
+  ``FrobeniusReducer`` reduces them mod a fixed R by Barrett reduction.  Long
+  division is one inverse-free row loop (``_yp_divide``): exact for a monic
+  divisor, a unit multiple of the remainder otherwise (the gcd's steps).  Root
   finding is one pipeline on these arrays, over every field: the roots of R
   in the subspace V_k of elements with representative degree <= k are those
   of g = gcd(R, L_k mod R) (``_subspace_residue``), where L_k is the q-linearized
@@ -250,9 +252,6 @@ class Monomial:
 
     def weighted_degree(self, k: int) -> int:
         return self.exponents[0] + k * sum(self.exponents[1:])
-
-    def total_degree(self) -> int:
-        return sum(self.exponents)
 
 
 def _compositions(total: int, parts: int):
@@ -785,31 +784,51 @@ def _fmod(x: np.ndarray, q: int) -> np.ndarray:
     return x
 
 
-def _yp_divmod(ctx: _ExtCtx, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Long division with a float64 remainder whose rows stay reduced mod q.
+def _yp_divide(ctx: _ExtCtx, rem: np.ndarray, b: np.ndarray, quo: np.ndarray | None = None):
+    """Long division of float64 residues rem (overwritten) by a nonzero float64 b,
+    with no inverse; returns the remainder rows.
 
-    Each quotient row subtracts entries in [0, dim (q-1)^2] from a reduced window,
-    leaving |x| <= dim (q-1)^2 <= 2^53 - q (_ExtCtx checks it) for one exact _fmod.
+    For a monic b each quotient row is the top row c of rem, exact: it goes to
+    quo[top - deg b] when quo is given, and the deg b + 1 rows ending at the top
+    lose b * c and are reduced.  For
+    any other b (the gcd's non-normal steps) each quotient row first multiplies
+    the live rows by lc(b), so the result is a unit multiple of rem mod b.
+    Every product has entries in [0, dim (q-1)^2], so |x| <= dim (q-1)^2 <=
+    2^53 - q (_ExtCtx checks it) before each exact _fmod.
     """
+    lb = b.shape[0]
+    lead = None if _sc_is_one(ctx, b[-1]) else _sc_matrix(ctx, b[-1])
+    for top in range(rem.shape[0] - 1, lb - 2, -1):
+        if rem[top].any():
+            head = _sc_matrix(ctx, rem[top])
+            if lead is None:
+                if quo is not None:
+                    quo[top - lb + 1] = rem[top]
+                live = rem[top - lb + 1 : top + 1]
+            else:
+                live = rem[: top + 1]
+                live[:] = live @ lead
+            live[-lb:] -= b @ head
+            _fmod(live, ctx.q)
+    return _yp_trim(rem[: lb - 1])
+
+
+def _yp_divmod(ctx: _ExtCtx, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(quotient, remainder) of a by a nonzero b; a non-monic b is made monic
+    once, and its quotient scaled back."""
     b = _yp_trim(b)
     if b.shape[0] == 0:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = (a % ctx.q).astype(np.float64)
     lb = b.shape[0]
-    if rem.shape[0] < lb:
+    if a.shape[0] < lb:
         return _yp_zero(ctx), _yp_trim(a % ctx.q)
     lead_inv = None if _sc_is_one(ctx, b[-1]) else _sc_inv(ctx, b[-1])
-    bf = b.astype(np.float64)
-    quo = np.zeros((rem.shape[0] - lb + 1, ctx.dim), dtype=np.int64)
-    for top in range(rem.shape[0] - 1, lb - 2, -1):
-        head = rem[top].astype(np.int64)
-        if head.any():
-            c = head if lead_inv is None else _sc_mul(ctx, head, lead_inv)
-            quo[top - lb + 1] = c
-            window = rem[top - lb + 1 : top + 1]
-            window -= bf @ _sc_matrix(ctx, c).astype(np.float64)
-            _fmod(window, ctx.q)
-    return _yp_trim(quo), _yp_trim(rem[: lb - 1].astype(np.int64))
+    if lead_inv is not None:
+        b = _yp_scalar_mul(ctx, b, lead_inv)
+    quo = np.zeros((a.shape[0] - lb + 1, ctx.dim), dtype=np.int64)
+    rem = _yp_divide(ctx, (a % ctx.q).astype(np.float64), b.astype(np.float64), quo)
+    quo = _yp_trim(quo) if lead_inv is None else _yp_scalar_mul(ctx, quo, lead_inv)
+    return quo, rem.astype(np.int64)
 
 
 def _yp_mod(ctx: _ExtCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -823,27 +842,6 @@ def _yp_monic(ctx: _ExtCtx, a: np.ndarray) -> np.ndarray:
     if _sc_is_one(ctx, a[-1]):
         return a
     return _yp_scalar_mul(ctx, a, _sc_inv(ctx, a[-1]))
-
-
-def _yp_unit_rem(ctx: _ExtCtx, rem: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A unit multiple of rem mod b for float64 residues rem (overwritten) and a
-    nonzero b, with no inverse: each quotient row multiplies the live remainder
-    by lc(b), subtracts head * b and reduces it, two products and one _fmod a row.
-
-    Both products have entries in [0, dim (q-1)^2], so |x| <= dim (q-1)^2 before
-    each exact _fmod, as in ``_yp_divmod``.
-    """
-    lb = b.shape[0]
-    lead = None if _sc_is_one(ctx, b[-1]) else _sc_matrix(ctx, b[-1])
-    for top in range(rem.shape[0] - 1, lb - 2, -1):
-        if rem[top].any():
-            head = _sc_matrix(ctx, rem[top])
-            live = rem[: top + 1]
-            if lead is not None:
-                live[:] = live @ lead
-            live[top - lb + 1 :] -= b @ head
-            _fmod(live, ctx.q)
-    return _yp_trim(rem[: lb - 1])
 
 
 def _yp_gcd(ctx: _ExtCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -863,11 +861,11 @@ def _yp_gcd(ctx: _ExtCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     dim (q-1)^2 before the _fmod.  max(2 dim (q-1)^2, gamma top) + q <= 2^53 is
     checked once per call; it holds for prime fields up to q ~ 6.7e7 (gamma = 0),
     for extensions up to q ~ 1.3e5 at gamma = 2 and for every gamma up to
-    q ~ 1550.  Past it every step goes through ``_yp_unit_rem``, which reduces
-    after each quotient row, and so do all other steps (deg a - deg b != 1, or
-    deg b = 0).
+    q ~ 1550.  Past it every step goes through the long division ``_yp_divide``,
+    which reduces after each quotient row, and so do all other steps
+    (deg a - deg b != 1, or deg b = 0).
 
-    r is lc times the remainder of ``_yp_unit_rem``'s two rows when its second
+    r is lc times the remainder of ``_yp_divide``'s two rows when its second
     head q0 vanishes, and equal to it otherwise; a unit factor leaves the
     monic gcd as it is.
     """
@@ -879,7 +877,7 @@ def _yp_gcd(ctx: _ExtCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     while b.shape[0] > 0:
         n = b.shape[0]
         if not (fused and a.shape[0] == n + 1 and n >= 2):
-            a, b = b, _yp_unit_rem(ctx, a, b)
+            a, b = b, _yp_divide(ctx, a, b)
             continue
         lc, an = b[-1], a[-1]
         pad[0, :dim], pad[1, :dim], pad[2, :dim] = lc, an, a[-2]

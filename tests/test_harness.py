@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from foldedrs.frs import FRSParams, encode, folded_agreement, read_word
+from foldedrs.frs import FRSParams, RecoverySets, encode, folded_agreement, read_word
 from foldedrs.harness import (
     BOUNDS_HEADER,
     SIMULATE_HEADER,
@@ -16,9 +16,11 @@ from foldedrs.harness import (
     emit_bound_curves,
     oracle_decode,
     pipeline_threshold,
+    read_recovery_sets,
     run_cli,
     simulate,
     simulate_csv,
+    write_recovery_sets,
 )
 from foldedrs.poly import UniPoly
 
@@ -78,6 +80,21 @@ def test_channel_fixed_positions_and_values():
     out = apply_channel(cw, spec, q=13)
     assert out[0] == (9, 9, 9) and out[2] == (8, 8, 8)
     assert out[1] == cw[1] and out[3] == cw[3]
+
+
+def test_channel_fixed_positions_pair_values_in_given_order():
+    # unsorted positions: each value goes with its own position, not with the
+    # position of the same rank
+    cw = encode(P13, UniPoly.from_ints(P13.field, [1, 1, 1]))
+    spec = ChannelSpec(
+        kind="fixed-positions",
+        e=2,
+        positions=(3, 1),
+        values=((9, 9, 9), (8, 8, 8)),
+    )
+    out = apply_channel(cw, spec, q=13)
+    assert out[3] == (9, 9, 9) and out[1] == (8, 8, 8)
+    assert out[0] == cw[0] and out[2] == cw[2]
 
 
 def test_channel_fixed_positions_validation():
@@ -240,6 +257,32 @@ def test_cli_recover(tmp_path, capsys):
     setsf.write_text("\n".join(lines) + "\n")
     rc = run_cli(["recover", "--q", "13", "--m", "3", "--k", "1", "--s", "2", "--r", "2",
                   "--l", "2", "--in", str(setsf)])
+    assert rc == 0
+    assert "4 9" in capsys.readouterr().out.splitlines()
+
+
+def test_recovery_sets_roundtrip_keeps_empty_sets(tmp_path):
+    # an empty set is an empty line, at the start, in the middle and at the end
+    p = FRSParams(q=13, m=3, k=1, s=2, r=2)
+    sets = RecoverySets.from_iterables(
+        [[], [(1, 2, 3), (4, 5, 6)], [], [(7, 8, 9)], []], 2
+    )
+    path = tmp_path / "sets.txt"
+    write_recovery_sets(str(path), sets)
+    assert path.read_text() == "\n1,2,3;4,5,6\n\n7,8,9\n\n"
+    assert read_recovery_sets(str(path), p, 2) == sets
+
+
+def test_cli_recover_with_an_erased_position(tmp_path, capsys):
+    p = FRSParams(q=13, m=3, k=1, s=2, r=2)
+    msg = UniPoly.from_ints(p.field, [4, 9])
+    cw = encode(p, msg)
+    sets = [[tuple(sym)] for sym in cw]
+    sets[p.N // 2] = []
+    setsf = tmp_path / "sets.txt"
+    write_recovery_sets(str(setsf), RecoverySets.from_iterables(sets, 1))
+    rc = run_cli(["recover", "--q", "13", "--m", "3", "--k", "1", "--s", "2", "--r", "2",
+                  "--l", "1", "--in", str(setsf)])
     assert rc == 0
     assert "4 9" in capsys.readouterr().out.splitlines()
 

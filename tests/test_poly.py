@@ -29,6 +29,7 @@ from foldedrs.poly import (
     _roots_arr,
     _uni_array,
     _yp_add,
+    _yp_divide,
     _yp_divmod,
     _yp_gcd,
     _yp_mod,
@@ -621,6 +622,34 @@ def test_gcd_matches_long_division_euclid(ctx, rows, common, seed):
         a, b = _ref_mul(ctx, a, h), _ref_mul(ctx, b, h)
     assert np.array_equal(_yp_gcd(ctx, a, b), _ref_gcd(ctx, a, b))
     assert np.array_equal(_yp_gcd(ctx, b, a), _ref_gcd(ctx, b, a))
+
+
+# dim 1, 12, 30, 82 and 100
+_DIVIDE_CTXS = [_PRIME_CTXS[0]] + [standard_extension(q).ctx for q in (13, 31, 83, 101)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ctx=st.sampled_from(_DIVIDE_CTXS),
+    rows=st.tuples(st.integers(1, 30), st.integers(1, 12)),
+    monic=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_long_division_by_monic_and_non_monic_divisors(ctx, rows, monic, seed):
+    # _yp_divmod is exact for every divisor; the gcd's mode of _yp_divide (a
+    # non-monic b, no inverse) gives a unit multiple of the same remainder
+    rng = random.Random(seed)
+    a = _shaped_yp(rng, ctx, rows[0], "random")
+    b = _shaped_yp(rng, ctx, rows[1], "random")
+    if monic:
+        b = _yp_monic(ctx, b)
+    elif b[-1, 0] == 1 and not b[-1, 1:].any():
+        b[-1, 0] = 2
+    quo, rem = _yp_divmod(ctx, a, b)
+    assert rem.shape[0] < b.shape[0]
+    assert np.array_equal(_yp_add(ctx, _ref_mul(ctx, quo, b), rem), _yp_trim(a))
+    unit = _yp_divide(ctx, a.astype(np.float64), b.astype(np.float64)).astype(np.int64)
+    assert np.array_equal(_yp_monic(ctx, unit), _yp_monic(ctx, _yp_mod(ctx, a, b)))
 
 
 # the largest prime q whose context is exact, (q-1)^2 + q <= 2^53, while
