@@ -1,12 +1,13 @@
 """End-to-end list decoding, list recovery, and closed-form radius bounds.
 
 The decoding pipeline is: unfold the received word, build the interpolation
-point set, pick the weighted-degree bound D, interpolate a vanishing Q,
-strip E-powers, recover candidate messages by extension-field root finding,
-and keep those whose encoding agrees with the received word on at least t
-folded positions.  The agreement threshold t is the smallest integer with
-t > D / ((m-s+1) r), computed from the D actually used, which is the
-tightest threshold the vanishing argument supports.
+point set, pick the weighted-degree bound D, interpolate a vanishing Q
+(E = X^(q-1) - gamma does not divide Q: proved, and checked by Q mod E != 0),
+recover candidate messages by extension-field root finding, and keep those
+whose encoding agrees with the received word on at least t folded positions.
+The agreement threshold t is the smallest integer with t > D / ((m-s+1) r),
+computed from the D actually used, which is the tightest threshold the
+vanishing argument supports.
 
 For the shifted (high-rate) point set the same threshold applies to
 interpolation windows rather than folded symbols: one corrupted folded
@@ -34,7 +35,6 @@ from .frs import (
     validate_recovery_sets,
     validate_word,
 )
-from .galois import standard_extension
 from .interp import (
     InterpolationProblem,
     ParameterError,
@@ -43,7 +43,10 @@ from .interp import (
     interpolate_with_report,
 )
 from .poly import UniPoly
-from .rootfind import candidates_from_Q, strip_E_power
+from .rootfind import candidates_from_Q
+# unused: perfbench's layer_bindings takes decoder.strip_E_power on every traced
+# run; ROADMAP item 2c removes that binding, and this import with it
+from .rootfind import strip_E_power  # noqa: F401
 
 
 def agreement_threshold(D: int, m: int, s: int, r: int) -> int:
@@ -89,9 +92,7 @@ def _run_pipeline(params: FRSParams, points, n0: int, D: int, t: int, keep) -> D
         D=D,
     )
     Q, report = interpolate_with_report(problem)
-    ext = standard_extension(params.q)
-    Q0, _ = strip_E_power(Q, ext.modulus)
-    found = candidates_from_Q(Q0, params, ext)
+    found = candidates_from_Q(Q, params)
     kept = tuple(f for f in found if keep(f))
     stats = DecodeStats(
         D=D,

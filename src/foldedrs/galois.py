@@ -305,6 +305,8 @@ def _sc_fold(ctx: _ExtCtx, v: np.ndarray) -> np.ndarray:
     """The reduced representative of sum_i v_i X^i, for an int64 v of length >= dim.
 
     With X^dim = gamma the blocks of dim coefficients add up by Horner's rule in gamma.
+    A matrix v, X-degree down the rows, folds each column: this is the remainder
+    mod E = X^dim - gamma of every column at once.
     """
     q, dim = ctx.q, ctx.dim
     top = (len(v) - 1) // dim * dim

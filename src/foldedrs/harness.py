@@ -110,7 +110,8 @@ def apply_channel(cw, spec: ChannelSpec, rng: random.Random | None = None, q: in
     caller-given replacement tuples, when present).  Every corrupted symbol
     is replaced by a different m-tuple, so the folded Hamming distance from
     the input is exactly spec.e.  Replacement tuples are drawn uniformly from
-    [0, q)^m; if q is not given it is inferred as 1 + the largest entry seen.
+    [0, q)^m; if q is not given it is inferred as 1 + the largest entry seen,
+    and never as fewer than two symbols, so an all-zero word has a different tuple.
     """
     if rng is None:
         rng = random.Random(spec.seed)
@@ -120,7 +121,7 @@ def apply_channel(cw, spec: ChannelSpec, rng: random.Random | None = None, q: in
         raise ValueError(f"cannot corrupt {spec.e} of {N} symbols")
     m = len(word[0]) if word else 0
     if q is None:
-        q = 1 + max((v for sym in word for v in sym), default=1)
+        q = max(2, 1 + max((v for sym in word for v in sym), default=1))
     if spec.kind == UNIFORM:
         positions = sorted(rng.sample(range(N), spec.e))
     elif spec.kind == BURST:

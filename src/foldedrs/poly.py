@@ -175,12 +175,6 @@ class UniPoly:
     def __floordiv__(self, other):
         return divmod(self, other)[0]
 
-    def monic(self) -> "UniPoly":
-        if self.is_zero:
-            return self
-        inv = self.coeffs[-1].inverse()
-        return UniPoly(self.field, [c * inv for c in self.coeffs])
-
     def _check(self, other):
         if not isinstance(other, UniPoly) or other.field != self.field:
             raise ValueError("polynomials live over different fields")

@@ -7,25 +7,28 @@ E(X) = X^(q-1) - gamma turns the shifts into Frobenius powers: reducing Q's
 coefficients mod E gives T(Y_1, ..., Y_s) over the extension field, and the
 messages appear among the roots of R(Y) = T(Y, Y^q, ..., Y^(q^(s-1))).
 
-Recovery therefore runs: strip the largest E-power dividing Q, reduce mod E,
-substitute, intersect the root set with the subspace of elements whose
-representative has degree at most k (the kernel of an explicit q-linearized
-polynomial, so the intersection is a gcd g), read the roots of g coordinate
-by coordinate with no randomness (``poly._subspace_roots``), and keep the
-ones that satisfy the original identity exactly.
+Recovery therefore runs: reduce Q mod E (E does not divide Q: proved, and
+checked by Q mod E != 0), substitute, intersect the root set with the
+subspace of elements whose representative has degree at most k (the kernel of
+an explicit q-linearized polynomial, so the intersection is a gcd g), read the
+roots of g coordinate by coordinate with no randomness
+(``poly._subspace_roots``), and keep the ones that satisfy the original
+identity exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .galois import ExtField, standard_extension
+from .galois import ExtField, _sc_fold, standard_extension
 from .poly import (
     MultiPoly,
     UniPoly,
     _subspace_residue,
     _subspace_roots,
+    _yp_divmod,
     _yp_gcd,
+    _yp_pad,
     _yp_trim,
     compose_message,
 )
@@ -39,69 +42,42 @@ class CandidateOverflowError(RuntimeError):
     """The candidate list would exceed the hard output cap."""
 
 
-def _divmod_binomial(M: np.ndarray, n: int, g: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Quotient and remainder of every column of M (residues, X-degree down the rows)
-    divided by X^n - g, for n >= 1.
-
-    Cut a column into blocks B_0, ..., B_T of n coefficients, so that it is
-    sum_t B_t Z^t with Z = X^n; division by Z - g is Horner's rule on the
-    blocks: the quotient blocks are C_(T-1) = B_T and C_(t-1) = B_t + g C_t,
-    and the remainder is B_0 + g C_0 (the fold of ``galois._sc_fold``).
-    """
-    top = (M.shape[0] - 1) // n
-    blocks = np.zeros(((top + 1) * n, M.shape[1]), dtype=np.int64)
-    blocks[: M.shape[0]] = M
-    blocks = blocks.reshape(top + 1, n, M.shape[1])
-    quo = np.empty((top, n, M.shape[1]), dtype=np.int64)
-    acc = blocks[top]
-    for t in range(top - 1, -1, -1):
-        quo[t] = acc
-        acc = (blocks[t] + g * acc) % q
-    return quo.reshape(top * n, M.shape[1]), acc
-
-
 def strip_E_power(Q: MultiPoly, E: UniPoly) -> tuple[MultiPoly, int]:
     """Write Q = E(X)^b * Q0 with E(X) not dividing Q0; returns (Q0, b), and Q itself when b = 0.
 
     E must be a binomial a X^n + c (a, c nonzero, n >= 1), as the defining
     polynomial X^(q-1) - gamma is.  Divisibility is tested coefficient-wise,
     viewing Q as a polynomial in the Y variables with coefficients in F_q[X]:
-    all columns of Q's matrix of X-coefficients are divided at once
-    (``_divmod_binomial``).  Raises ValueError on Q = 0 and on an E that is
-    not such a binomial.
-
-    E never divides a Q from ``interp.interpolate`` when E = X^(q-1) - gamma,
-    so the decoder always gets b = 0.  Every interpolation point has X-coordinate
-    x = gamma^i != 0, where E(x) = x^(q-1) - gamma = 1 - gamma != 0.  If Q were
-    E * Q', then Q' would vanish to the same orders at the same points (E is a
-    unit near each of them), and its weighted degree would be that of Q minus
-    q - 1, so Q' is a kernel vector of the same system.  Multiplying by X^(q-1)
-    keeps the substituted degree and adds q - 1 to the weighted degree and to
-    the X-exponent, so it preserves the column order and moves every column
-    later; Q's last column, c0, is X^(q-1) times the last column of Q'.  That
-    column of Q' comes before c0 and lies in the span of the columns before
-    it, which contradicts c0 being the first such column.
+    each column of Q's matrix of X-coefficients is divided by E with
+    ``_yp_divmod``.  Raises ValueError on Q = 0 and on an E that is not such a
+    binomial.  The decoder does not call it: E never divides an interpolated Q
+    (see ``candidates_from_Q``).
     """
     if Q.is_zero:
         raise ValueError("cannot strip factors from the zero polynomial")
-    q = Q.field.q
     ec = E.int_coeffs()
     n = len(ec) - 1
     if n < 1 or not ec[0] or any(ec[1:n]):
         raise ValueError(f"E = {E!r} is not a binomial a X^n + c with a, c nonzero and n >= 1")
-    inv_lead = pow(ec[n], q - 2, q)
-    M = Q.M
+    ctx = Q.field.ctx
+    e = np.array(ec, dtype=np.int64)[:, None]
+    cols = [Q.M[:, [c]] for c in range(Q.M.shape[1])]
     b = 0
     while True:
-        quo, rem = _divmod_binomial(M, n, -ec[0] * inv_lead % q, q)
-        if rem.any():
+        quos = []
+        for col in cols:  # the first remainder decides: b ends here
+            quo, rem = _yp_divmod(ctx, col, e)
+            if rem.shape[0]:
+                break
+            quos.append(quo)
+        if len(quos) < len(cols):
             break
-        M = quo * inv_lead % q
-        b += 1
+        cols, b = quos, b + 1
     if b == 0:
         return Q, 0
-    # exact division by E^b empties no column; the trim drops zero top rows
-    return MultiPoly._from_arrays(Q.field, Q.s, Q.k, _yp_trim(M), Q.jvecs), b
+    rows = max(col.shape[0] for col in cols)
+    M = np.hstack([_yp_pad(col, rows) for col in cols])
+    return MultiPoly._from_arrays(Q.field, Q.s, Q.k, M, Q.jvecs), b
 
 
 def _substituted_poly(T: np.ndarray, jvecs: np.ndarray, q: int) -> np.ndarray:
@@ -133,6 +109,19 @@ def candidates_from_Q(
     root count would exceed ``cap``, and ValueError when ``ext`` is not the
     extension of ``params`` (another q or gamma), when Q0 vanishes mod E, and
     when the total Y-degree of Q0 mod E reaches q.
+
+    E = X^(q-1) - gamma never divides a Q from ``interp.interpolate``, so the
+    refusal of a Q0 that vanishes mod E is a check, not a case.  Every
+    interpolation point has X-coordinate x = gamma^i != 0, where
+    E(x) = x^(q-1) - gamma = 1 - gamma != 0.  If Q were E * Q', then Q' would
+    vanish to the same orders at the same points (E is a unit near each of
+    them), and its weighted degree would be that of Q minus q - 1, so Q' is a
+    kernel vector of the same system.  Multiplying by X^(q-1) keeps the
+    substituted degree and adds q - 1 to the weighted degree and to the
+    X-exponent, so it preserves the column order and moves every column later;
+    Q's last column, c0, is X^(q-1) times the last column of Q'.  That column
+    of Q' comes before c0 and lies in the span of the columns before it, which
+    contradicts c0 being the first such column.
     """
     if ext is None:
         ext = standard_extension(params.q)
@@ -143,10 +132,12 @@ def candidates_from_Q(
     q = params.q
     k = params.k
     gamma = ext.gamma.value
-    T = _divmod_binomial(Q0.M, ext.dim, gamma, q)[1]  # the X-coefficients mod E
+    ctx = ext.ctx
+    M = Q0.M if Q0.M.shape[0] >= ext.dim else _yp_pad(Q0.M, ext.dim)
+    T = _sc_fold(ctx, M)  # the X-coefficients mod E, one column per Y-monomial
     live = T.any(axis=0)
     if not live.any():
-        raise ValueError("Q0 reduced to zero mod E; strip_E_power must run first")
+        raise ValueError(f"E = X^{q - 1} - {gamma} divides Q0, which no interpolated Q allows")
     if Q0.jvecs[live].sum(axis=1).max() >= q:
         raise ValueError(f"total Y-degree of Q0 mod E must be below q = {q}")
     R = _substituted_poly(T[:, live], Q0.jvecs[live], q)
@@ -154,7 +145,6 @@ def candidates_from_Q(
         raise AssertionError("R vanished although Q0 mod E is nonzero with Y-degree below q")
     if R.shape[0] == 1:
         return ()
-    ctx = ext.ctx
     # restrict to roots whose representative has degree <= k: g has them as its
     # distinct roots (``_subspace_residue``), and the other roots are pruned anyway
     g = _yp_gcd(ctx, *_subspace_residue(ctx, R, k))

@@ -8,6 +8,7 @@ from foldedrs.galois import (
     FieldElem,
     ParameterError,
     PrimeField,
+    _sc_fold,
     ext_invert,
     find_primitive_element,
     is_irreducible,
@@ -354,6 +355,31 @@ def test_ext_element_folds_long_representatives():
     long = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5]
     modulus = [(-ext.gamma.value) % 5] + [0] * (ext.dim - 1) + [1]
     assert ext.element(long) == ext.element(_pmod([c % 5 for c in long], modulus, 5))
+
+
+@pytest.mark.parametrize("q", [5, 13, 31])
+def test_sc_fold_of_a_matrix_folds_each_column(q):
+    # candidates_from_Q reduces every column of Q's X-coefficients mod
+    # E = X^dim - gamma in one fold, padding fewer than dim rows first
+    ext = standard_extension(q)
+    ctx, dim = ext.ctx, ext.dim
+    E = [(-ext.gamma.value) % q] + [0] * (dim - 1) + [1]
+    gen = np.random.default_rng(q)
+    for rows in (dim // 2, dim, 2 * dim + 3):
+        M = np.zeros((max(rows, dim), 5), dtype=np.int64)
+        M[:rows] = gen.integers(0, q, (rows, 5))
+        folded = _sc_fold(ctx, M)
+        assert folded.shape == (dim, 5)
+        for c in range(5):
+            assert np.array_equal(folded[:, c], _sc_fold(ctx, M[:, c]))
+            rem = _pmod(M[:, c].tolist(), E, q)
+            assert folded[:, c].tolist() == rem + [0] * (dim - len(rem))
+    # a column E(X) * c(X) folds to zero
+    cols = [_pmul(E, gen.integers(0, q, n).tolist(), q) for n in (1, 2, dim, dim + 5)]
+    M = np.zeros((max(map(len, cols)), len(cols)), dtype=np.int64)
+    for c, col in enumerate(cols):
+        M[: len(col), c] = col
+    assert not _sc_fold(ctx, M).any()
 
 
 def test_numpy_integers_become_python_ints():

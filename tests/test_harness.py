@@ -63,6 +63,14 @@ def test_channel_full_corruption():
     assert all(a != b for a, b in zip(cw, out))
 
 
+def test_channel_infers_two_symbols_for_the_zero_word():
+    # 1 + the largest entry of the zero codeword would be one symbol, with no
+    # other tuple to draw; without q the inferred alphabet has at least two
+    cw = encode(P13, UniPoly.zero(P13.field))
+    out = apply_channel(cw, ChannelSpec(kind="uniform", e=1))
+    assert P13.N - folded_agreement(cw, out) == 1
+
+
 def test_channel_rejects_too_many_errors():
     cw = encode(P13, UniPoly.from_ints(P13.field, [0, 0, 1]))
     with pytest.raises(ValueError):

@@ -158,6 +158,15 @@ def test_candidates_examples():
     assert [f.int_coeffs(pad_to=2) for f in candidates_from_Q(Q2, P5, EXT5)] == [(0, 1)]
 
 
+@pytest.mark.parametrize("b", [1, 2])
+def test_candidates_refuse_a_Q_that_E_divides(b):
+    # E never divides an interpolated Q; Q mod E = 0 is the check that says so
+    Eb = E5 * E5 if b == 2 else E5
+    Q = MultiPoly(P5.field, s=2, k=1, terms={(i, 1, 0): c for i, c in enumerate(Eb.int_coeffs())})
+    with pytest.raises(ValueError, match="divides Q0"):
+        candidates_from_Q(Q, P5, EXT5)
+
+
 def test_candidates_completeness_planted_factor():
     # Q0 = (Y1 - f(X)) * (Y1 - g(X)) expanded; both planted messages are found
     q = 7
