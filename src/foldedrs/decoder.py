@@ -143,13 +143,12 @@ def _threshold_plan(params: FRSParams, l: int = 1) -> tuple[int, int, int]:
     return n0, D, agreement_threshold(D, params.m, params.s, params.r)
 
 
-def list_decode(params: FRSParams, received, seed: int = 0) -> DecodeResult:
+def list_decode(params: FRSParams, received) -> DecodeResult:
     """All messages whose encoding agrees with the received word on >= t symbols.
 
     Completeness holds by the vanishing argument: any message with agreement
     at least t satisfies the Q-identity, hence appears among the recovered
-    roots; soundness is enforced by re-encoding every candidate.  ``seed`` is
-    accepted and ignored: the result is a function of params and the word.
+    roots; soundness is enforced by re-encoding every candidate.
     """
     received = validate_word(params, received)
     y = unfold(params, received)
@@ -162,14 +161,14 @@ def list_decode(params: FRSParams, received, seed: int = 0) -> DecodeResult:
     return _run_pipeline(params, points, n0, D, t, keep)
 
 
-def list_recover(params: FRSParams, sets: RecoverySets, seed: int = 0) -> DecodeResult:
+def list_recover(params: FRSParams, sets: RecoverySets) -> DecodeResult:
     """All messages whose codeword symbol lies in the given set at >= t positions.
 
     Every candidate tuple in every per-position set contributes its m-s+1
     interpolation windows; duplicate points are merged before constraint
     generation.  Feasibility is computed with n0 replaced by n0 * l, and the
     reported D_formula uses that n0 too.  With l = 1 this reduces exactly to
-    list decoding.  ``seed`` is accepted and ignored, as in ``list_decode``.
+    list decoding.
     """
     if params.variant != STANDARD:
         raise UnsupportedVariantError("list recovery is defined for the standard point set")

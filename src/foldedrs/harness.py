@@ -2,7 +2,10 @@
 
 Subcommands: encode | corrupt | decode | recover | simulate | bounds | oracle.
 Exit codes: 0 success, 1 decode-parameter rejection, 2 I/O or format error,
-64 usage error (unknown flag or bad invocation).
+64 usage error (unknown flag or bad invocation).  ``--seed`` seeds the
+channel of ``corrupt`` and ``simulate``.  ``decode`` and ``recover`` are
+deterministic and take none (``decode --q 13 --m 3 --k 2 --s 2 --r 3 --in
+rx.txt``, ``recover ... --l 2 --in sets.txt``); given ``--seed`` they exit 64.
 
 File formats: a message file holds k+1 whitespace-separated ints, low degree
 first; a word file holds N lines of m space-separated ints; a recovery-sets
@@ -203,10 +206,10 @@ def simulate(
         coeffs = [rng.randrange(params.q) for _ in range(params.k + 1)]
         msg = UniPoly.from_ints(params.field, coeffs)
         cw = encode(params, msg)
-        spec = ChannelSpec(kind=channel, e=e, seed=0)
+        spec = ChannelSpec(kind=channel, e=e)
         received = apply_channel(cw, spec, rng, q=params.q)
         start = time.perf_counter()
-        result = list_decode(params, received, seed=seed * 1_000_003 + trial)
+        result = list_decode(params, received)
         ms = (time.perf_counter() - start) * 1000.0
         records.append(
             TrialRecord(
@@ -329,16 +332,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("decode", help="list decode a received word file")
     add_code_args(p)
-    p.add_argument("--seed", type=int, default=0,
-                   help="accepted and ignored: decoding is deterministic")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", default=None)
 
     p = sub.add_parser("recover", help="list recover from a sets file")
     add_code_args(p)
     p.add_argument("--l", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0,
-                   help="accepted and ignored: recovery is deterministic")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", default=None)
 
@@ -372,9 +371,9 @@ def _params_from_args(args) -> FRSParams:
         q=args.q,
         m=args.m,
         k=args.k,
-        s=getattr(args, "s", 1) or 1,
-        r=getattr(args, "r", 1) or 1,
-        variant=getattr(args, "variant", "standard"),
+        s=args.s,
+        r=args.r,
+        variant=args.variant,
     )
 
 
@@ -414,12 +413,12 @@ def run_cli(argv=None) -> int:
         elif args.command == "decode":
             params = _params_from_args(args)
             received = read_word(args.infile, params)
-            result = list_decode(params, received, seed=args.seed)
+            result = list_decode(params, received)
             _emit_messages(result.messages, params, args.outfile)
         elif args.command == "recover":
             params = _params_from_args(args)
             sets = read_recovery_sets(args.infile, params, args.l)
-            result = list_recover(params, sets, seed=args.seed)
+            result = list_recover(params, sets)
             _emit_messages(result.messages, params, args.outfile)
         elif args.command == "simulate":
             params = _params_from_args(args)

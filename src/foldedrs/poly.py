@@ -560,10 +560,10 @@ def _yp_add(ctx: _ExtCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _yp_trim(out % ctx.q)
 
 
-def _fft_shape(ctx: _ExtCtx, rows: int) -> tuple[int, int]:
-    """Transform shape for products with `rows` Y-coefficients: a power of two along Y,
-    and dim along X, where the weighted transform wraps X^dim to gamma."""
-    return 1 << (rows - 1).bit_length(), ctx.dim
+def _fft_len(rows: int) -> int:
+    """Transform length along Y for products with `rows` Y-coefficients: a power of
+    two.  Along X it is dim, where the weighted transform wraps X^dim to gamma."""
+    return 1 << (rows - 1).bit_length()
 
 
 @functools.lru_cache(maxsize=None)
@@ -642,9 +642,9 @@ def _x_inverse(ctx: _ExtCtx, s: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(s).view(np.float64) @ _x_dft(ctx.dim, ctx.gamma)[1]
 
 
-def _fft(ctx: _ExtCtx, a: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """The weighted transform of (rows, dim) residues a, zero-padded along Y to shape[0]."""
-    return np.fft.fft(_x_forward(ctx, a), shape[0], axis=0)
+def _fft(ctx: _ExtCtx, a: np.ndarray, n: int) -> np.ndarray:
+    """The weighted transform of (rows, dim) residues a, zero-padded along Y to n."""
+    return np.fft.fft(_x_forward(ctx, a), n, axis=0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -679,8 +679,9 @@ def _rounding_error(ctx: _ExtCtx, norms: float, top: float, kappa: float) -> flo
     return growth * norms * kappa + (3 * math.log(ctx.gamma) + 9) * top
 
 
-def _check_fft_exact(ctx: _ExtCtx, la: int, lb: int, shape: tuple[int, int]) -> None:
-    """Refuse (ParameterError) a product of la- and lb-row residues that the FFT may round wrong.
+def _check_fft_exact(ctx: _ExtCtx, la: int, lb: int, n: int) -> None:
+    """Refuse (ParameterError) a product of la- and lb-row residues that the FFT,
+    of length n along Y, may round wrong.
 
     Each coefficient c_k of the product mod X^dim - gamma is a sum over
     min(la, lb) row pairs of sum_(i+j=k) a_i b_j + gamma sum_(i+j=k+dim) a_i b_j,
@@ -723,7 +724,7 @@ def _check_fft_exact(ctx: _ExtCtx, la: int, lb: int, shape: tuple[int, int]) -> 
     [1, 0] and its transpose, and the path is exact: kappa_X(1) = 0.
 
     So the weighted cyclic product is within gamma^(2 (dim-1)/dim) B
-    (kappa(shape[0]) + kappa_X(dim) + 3) 2^-53 of w_k c_k, and dividing by
+    (kappa(n) + kappa_X(dim) + 3) 2^-53 of w_k c_k, and dividing by
     w_k >= 1 does not raise that.  The weights themselves are within
     (2 + ln gamma) 2^-53 relatively (pow of an argument j/dim rounded once), the
     weighting and the division round once each (in the matrix path, inside the
@@ -734,20 +735,20 @@ def _check_fft_exact(ctx: _ExtCtx, la: int, lb: int, shape: tuple[int, int]) -> 
     """
     norms = math.sqrt(la * lb) * ctx.dim * (ctx.q - 1) ** 2
     top = min(la, lb) * (ctx.q - 1) ** 2 * (1 + ctx.gamma * (ctx.dim - 1))
-    kappa = _transform_error(shape[0]) + _x_transform_error(ctx.dim) + 3
+    kappa = _transform_error(n) + _x_transform_error(ctx.dim) + 3
     if 4 * _rounding_error(ctx, norms, top, kappa) >= 2**53:
         raise ParameterError(
             f"FFT product: {la} x {lb} rows over q = {ctx.q}, dim = {ctx.dim}, "
-            f"gamma = {ctx.gamma}, N = {shape[0]} x {ctx.dim}: the rounding bound reaches 1/4, "
+            f"gamma = {ctx.gamma}, N = {n} x {ctx.dim}: the rounding bound reaches 1/4, "
             f"it would not be exact"
         )
 
 
-def _fft_round(ctx: _ExtCtx, prod_hat: np.ndarray, shape: tuple[int, int], rows: int) -> np.ndarray:
+def _fft_round(ctx: _ExtCtx, prod_hat: np.ndarray, n: int, rows: int) -> np.ndarray:
     """Rows 0..rows-1 of the product mod X^dim - gamma with weighted transform
     prod_hat: unweighted, rounded and reduced mod q, as int64.  The inverse runs
     along Y, then along X on the kept rows only (``_x_inverse``)."""
-    s = _x_inverse(ctx, np.fft.ifft(prod_hat, shape[0], axis=0)[:rows])
+    s = _x_inverse(ctx, np.fft.ifft(prod_hat, n, axis=0)[:rows])
     r = np.rint(s)
     if not np.abs(s - r).max() <= 0.25:  # NaN fails too
         raise FloatingPointError("FFT product strayed from the integers")
@@ -760,11 +761,11 @@ def _yp_mul(ctx: _ExtCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     la, lb = a.shape[0], b.shape[0]
     if la == 0 or lb == 0:
         return _yp_zero(ctx)
-    shape = _fft_shape(ctx, la + lb - 1)
-    _check_fft_exact(ctx, la, lb, shape)
-    a_hat = _fft(ctx, a, shape)
-    b_hat = a_hat if b is a else _fft(ctx, b, shape)
-    return _yp_trim(_fft_round(ctx, a_hat * b_hat, shape, la + lb - 1))
+    n = _fft_len(la + lb - 1)
+    _check_fft_exact(ctx, la, lb, n)
+    a_hat = _fft(ctx, a, n)
+    b_hat = a_hat if b is a else _fft(ctx, b, n)
+    return _yp_trim(_fft_round(ctx, a_hat * b_hat, n, la + lb - 1))
 
 
 def _fmod(x: np.ndarray, q: int) -> np.ndarray:
@@ -1009,7 +1010,7 @@ class FrobeniusReducer:
             products = steps * self._step_mulmods()
 
         def t_mul(rows):  # a mulmod whose product has `rows` rows
-            m = math.prod(_fft_shape(self.ctx, rows))
+            m = _fft_len(rows) * dim
             return 3.4e-9 * m * math.log2(m) + 9.3e-5
 
         t_direct = products * t_mul(2 * d - 1)
@@ -1075,10 +1076,10 @@ class FrobeniusReducer:
         ctx = self.ctx
         d = self.R.shape[0] - 1
         n = d - 1
-        self._inv_shape = _fft_shape(ctx, 2 * n - 1)
-        self._r_shape = _fft_shape(ctx, d + 1)  # cyclic: R (d + 1 rows) does not wrap
-        _check_fft_exact(ctx, n, n, self._inv_shape)
-        _check_fft_exact(ctx, n, d + 1, self._r_shape)
+        self._inv_len = _fft_len(2 * n - 1)
+        self._r_len = _fft_len(d + 1)  # cyclic: R (d + 1 rows) does not wrap
+        _check_fft_exact(ctx, n, n, self._inv_len)
+        _check_fft_exact(ctx, n, d + 1, self._r_len)
         rev = self.R[::-1]
         inv = _yp_monomial(ctx, 0)  # rev(R)(0) = lc(R) = 1
         while inv.shape[0] < n:
@@ -1087,14 +1088,14 @@ class FrobeniusReducer:
             # rows old..prec-1 of e = rev(R) * inv - 1, from a cyclic product, and the
             # correction inv * e[old:] (prec - 1 rows) at the same length, on the same
             # transform of inv (class docstring)
-            shape = _fft_shape(ctx, prec)
-            inv_hat = _fft(ctx, inv, shape)
-            e = _fft_round(ctx, _fft(ctx, rev[:prec], shape) * inv_hat, shape, prec)[old:]
-            _check_fft_exact(ctx, old, prec - old, shape)
-            corr = _fft_round(ctx, inv_hat * _fft(ctx, e, shape), shape, prec - old)
+            length = _fft_len(prec)
+            inv_hat = _fft(ctx, inv, length)
+            e = _fft_round(ctx, _fft(ctx, rev[:prec], length) * inv_hat, length, prec)[old:]
+            _check_fft_exact(ctx, old, prec - old, length)
+            corr = _fft_round(ctx, inv_hat * _fft(ctx, e, length), length, prec - old)
             inv = np.concatenate((inv, -corr % ctx.q))
-        self._inv_hat = _fft(ctx, inv, self._inv_shape)
-        self._r_hat = _fft(ctx, self.R, self._r_shape)
+        self._inv_hat = _fft(ctx, inv, self._inv_len)
+        self._r_hat = _fft(ctx, self.R, self._r_len)
 
     def _reduce(self, a: np.ndarray) -> np.ndarray:
         """a mod R for a reduced a: the long-division-or-Barrett rule (class docstring)."""
@@ -1107,11 +1108,11 @@ class FrobeniusReducer:
             return _yp_mod(ctx, a, self.R)
         if self._inv_hat is None:
             self._setup_barrett()
-        quo_hat = _fft(ctx, a[: d - 1 : -1], self._inv_shape) * self._inv_hat
-        quo = _fft_round(ctx, quo_hat, self._inv_shape, m)[::-1]
-        n_cyc = self._r_shape[0]
-        rq_hat = _fft(ctx, quo, self._r_shape) * self._r_hat
-        rem = a[:d] - _fft_round(ctx, rq_hat, self._r_shape, d)
+        quo_hat = _fft(ctx, a[: d - 1 : -1], self._inv_len) * self._inv_hat
+        quo = _fft_round(ctx, quo_hat, self._inv_len, m)[::-1]
+        n_cyc = self._r_len
+        rq_hat = _fft(ctx, quo, n_cyc) * self._r_hat
+        rem = a[:d] - _fft_round(ctx, rq_hat, n_cyc, d)
         rem[: max(a.shape[0] - n_cyc, 0)] += a[n_cyc:]  # a mod Y^N - 1
         return _yp_trim(rem % ctx.q)
 
@@ -1380,14 +1381,14 @@ def _roots_arr(ctx: _ExtCtx, arr: np.ndarray) -> list[np.ndarray]:
     return _subspace_roots(ctx, g, ctx.dim - 1)
 
 
-def roots_in_field(R: UniPoly, seed: int = 0) -> set:
+def roots_in_field(R: UniPoly) -> set:
     """Exactly the set {a in K : R(a) = 0} for R over a supported field K.
 
     A thin adapter over the array pipeline ``_roots_arr``: gcd of R with the
     field equation Y^|K| - Y, computed by a chain of Frobenius steps mod R,
     then the roots of that gcd, read coordinate by coordinate with the whole
     field as the subspace (``_subspace_roots``; over F_q one pass over its q
-    elements).  There is no randomness: ``seed`` is accepted and ignored.
+    elements).  There is no randomness.
 
     Raises ValueError on the zero polynomial.
     """

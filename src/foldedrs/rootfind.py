@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .galois import ExtField, _sc_fold, standard_extension
+from .galois import _sc_fold, standard_extension
 from .poly import (
     MultiPoly,
     UniPoly,
@@ -35,7 +35,7 @@ from .poly import (
 # re-exported; perfbench's traced run wraps roots_in_field under this name
 from .poly import low_degree_vanishing_coeffs, roots_in_field  # noqa: F401
 
-DEFAULT_CANDIDATE_CAP = 2**16
+CANDIDATE_CAP = 2**16
 
 
 class CandidateOverflowError(RuntimeError):
@@ -93,22 +93,17 @@ def _substituted_poly(T: np.ndarray, jvecs: np.ndarray, q: int) -> np.ndarray:
     return _yp_trim(R)
 
 
-def candidates_from_Q(
-    Q0: MultiPoly,
-    params,
-    ext: ExtField | None = None,
-    seed: int = 0,
-    cap: int = DEFAULT_CANDIDATE_CAP,
-) -> tuple[UniPoly, ...]:
+def candidates_from_Q(Q0: MultiPoly, params) -> tuple[UniPoly, ...]:
     """All f of degree <= k with Q0(X, f(X), f(gamma X), ..., f(gamma^(s-1) X)) = 0.
 
-    Requires E not dividing Q0 and Y-degrees below q (guaranteed by the
-    interpolation step).  Every returned message is re-verified against Q0 by
-    direct polynomial composition over F_q[X], an independent check path from
-    the extension-field arithmetic.  Raises CandidateOverflowError when the
-    root count would exceed ``cap``, and ValueError when ``ext`` is not the
-    extension of ``params`` (another q or gamma), when Q0 vanishes mod E, and
-    when the total Y-degree of Q0 mod E reaches q.
+    Works over ``standard_extension(params.q)``, whose gamma is params.gamma
+    (both take the smallest primitive element).  Requires E not dividing Q0
+    and Y-degrees below q (guaranteed by the interpolation step).  Every
+    returned message is re-verified against Q0 by direct polynomial
+    composition over F_q[X], an independent check path from the
+    extension-field arithmetic.  Raises CandidateOverflowError when the root
+    count would exceed CANDIDATE_CAP, and ValueError when Q0 vanishes mod E
+    and when the total Y-degree of Q0 mod E reaches q.
 
     E = X^(q-1) - gamma never divides a Q from ``interp.interpolate``, so the
     refusal of a Q0 that vanishes mod E is a check, not a case.  Every
@@ -123,12 +118,7 @@ def candidates_from_Q(
     of Q' comes before c0 and lies in the span of the columns before it, which
     contradicts c0 being the first such column.
     """
-    if ext is None:
-        ext = standard_extension(params.q)
-    if ext.base.q != params.q or ext.gamma.value != params.gamma.value:
-        raise ValueError(
-            f"{ext!r} is not F_{params.q}[X]/(X^{params.q - 1} - {params.gamma.value})"
-        )
+    ext = standard_extension(params.q)
     q = params.q
     k = params.k
     gamma = ext.gamma.value
@@ -148,9 +138,9 @@ def candidates_from_Q(
     # restrict to roots whose representative has degree <= k: g has them as its
     # distinct roots (``_subspace_residue``), and the other roots are pruned anyway
     g = _yp_gcd(ctx, *_subspace_residue(ctx, R, k))
-    if g.shape[0] - 1 > cap:  # g has deg g distinct roots, so this caps the output
+    if g.shape[0] - 1 > CANDIDATE_CAP:  # g has deg g distinct roots, so this caps the output
         raise CandidateOverflowError(
-            f"{g.shape[0] - 1} candidate roots exceed the cap of {cap}"
+            f"{g.shape[0] - 1} candidate roots exceed the cap of {CANDIDATE_CAP}"
         )
     out = []
     for row in _subspace_roots(ctx, g, k):

@@ -187,7 +187,7 @@ def test_criterion_05_planted_completeness_grid():
                         spec = ChannelSpec(kind=kind, e=e_star, seed=0)
                         recv = apply_channel(cw, spec, rng, q=q)
                         assert params.N - folded_agreement(cw, recv) == e_star
-                        res = list_decode(params, recv, seed=trial)
+                        res = list_decode(params, recv)
                         assert msg in res.messages, (
                             f"planted message lost: q={q} m={m} s={s} r={r} "
                             f"k={params.k} e*={e_star} trial={trial} ({kind})"
@@ -210,7 +210,7 @@ def test_criterion_06_oracle_equivalence():
         word = tuple(
             tuple(rng.randrange(13) for _ in range(3)) for _ in range(params.N)
         )
-        res = list_decode(params, word, seed=trial)
+        res = list_decode(params, word)
         oracle = oracle_decode(params, word, res.t)
         assert set(res.messages) == oracle, f"trial {trial}: decoder set != oracle set"
     _report(6, "list_decode equals the 13^3-message oracle on 25 arbitrary random words "
@@ -237,7 +237,7 @@ def test_criterion_07_shifted_variant():
         msg = UniPoly.from_ints(params.field, [rng.randrange(q) for _ in range(k + 1)])
         cw = encode(params, msg)
         recv = apply_channel(cw, ChannelSpec(kind="uniform", e=e_test, seed=0), rng, q=q)
-        res = list_decode(params, recv, seed=trial)
+        res = list_decode(params, recv)
         assert msg in res.messages, f"shifted variant lost the message in trial {trial}"
     _report(7, f"shifted variant recovered 50/50 planted messages at e = {e_test} "
                f"(closed-form bound {bound}) with q=31, m=4, k=2, r=3")
@@ -279,7 +279,7 @@ def test_criterion_08_list_recovery():
         sets = RecoverySets.from_iterables(
             [[sym, tuple(rng.randrange(13) for _ in range(m))] for sym in cw], l=l
         )
-        res = list_recover(params, sets, seed=trial)
+        res = list_recover(params, sets)
         assert msg in res.messages
         assert set(res.messages) == _membership_oracle(params, sets, res.t)
     # two full codewords planted in every set
@@ -288,7 +288,7 @@ def test_criterion_08_list_recovery():
     sets = RecoverySets.from_iterables(
         [[a, b] for a, b in zip(encode(params, f), encode(params, g))], l=l
     )
-    res = list_recover(params, sets, seed=0)
+    res = list_recover(params, sets)
     assert f in res.messages and g in res.messages
     assert set(res.messages) == _membership_oracle(params, sets, res.t)
     _report(8, "list recovery (q=13, l=2, s=2) matches the set-membership oracle on 25 "

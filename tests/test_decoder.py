@@ -40,7 +40,7 @@ def test_agreement_threshold_examples():
 
 def test_zero_error_decode():
     msg = UniPoly.from_ints(P13.field, [7, 3, 11])
-    res = list_decode(P13, encode(P13, msg), seed=0)
+    res = list_decode(P13, encode(P13, msg))
     assert msg in res.messages
 
 
@@ -49,7 +49,7 @@ def test_single_error_decode():
     cw = encode(P13, msg)
     for seed in range(5):
         recv = apply_channel(cw, ChannelSpec(kind="uniform", e=1, seed=seed), q=13)
-        res = list_decode(P13, recv, seed=seed)
+        res = list_decode(P13, recv)
         assert msg in res.messages
 
 
@@ -57,7 +57,7 @@ def test_soundness_all_outputs_at_threshold():
     rng = random.Random(3)
     for trial in range(5):
         word = tuple(tuple(rng.randrange(13) for _ in range(3)) for _ in range(4))
-        res = list_decode(P13, word, seed=trial)
+        res = list_decode(P13, word)
         for f in res.messages:
             assert folded_agreement(encode(P13, f), word) >= res.t
 
@@ -66,13 +66,13 @@ def test_oracle_equivalence_random_words():
     rng = random.Random(99)
     for trial in range(8):
         word = tuple(tuple(rng.randrange(13) for _ in range(3)) for _ in range(4))
-        res = list_decode(P13, word, seed=trial)
+        res = list_decode(P13, word)
         assert set(res.messages) == oracle_decode(P13, word, res.t)
 
 
 def test_decode_stats_shape():
     msg = UniPoly.from_ints(P13.field, [0, 1, 2])
-    res = list_decode(P13, encode(P13, msg), seed=0)
+    res = list_decode(P13, encode(P13, msg))
     st = res.stats
     assert st.n_points == 8
     assert st.matrix_rows == 80
@@ -84,7 +84,7 @@ def test_decode_stats_shape():
 def test_decode_stats_report_the_interpolation_solve():
     msg = UniPoly.from_ints(P13.field, [5, 0, 9])
     word = apply_channel(encode(P13, msg), ChannelSpec(kind="uniform", e=2, seed=4), q=13)
-    st = list_decode(P13, word, seed=0).stats
+    st = list_decode(P13, word).stats
     points = tuple(interpolation_points(P13, unfold(P13, word)))
     D = choose_D(P13.k, len(points), P13.r, P13.s)
     problem = InterpolationProblem(field=P13.field, points=points, r=P13.r, k=P13.k, s=P13.s, D=D)
@@ -98,8 +98,8 @@ def test_list_recover_l1_equals_list_decode():
     msg = UniPoly.from_ints(p.field, [4, 9])
     cw = encode(p, msg)
     sets = RecoverySets.from_iterables([[sym] for sym in cw], l=1)
-    r1 = list_recover(p, sets, seed=0)
-    r2 = list_decode(p, cw, seed=0)
+    r1 = list_recover(p, sets)
+    r2 = list_decode(p, cw)
     assert set(r1.messages) == set(r2.messages)
     assert r1.t == r2.t
 
@@ -112,7 +112,7 @@ def test_list_recover_planted_sets():
     sets = RecoverySets.from_iterables(
         [[sym, tuple(rng.randrange(13) for _ in range(3))] for sym in cw], l=2
     )
-    res = list_recover(p, sets, seed=0)
+    res = list_recover(p, sets)
     assert msg in res.messages
 
 
@@ -123,7 +123,7 @@ def test_list_recover_two_planted_codewords():
     sets = RecoverySets.from_iterables(
         [[a, b] for a, b in zip(encode(p, f), encode(p, g))], l=2
     )
-    res = list_recover(p, sets, seed=0)
+    res = list_recover(p, sets)
     assert f in res.messages and g in res.messages
 
 
@@ -133,7 +133,7 @@ def test_list_recover_D_formula_uses_the_n0_that_chose_D():
     p = FRSParams(q=31, m=5, k=2, s=2, r=3)
     msg = UniPoly.from_ints(p.field, [3, 1, 4])
     sets = RecoverySets.from_iterables([[sym] for sym in encode(p, msg)], l=2)
-    res = list_recover(p, sets, seed=0)
+    res = list_recover(p, sets)
     st = res.stats
     assert (st.n_points, st.D) == (24, 20)
     assert st.D_formula == degree_bound_formula(p.k, 48, p.r, p.s)
@@ -154,7 +154,7 @@ def test_shifted_variant_planted_recovery():
     cw = encode(p, msg)
     for seed in range(3):
         recv = apply_channel(cw, ChannelSpec(kind="uniform", e=2, seed=seed), q=31)
-        res = list_decode(p, recv, seed=seed)
+        res = list_decode(p, recv)
         assert msg in res.messages
 
 
@@ -176,12 +176,12 @@ def test_unfolded_code_decodes_with_m1():
     p = FRSParams(q=13, m=1, k=2, s=1, r=2)
     msg = UniPoly.from_ints(p.field, [3, 7, 1])
     cw = encode(p, msg)
-    res = list_decode(p, cw, seed=0)
+    res = list_decode(p, cw)
     assert msg in res.messages
     e_star = p.N - res.t
     assert e_star >= 1
     recv = apply_channel(cw, ChannelSpec(kind="uniform", e=e_star, seed=2), q=13)
-    assert msg in list_decode(p, recv, seed=0).messages
+    assert msg in list_decode(p, recv).messages
 
 
 @pytest.mark.parametrize(

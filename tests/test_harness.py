@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from foldedrs.frs import FRSParams, RecoverySets, encode, folded_agreement, read_word
+from foldedrs.frs import FRSParams, RecoverySets, encode, folded_agreement, read_word, write_word
 from foldedrs.harness import (
     BOUNDS_HEADER,
     SIMULATE_HEADER,
@@ -364,3 +364,24 @@ def test_error_sweep_script_smoke(tmp_path):
     assert first.startswith(f"n={P13.n} N={P13.N} D=")
     assert f" t={t} certified e* = {P13.N - t}" in first
     assert out.read_text().splitlines()[0] == SIMULATE_HEADER
+
+
+@pytest.mark.parametrize("s, r", [("0", "2"), ("2", "0")])
+def test_cli_refuses_s_or_r_of_zero(tmp_path, capsys, s, r):
+    # s = 0 and r = 0 reach FRSParams, which refuses them (exit 2); neither is
+    # read as a default of 1
+    cwf, simf = tmp_path / "cw.txt", tmp_path / "trials.csv"
+    write_word(str(cwf), encode(P13, UniPoly.from_ints(P13.field, [7, 3, 11])))
+    code = ["--q", "13", "--m", "3", "--k", "2", "--s", s, "--r", r]
+    assert run_cli(["decode", *code, "--in", str(cwf)]) == 2
+    assert run_cli(["simulate", *code, "--errors", "1", "--trials", "1", "--out", str(simf)]) == 2
+    assert not simf.exists()
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_decode_and_recover_take_no_seed():
+    # decoding is deterministic: --seed seeds only the channel of corrupt and
+    # simulate, and the parser refuses it before any file is read
+    code = ["--q", "13", "--m", "3", "--k", "2", "--s", "2", "--r", "3", "--in", "rx.txt"]
+    assert run_cli(["decode", *code, "--seed", "1"]) == 64
+    assert run_cli(["recover", *code, "--l", "1", "--seed", "1"]) == 64

@@ -316,7 +316,7 @@ def test_roots_repeated_root_over_extension():
     G = ext.element([0, 1])
     Y = UniPoly(ext, [ext.zero(), ext.one()])
     R = (Y - UniPoly(ext, [G])) * (Y - UniPoly(ext, [G]))
-    assert roots_in_field(R, seed=2) == {G}
+    assert roots_in_field(R) == {G}
 
 
 def test_roots_zero_polynomial_rejected():
@@ -368,16 +368,16 @@ def test_roots_large_prime_field_uses_gcd_path():
     a, b = field.element(12345), field.element(54321)
     x = UniPoly.x(field)
     R = (x - UniPoly(field, [a])) * (x - UniPoly(field, [b])) * x
-    assert roots_in_field(R, seed=3) == {a, b, field.zero()}
+    assert roots_in_field(R) == {a, b, field.zero()}
     # -3 is a non-residue mod 65537 (3 is a non-residue, -1 is a residue)
     assert pow(-3 % 65537, (65537 - 1) // 2, 65537) == 65536
     no_roots = UniPoly.from_ints(field, [3, 0, 1])
-    assert roots_in_field(no_roots, seed=3) == set()
+    assert roots_in_field(no_roots) == set()
 
 
 def test_roots_of_many_planted_roots_over_a_large_prime_field():
     # 200 planted roots times the root-free Y^2 + 3 (-3 is a non-residue mod
-    # 65537): the roots are exactly the planted ones, whatever the seed
+    # 65537): the roots are exactly the planted ones
     field = PrimeField(65537)
     rng = random.Random(65537)
     planted = {field.element(v) for v in rng.sample(range(65537), 200)}
@@ -385,8 +385,7 @@ def test_roots_of_many_planted_roots_over_a_large_prime_field():
     R = UniPoly.from_ints(field, [3, 0, 1])
     for a in planted:
         R = R * (x - UniPoly(field, [a]))
-    for seed in (0, 1, 2):
-        assert roots_in_field(R, seed=seed) == planted
+    assert roots_in_field(R) == planted
 
 
 def test_prime_field_roots_in_bounded_memory():
@@ -415,7 +414,7 @@ def test_roots_over_extension_reevaluate():
     b = ext.element([5, 0, 0, 0, 1, 6])
     Y = UniPoly(ext, [ext.zero(), ext.one()])
     R = (Y - UniPoly(ext, [a])) * (Y - UniPoly(ext, [b])) * Y
-    roots = roots_in_field(R, seed=9)
+    roots = roots_in_field(R)
     assert roots == {a, b, ext.zero()}
 
 
@@ -424,8 +423,7 @@ def test_roots_over_extension_reevaluate():
 def test_roots_over_extension_match_exhaustive(q, trial):
     # R = Y (Y - a)^2 prod (Y - b) times two root-free quadratics (their
     # discriminants are non-squares), against evaluation at every element of
-    # the field (625 at q = 5, 117 649 at q = 7); root finding over an
-    # extension has no randomness, so every seed gives the same set
+    # the field (625 at q = 5, 117 649 at q = 7)
     ext = standard_extension(q)
     ctx = ext.ctx
     rng = random.Random(10 * q + trial)
@@ -447,8 +445,7 @@ def test_roots_over_extension_match_exhaustive(q, trial):
     field_elements = np.indices((q,) * ctx.dim).reshape(ctx.dim, -1).T
     expect = {ext.element(list(a)) for a in _reference_zeros(ctx, _uni_array(R), field_elements)}
     assert expect == planted | {ext.zero()}
-    for seed in (0, 1, 2):
-        assert roots_in_field(R, seed=seed) == expect
+    assert roots_in_field(R) == expect
 
 
 def test_roots_over_extension_sharing_all_middle_coordinates():
@@ -820,15 +817,15 @@ def test_x_transform_fault_is_caught(monkeypatch, which):
     # sum off the integers, and both refuse to round them
     ctx = standard_extension(13).ctx
     a = np.full((9, ctx.dim), ctx.q - 1, dtype=np.int64)
-    shape = poly._fft_shape(ctx, 17)
+    n = poly._fft_len(17)
     reducer = FrobeniusReducer(ctx, _shaped_yp(random.Random(13), ctx, 40, "random"))
     reducer._build_table()
-    square = _fft_round(ctx, poly._fft(ctx, a, shape) ** 2, shape, 17)
+    square = _fft_round(ctx, poly._fft(ctx, a, n) ** 2, n, 17)
     assert np.array_equal(square, _ref_mul(ctx, a, a))
     h_hat = poly._x_forward(ctx, a)
     monkeypatch.setattr(poly, "_x_dft", _nudged_dft(which))
     with pytest.raises(FloatingPointError):
-        _fft_round(ctx, poly._fft(ctx, a, shape) ** 2, shape, 17)
+        _fft_round(ctx, poly._fft(ctx, a, n) ** 2, n, 17)
     # a nudged forward reaches the sum through the transform of the row it sums,
     # a nudged inverse through the sum's inverse transform
     h = poly._x_forward(ctx, a) if which == 0 else h_hat
@@ -969,7 +966,7 @@ def test_newton_inverse_of_reversed_modulus(ctx, deg, seed):
     reducer = FrobeniusReducer(ctx, R)
     reducer._setup_barrett()
     n = deg - 1
-    inv = _fft_round(ctx, reducer._inv_hat, reducer._inv_shape, n)
+    inv = _fft_round(ctx, reducer._inv_hat, reducer._inv_len, n)
     prod = _ref_mul(ctx, R[::-1], inv)
     assert np.array_equal(_yp_trim(prod[:n]), _yp_monomial(ctx, 0))
 
@@ -987,7 +984,7 @@ def test_newton_inverse_matches_recorded_digests(deg, digest):
     R[-1] = np.eye(1, ctx.dim, dtype=np.int64)[0]
     reducer = FrobeniusReducer(ctx, R)
     reducer._setup_barrett()
-    inv = _fft_round(ctx, reducer._inv_hat, reducer._inv_shape, deg - 1)
+    inv = _fft_round(ctx, reducer._inv_hat, reducer._inv_len, deg - 1)
     assert hashlib.sha256(inv.tobytes()).hexdigest()[:16] == digest
 
 
