@@ -769,11 +769,14 @@ def _yp_mul(ctx: _ExtCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _fmod(x: np.ndarray, q: int) -> np.ndarray:
-    """x mod q in place, exact for integer-valued float64 x with |x| <= 2^53 - q.
+    """x mod q in place, exact for integer-valued float64 x with |x| <= 2^53 - q,
+    and for float32 x with |x| <= 2^24 - q.
 
     With x = n q + r, 0 <= r < q: fl(x / q) is within 2^-53 |x / q| < 1/q of
     x / q, and n, n + 1 are r/q, (q-r)/q away, so floor(fl(x / q)) = n (for
     r = 0, x / q = n is a float).  |q n| <= |x| + q - 1 < 2^53 makes the rest exact.
+    In float32 (q < 2^24 is a float32, and x / q, q n and x - q n stay float32)
+    the unit roundoff is 2^-24, so the same argument holds with 2^24 for 2^53.
     """
     x -= q * np.floor(x / q)
     return x
@@ -840,7 +843,7 @@ def _yp_monic(ctx: _ExtCtx, a: np.ndarray) -> np.ndarray:
 
 
 def _yp_gcd(ctx: _ExtCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The monic gcd: an inverse-free Euclid on float64 residues, and one inverse at the end.
+    """The monic gcd: an inverse-free Euclid on float residues, and one inverse at the end.
 
     A normal step, deg a = deg b + 1 = n >= 2, takes in one pass the
     pseudo-remainder r = lc^2 a - (q1 Y + q0) b, where lc = b_(n-1),
@@ -860,26 +863,39 @@ def _yp_gcd(ctx: _ExtCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     which reduces after each quotient row, and so do all other steps
     (deg a - deg b != 1, or deg b = 0).
 
+    Width: where also 2 dim (q-1)^2 + q <= 2^24 (checked once per call: prime
+    fields up to q = 2897, extensions with dim = q - 1 up to q = 199), the
+    remainders, the matrices M(.) and the normal step's three products, two
+    subtractions and _fmod run in float32, whose sums of such integers are
+    exact in any order below 2^24 (FFLAS-FFPACK's rule, Dumas, Giorgi & Pernet,
+    ACM TOMS 35, 2008), and _fmod is exact on |x| <= 2^24 - q.  The heads
+    and ``_sc_matrix`` stay in float64 (a_n b_(n-2), at most dim (q-1)^2, is
+    exact in either width), its residues are cast, and the long division runs
+    on float64 copies.  Past the bound all of it runs in float64.  Both widths
+    give the same integers, so the same g.
+
     r is lc times the remainder of ``_yp_divide``'s two rows when its second
     head q0 vanishes, and equal to it otherwise; a unit factor leaves the
     monic gcd as it is.
     """
     q, dim = ctx.q, ctx.dim
-    a = _yp_trim((a % q).astype(np.float64))
-    b = _yp_trim((b % q).astype(np.float64))
     fused = max(2 * dim, ctx.gamma * (1 + ctx.gamma * (dim - 1))) * (q - 1) ** 2 + q <= 2**53
+    width = np.float32 if fused and 2 * dim * (q - 1) ** 2 + q <= 2**24 else np.float64
+    a = _yp_trim((a % q).astype(width))
+    b = _yp_trim((b % q).astype(width))
     pad = np.zeros((3, 2 * dim - 1))  # lc, a_n, a_(n-1) in the first dim columns
     while b.shape[0] > 0:
         n = b.shape[0]
         if not (fused and a.shape[0] == n + 1 and n >= 2):
-            a, b = b, _yp_divide(ctx, a, b)
+            rem = _yp_divide(ctx, a.astype(np.float64, copy=False), b.astype(np.float64, copy=False))
+            a, b = b, rem.astype(width, copy=False)
             continue
         lc, an = b[-1], a[-1]
         pad[0, :dim], pad[1, :dim], pad[2, :dim] = lc, an, a[-2]
         heads = np.convolve(lc, pad.ravel())[: pad.size].reshape(pad.shape)
         heads[2] -= np.convolve(an, b[-2])
         heads[:, : dim - 1] += ctx.gamma * heads[:, dim:]
-        lc2, q1, q0 = _sc_matrix(ctx, heads[:, :dim])
+        lc2, q1, q0 = _sc_matrix(ctx, heads[:, :dim]).astype(width, copy=False)
         r = a[: n - 1] @ lc2
         r -= b[: n - 1] @ q0
         r[1:] -= b[: n - 2] @ q1
@@ -899,13 +915,19 @@ class FrobeniusReducer:
     points take a gcd with.  Three rules choose how it works.
 
     Long division or Barrett (``_reduce``, the one remainder mod R).  A
-    quotient of fewer than _BARRETT_ROWS rows, or of d rows or more, comes from
-    long division (``_yp_mod``).  Otherwise (a product of residues has at most
-    2d - 1 rows, so d - 1 quotient rows) the quotient is the reversal of
-    rev(a) * inv mod Y^(d-1) (von zur Gathen & Gerhard, Modern Computer Algebra,
-    ch. 9), where inv = rev(R)^-1 mod Y^(d-1) comes from Newton iteration once per reducer;
-    a - quotient * R is then taken mod Y^N - 1 for N >= d + 1, a cyclic product
-    of half the length.  The weighted transforms of inv and R are cached, and
+    quotient of fewer than _BARRETT_ROWS rows, or of more than d rows, comes
+    from long division (``_yp_mod``).  Otherwise (a of at most 2d rows: a
+    product of residues, or a square times Y, which is reduced once) the m-row
+    quotient is the reversal of rev(a) * inv mod Y^m (von zur Gathen & Gerhard,
+    Modern Computer Algebra, ch. 9), where inv = rev(R)^-1 mod Y^d comes from
+    Newton iteration once per reducer.  That product runs at the cached length
+    N_inv = 2^ceil(log2(2d - 2)) >= d, where only row 0 can take a wrapped
+    term (m = d and N_inv = 2d - 2), and row 0 is the top row of a, as
+    inv_0 = 1.  The quotient of a start power Y^e, d <= e < 2d, needs no
+    product: rev(Y^e) = 1, so it is the reversal of inv mod Y^(e-d+1), a
+    prefix of the stored coefficients of inv.  a - quotient * R is then taken
+    mod Y^N - 1 for N >= d + 1, a cyclic product of half the length, where a
+    folds at most once.  The weighted transforms of inv and R are cached, and
     every product checks the float64 bound of ``_check_fft_exact``.  The Newton
     round from precision p to 2p needs only rows p..2p-1 of e = rev(R) * inv - 1,
     which vanishes below p: they are rows of the product mod Y^N - 1 for
@@ -923,10 +945,11 @@ class FrobeniusReducer:
     (``_fourier_sum``); without the table, by square-and-multiply over
     ``mulmod``: floor(log2 q) squarings plus popcount(q) - 1 products.
     ``_power_of_y`` squares up to Y^e from Y^e0, e0 the longest binary prefix of
-    e with e0 <= 2d - 2, reduced once: a squaring per remaining bit of e and a
-    one-row shift (times Y) per 1-bit.  Without the table each Y^(q^i) takes
-    whichever makes fewer mulmods; at q = 31 and d = 125 squaring up takes 0, 2
-    and 7 squarings for i = 1, 2, 3 against 8 mulmods a step.
+    e with e0 <= 2d - 2, reduced once: a squaring per remaining bit of e,
+    shifted one row (times Y) for a 1-bit before its one reduction.  Without
+    the table each Y^(q^i) takes whichever makes fewer mulmods; at q = 31 and
+    d = 125 squaring up takes 0, 2 and 7 squarings for i = 1, 2, 3 against 8
+    mulmods a step.
 
     Table or not (``plan(steps, products)``).  The table is built when it is
     exact (see below) and T_build + steps * T_table < products * T_mul + T_setup,
@@ -940,7 +963,7 @@ class FrobeniusReducer:
     X-transforms are products with dim x dim matrices;
     t(n) = 3.4e-9 M(n) log2 M(n) + 9.3e-5, a mulmod whose product has n rows,
     so T_mul = t(2d - 1), and T_setup = sum of t(2p - 1) over the Newton
-    precisions p = 2, 4, ..., d - 1.  Each formula is a least-squares fit, in
+    precisions p = 2, 4, ..., d.  Each formula is a least-squares fit, in
     relative error, to the minimum of 15 interleaved timings on a 2-vCPU x86 VM
     with one BLAS thread, over q in {13, 31, 47, 61, 83, 101} and d from 10 to
     600 (125 for the table): within 0.72-1.20x of every mulmod timing,
@@ -1014,10 +1037,10 @@ class FrobeniusReducer:
             return 3.4e-9 * m * math.log2(m) + 9.3e-5
 
         t_direct = products * t_mul(2 * d - 1)
-        if products and d - 1 >= _BARRETT_ROWS and self._inv_hat is None:  # Barrett set-up
+        if products and d >= _BARRETT_ROWS and self._inv_hat is None:  # Barrett set-up
             prec = 1
-            while prec < d - 1:
-                prec = min(2 * prec, d - 1)
+            while prec < d:
+                prec = min(2 * prec, d)
                 t_direct += t_mul(2 * prec - 1)
         t_build = 6.1e-10 * d * d * q * dim + 2.0e-5 * (d + q)
         t_table = 6.3e-10 * d * d * dim + 2.6e-10 * d * dim * dim + 2.3e-5
@@ -1069,22 +1092,22 @@ class FrobeniusReducer:
         return r
 
     def _setup_barrett(self):
-        """inv = rev(R)^-1 mod Y^(d-1) by Newton iteration, and the transforms of inv and R.
+        """inv = rev(R)^-1 mod Y^d by Newton iteration, kept with its transform, and R's.
 
-        The sizes of the final products are checked first: they bound every
-        product of the iteration, so a refused modulus is refused before it."""
+        The sizes of the final products, d x d and d x (d + 1) rows, are checked
+        first: they bound every product of the iteration, so a refused modulus
+        is refused before it."""
         ctx = self.ctx
         d = self.R.shape[0] - 1
-        n = d - 1
-        self._inv_len = _fft_len(2 * n - 1)
+        self._inv_len = _fft_len(2 * d - 2)  # the quotient's product (class docstring)
         self._r_len = _fft_len(d + 1)  # cyclic: R (d + 1 rows) does not wrap
-        _check_fft_exact(ctx, n, n, self._inv_len)
-        _check_fft_exact(ctx, n, d + 1, self._r_len)
+        _check_fft_exact(ctx, d, d, self._inv_len)
+        _check_fft_exact(ctx, d, d + 1, self._r_len)
         rev = self.R[::-1]
         inv = _yp_monomial(ctx, 0)  # rev(R)(0) = lc(R) = 1
-        while inv.shape[0] < n:
+        while inv.shape[0] < d:
             old = inv.shape[0]
-            prec = min(2 * old, n)
+            prec = min(2 * old, d)
             # rows old..prec-1 of e = rev(R) * inv - 1, from a cyclic product, and the
             # correction inv * e[old:] (prec - 1 rows) at the same length, on the same
             # transform of inv (class docstring)
@@ -1094,8 +1117,17 @@ class FrobeniusReducer:
             _check_fft_exact(ctx, old, prec - old, length)
             corr = _fft_round(ctx, inv_hat * _fft(ctx, e, length), length, prec - old)
             inv = np.concatenate((inv, -corr % ctx.q))
+        self._inv = inv
         self._inv_hat = _fft(ctx, inv, self._inv_len)
         self._r_hat = _fft(ctx, self.R, self._r_len)
+
+    def _barrett(self, m: int) -> bool:
+        """Whether an m-row quotient comes from Barrett (class docstring), set up on first use."""
+        if m < _BARRETT_ROWS or m > self.R.shape[0] - 1:
+            return False
+        if self._inv_hat is None:
+            self._setup_barrett()
+        return True
 
     def _reduce(self, a: np.ndarray) -> np.ndarray:
         """a mod R for a reduced a: the long-division-or-Barrett rule (class docstring)."""
@@ -1104,15 +1136,20 @@ class FrobeniusReducer:
         m = a.shape[0] - d  # quotient rows
         if m <= 0:
             return a
-        if m < _BARRETT_ROWS or m >= d:
+        if not self._barrett(m):
             return _yp_mod(ctx, a, self.R)
-        if self._inv_hat is None:
-            self._setup_barrett()
         quo_hat = _fft(ctx, a[: d - 1 : -1], self._inv_len) * self._inv_hat
-        quo = _fft_round(ctx, quo_hat, self._inv_len, m)[::-1]
+        quo = _fft_round(ctx, quo_hat, self._inv_len, m)
+        quo[0] = a[-1]  # the one row a wrap can reach
+        return self._remainder(a, quo[::-1])
+
+    def _remainder(self, a: np.ndarray, quo: np.ndarray) -> np.ndarray:
+        """a - quo * R for a of at most 2d rows and its quotient quo by R, from
+        a mod Y^N - 1 and a cyclic product at N = _r_len (class docstring)."""
+        ctx = self.ctx
+        d = self.R.shape[0] - 1
         n_cyc = self._r_len
-        rq_hat = _fft(ctx, quo, n_cyc) * self._r_hat
-        rem = a[:d] - _fft_round(ctx, rq_hat, n_cyc, d)
+        rem = a[:d] - _fft_round(ctx, _fft(ctx, quo, n_cyc) * self._r_hat, n_cyc, d)
         rem[: max(a.shape[0] - n_cyc, 0)] += a[n_cyc:]  # a mod Y^N - 1
         return _yp_trim(rem % ctx.q)
 
@@ -1155,16 +1192,25 @@ class FrobeniusReducer:
         drop = max(e.bit_length() - cap.bit_length(), 0)
         return drop + (e >> drop > cap)
 
+    def _monomial_mod(self, e: int) -> np.ndarray:
+        """Y^e mod R for e < 2d; a Barrett quotient is a reversed prefix of the
+        stored inverse (class docstring)."""
+        m = e - self.R.shape[0] + 2  # quotient rows
+        y = _yp_monomial(self.ctx, e)
+        return self._remainder(y, self._inv[m - 1 :: -1]) if self._barrett(m) else self._reduce(y)
+
     def _power_of_y(self, e: int) -> np.ndarray:
-        """Y^e mod R: Y^e0 reduced once, then a squaring for each remaining bit of e and
-        a one-row shift (a multiplication by Y) for each 1-bit among them."""
+        """Y^e mod R: Y^e0 reduced once (``_monomial_mod``), then for each remaining
+        bit of e a squaring, shifted one row (a multiplication by Y) for a 1-bit,
+        and reduced once."""
         ctx = self.ctx
         drop = self._squarings(e)
-        w = self._reduce(_yp_monomial(ctx, e >> drop))
+        w = self._monomial_mod(e >> drop)
         for bit in format(e, "b")[e.bit_length() - drop :]:
-            w = self.mulmod(w, w)
+            w = _yp_mul(ctx, w, w)
             if bit == "1" and w.shape[0]:
-                w = self._reduce(np.concatenate((np.zeros((1, ctx.dim), dtype=np.int64), w)))
+                w = np.concatenate((np.zeros((1, ctx.dim), dtype=np.int64), w))
+            w = self._reduce(w)
         return w
 
     def frobenius_powers(self, n: int) -> list[np.ndarray]:

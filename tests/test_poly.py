@@ -696,6 +696,54 @@ def test_gcd_past_the_fused_bound_reduces_every_quotient_row():
         assert np.array_equal(_ref_gcd(ctx, a, b), _yp_monic(ctx, g))
 
 
+# the float32 bound of _yp_gcd, 2 dim (q-1)^2 + q <= 2^24: over F_q the largest
+# prime inside it and the next prime, and the extensions (dim = q - 1) of the
+# largest prime inside it and of the next prime
+_WIDTH_CASES = [
+    (_ExtCtx(2897, 1, 0), np.float32),
+    (_ExtCtx(2903, 1, 0), np.float64),
+    (standard_extension(199).ctx, np.float32),
+    (standard_extension(211).ctx, np.float64),
+]
+
+
+@pytest.mark.parametrize("ctx, width", _WIDTH_CASES)
+def test_gcd_width_follows_the_float32_bound(monkeypatch, ctx, width):
+    # normal steps run at the width the bound picks, non-normal ones by float64
+    # long division; either way g is the long-division Euclid's.  Remainder
+    # sequences with quotients of degree 1 to 3 and g of degree 0 and 2, and
+    # all-(q-1) inputs, whose first products reach dim (q-1)^2
+    q = ctx.q
+    assert (2 * ctx.dim * (q - 1) ** 2 + q <= 2**24) == (width is np.float32)
+    widths = set()
+    fmod = poly._fmod
+    monkeypatch.setattr(poly, "_fmod", lambda x, q: widths.add(x.dtype.type) or fmod(x, q))
+    rng = random.Random(q)
+    cases = []
+    for g_rows in (1, 3):
+        g = _shaped_yp(rng, ctx, g_rows, "random")
+        cases.append(_euclid_pair(rng, ctx, g, [1, 1, 2, 1, 3, 1, 1]))
+    full = np.full((7, ctx.dim), q - 1, dtype=np.int64)
+    cases += [(full, full[:6]), (full, _shaped_yp(rng, ctx, 6, "random"))]
+    for a, b in cases:
+        widths.clear()
+        got = _yp_gcd(ctx, a, b)
+        assert (np.float32 in widths) == (width is np.float32)
+        assert np.array_equal(got, _ref_gcd(ctx, a, b))
+
+
+def test_fmod_is_exact_in_float32_within_its_bound():
+    # |x| <= 2^24 - q in float32, the range the float32 Euclid leaves for it
+    q = 2897
+    edge = 2**24 - q
+    x = np.array([-edge, -edge + 1, edge, edge - 1, -1, -q, q, 0], dtype=np.float32)
+    x = np.concatenate((x, np.random.default_rng(q).integers(-edge, edge + 1, 10**5)))
+    x = x.astype(np.float32)
+    got = _fmod(x.copy(), q)
+    assert got.dtype == np.float32
+    assert got.astype(np.int64).tolist() == [int(v) % q for v in x.astype(np.int64)]
+
+
 def _reference_table(reducer):
     """The schoolbook chain: row j is Y^q * (row j-1) reduced mod R by a full _yp_mod."""
     ctx = reducer.ctx
@@ -1012,6 +1060,87 @@ def test_linearized_residue_squares_up_from_y():
     got = reducer.linearized_residue(L)
     assert reducer._table is None
     assert calls["mulmod"] <= 9 and calls["step"] == 0
+    assert np.array_equal(got, _ref_residue(ctx, reducer.R, L))
+
+
+# Barrett reduction's edges: deg R 8, the smallest with a quotient of
+# _BARRETT_ROWS rows; 9, 65 and 129, where the quotient's product length is
+# 2d - 2 and a d-row quotient wraps into row 0; and the deg R on both sides of
+# 64 and 128, where the transform lengths double
+_BARRETT_DEGS = [8, 9, 10, 63, 64, 65, 128, 129]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ctx=st.sampled_from(_PROPERTY_CTXS),
+    deg=st.sampled_from(_BARRETT_DEGS),
+    kind=st.sampled_from(_KINDS + ["all q-1"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reduce_takes_a_square_times_y(ctx, deg, kind, seed):
+    # a squaring shifted one row has up to 2d rows, a d-row quotient, and one
+    # Barrett reduction takes it
+    rng = random.Random(seed)
+    reducer = FrobeniusReducer(ctx, _shaped_yp(rng, ctx, deg + 1, "random"))
+    if kind == "all q-1":
+        w = np.full((deg, ctx.dim), ctx.q - 1, dtype=np.int64)
+    else:
+        w = _shaped_yp(rng, ctx, deg, kind)
+    a = np.concatenate((np.zeros((1, ctx.dim), dtype=np.int64), _yp_mul(ctx, w, w)))
+    y = _yp_monomial(ctx, 1)
+    expect = _yp_mod(ctx, _ref_mul(ctx, y, _ref_pow_mod(ctx, w, 2, reducer.R)), reducer.R)
+    assert np.array_equal(reducer._reduce(a), expect)
+    assert (reducer._inv_hat is not None) == (a.shape[0] == 2 * deg)
+
+
+def _counted(calls, name, func):
+    def wrapper(*args):
+        calls[name] += 1
+        return func(*args)
+
+    return wrapper
+
+
+@pytest.mark.parametrize("deg", _BARRETT_DEGS)
+def test_start_powers_read_the_stored_inverse(monkeypatch, deg):
+    # Y^e for d <= e < 2d: from _BARRETT_ROWS quotient rows on, the quotient is a
+    # reversed prefix of the stored inverse, so the one product is the
+    # remainder's and no long division runs; the references below call their own
+    # _yp_mod, not the counted one
+    calls = {"_fft_round": 0, "_yp_mod": 0}
+    for name in calls:
+        monkeypatch.setattr(poly, name, _counted(calls, name, getattr(poly, name)))
+    for ctx in _PROPERTY_CTXS:
+        rng = random.Random(deg * ctx.q)
+        reducer = FrobeniusReducer(ctx, _shaped_yp(rng, ctx, deg + 1, "random"))
+        reducer._setup_barrett()
+        expect = _ref_pow_mod(ctx, _yp_monomial(ctx, 1), deg, reducer.R)
+        zero_row = np.zeros((1, ctx.dim), dtype=np.int64)
+        for e in range(deg, 2 * deg):
+            calls.update({"_fft_round": 0, "_yp_mod": 0})
+            assert np.array_equal(reducer._monomial_mod(e), expect), e
+            if e - deg + 1 >= poly._BARRETT_ROWS:
+                assert calls == {"_fft_round": 1, "_yp_mod": 0}
+            expect = _yp_mod(ctx, np.concatenate((zero_row, expect)), reducer.R)
+
+
+def test_power_of_y_reduces_each_square_once(monkeypatch):
+    # the deg R 125 chain of test_linearized_residue_squares_up_from_y: once
+    # Barrett is set up, a squaring times Y (a 1-bit) is reduced once with the
+    # squaring, by Barrett, so no long division runs (a shift reduced on its own
+    # took one each, 7 in this chain)
+    ctx = standard_extension(31).ctx
+    rng = random.Random(125)
+    R = _shaped_yp(rng, ctx, 126, "random")
+    L = low_degree_vanishing_coeffs(31, ctx.gamma, 2)
+    reducer = FrobeniusReducer(ctx, R)
+    set_up = []  # whether Barrett was set up, at each long division
+    mod = poly._yp_mod
+    monkeypatch.setattr(
+        poly, "_yp_mod", lambda *args: set_up.append(reducer._inv_hat is not None) or mod(*args)
+    )
+    got = reducer.linearized_residue(L)
+    assert reducer._inv_hat is not None and set_up.count(True) == 0
     assert np.array_equal(got, _ref_residue(ctx, reducer.R, L))
 
 
