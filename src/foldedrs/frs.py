@@ -185,6 +185,8 @@ class RecoverySets:
     l: int
 
     def __post_init__(self):
+        if self.l < 1:
+            raise ValueError(f"list size l = {self.l} must be at least 1")
         for j, S in enumerate(self.sets):
             if len(S) > self.l:
                 raise ValueError(f"set at position {j} has {len(S)} > l = {self.l} elements")

@@ -26,12 +26,15 @@ Three layers live here:
   in the subspace V_k of elements with representative degree <= k are those
   of g = gcd(R, L_k mod R) (``_subspace_residue``), where L_k is the q-linearized
   polynomial that vanishes exactly on V_k (``low_degree_vanishing_coeffs``).
-  L_k mod R comes from the powers Y^(q^i) mod R (steps through a precomputed
+  L_k mod R is one combination of the powers Y^(q^i) mod R, which come as one
+  array (``FrobeniusReducer.frobenius_powers``: steps through a precomputed
   table, or squarings up from Y and square-and-multiply q-th powers, chosen by
-  a stated cost rule), and g from an inverse-free Euclid.  Its roots are read
-  coordinate by coordinate (``_subspace_roots``).  With k = dim - 1, L_k is the
-  field equation Y^(q^dim) - Y and V_k the whole field; over F_q that is k = 0.
-  The decoder takes k from its parameters.
+  a stated cost rule), and g comes from an inverse-free Euclid.  Its roots are
+  read coordinate by coordinate from one worklist of factors, where every
+  coordinate, the last included, splits by the same rules
+  (``_subspace_roots``).  With k = dim - 1, L_k is the field equation
+  Y^(q^dim) - Y and V_k the whole field; over F_q that is k = 0.  The decoder
+  takes k from its parameters.
 
 All operations are pure and deterministic: nothing draws random numbers.
 """
@@ -405,7 +408,7 @@ class MultiPoly:
         return int(self.jvecs.sum(axis=1).max(initial=-1))
 
     def __add__(self, other):
-        if other.field != self.field or other.s != self.s:
+        if other.field != self.field or other.s != self.s or other.k != self.k:
             raise ValueError("incompatible polynomials")
         merged = dict(self.terms)
         for exps, c in other.terms.items():
@@ -1213,8 +1216,9 @@ class FrobeniusReducer:
             w = self._reduce(w)
         return w
 
-    def frobenius_powers(self, n: int) -> list[np.ndarray]:
-        """Y^(q^i) mod R for i = 0..n.
+    def frobenius_powers(self, n: int) -> np.ndarray:
+        """Y^(q^i) mod R for i = 0..n, as an (n + 1, deg R, dim) array whose row i
+        holds Y^(q^i) mod R padded with zero rows.
 
         With the table, Y^(q^i) is a step from Y^(q^(i-1)); without it, it comes
         from whichever route makes fewer mulmods: ``_power_of_y``, or a q-th power
@@ -1223,21 +1227,20 @@ class FrobeniusReducer:
         per_step = self._step_mulmods()
         squarings = [self._squarings(ctx.q**i) for i in range(1, n + 1)]
         self.plan(n, sum(min(s, per_step) for s in squarings))
-        out = [self._power_of_y(1)]
+        out = np.zeros((n + 1, self.R.shape[0] - 1, ctx.dim), dtype=np.int64)
+        u = self._power_of_y(1)
+        out[0, : u.shape[0]] = u
         for i, s in enumerate(squarings, 1):
-            if self._table is None and s <= per_step:
-                out.append(self._power_of_y(ctx.q**i))
-            else:
-                out.append(self.step(out[-1]))
+            u = self._power_of_y(ctx.q**i) if self._table is None and s <= per_step else self.step(u)
+            out[i, : u.shape[0]] = u
         return out
 
     def linearized_residue(self, a) -> np.ndarray:
-        """sum_i a_i Y^(q^i) mod R for base-field scalars a_i (``frobenius_powers``)."""
-        w = _yp_zero(self.ctx)
-        for ai, u in zip(a, self.frobenius_powers(len(a) - 1)):
-            if ai:
-                w = _yp_add(self.ctx, w, u * ai % self.ctx.q)
-        return w
+        """sum_i a_i Y^(q^i) mod R for base-field scalars a_i (``frobenius_powers``),
+        as int64 sums of len(a) products of residues: exact for len(a) <= dim + 1,
+        as the context bounds dim (q-1)^2 by 2^53."""
+        powers = self.frobenius_powers(len(a) - 1)
+        return _yp_trim(np.tensordot(np.array(a, dtype=np.int64), powers, 1) % self.ctx.q)
 
 
 def low_degree_vanishing_coeffs(q: int, gamma: int, k: int) -> list[int]:
@@ -1309,46 +1312,6 @@ def _zeros_among(ctx: _ExtCtx, h: np.ndarray, cand: np.ndarray) -> list[np.ndarr
     return list(cand[~acc.any(axis=1)])
 
 
-def _value_classes(ctx: _ExtCtx, h: np.ndarray, u: np.ndarray) -> tuple[list, list]:
-    """(roots, classes) for a monic squarefree h and a residue u mod h that takes
-    values in F_q at the roots of h: the roots that splitting h by those values
-    reaches, and pairs (f, u mod f) for the other factors f of h, of degree >= 2,
-    on each of which u takes one value.
-
-    A linear factor gives its root.  Where u mod a factor is a Y + b, a != 0,
-    its roots are among the (c - b) / a, c in F_q, and come out in one pass.
-    Otherwise a factor splits by the quadratic character of u + t for
-    t = 0, 1, 2, ...: gcd(f, (u + t)^((q-1)/2) - 1) collects the roots where
-    u + t is a nonzero square.  Two values c != c' share that class at every
-    t in F_q only if [x is a nonzero square] has period c' - c, that is, is
-    constant, which it is not (0 is not a nonzero square, 1 is).  So q rounds
-    separate every value; a factor left after them has a value outside F_q,
-    and comes back as a class for the caller's checks.
-    """
-    q = ctx.q
-    one = np.eye(1, ctx.dim, dtype=np.int64)
-    roots, classes, parts = [], [], [(h, u, None)]
-    for t in range(q):
-        todo, parts = parts, []
-        for f, uf, reducer in todo:
-            if f.shape[0] == 2:
-                roots.append(-f[0] % q)
-            elif uf.shape[0] <= 1:
-                classes.append((f, uf))
-            elif uf.shape[0] == 2:
-                inv = _sc_inv(ctx, uf[1])
-                roots += _roots_among(ctx, f, _sc_mul(ctx, -uf[0] % q, inv), inv)
-            else:
-                reducer = reducer or FrobeniusReducer(ctx, f)
-                w = reducer.pow_mod(_yp_add(ctx, uf, t * one), (q - 1) // 2)
-                b = _yp_gcd(ctx, f, _yp_add(ctx, w, -one % q))
-                if 0 < b.shape[0] - 1 < f.shape[0] - 1:
-                    parts += [(p, _yp_mod(ctx, uf, p), None) for p in (b, _yp_divmod(ctx, f, b)[0])]
-                else:
-                    parts.append((f, uf, reducer))
-    return roots, classes + [(f, uf) for f, uf, _ in parts]
-
-
 def _subspace_residue(ctx: _ExtCtx, R: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(R made monic, L_k mod R) for R of degree >= 1, where L_k vanishes exactly on
     the elements of representative degree <= k (``low_degree_vanishing_coeffs``).
@@ -1369,43 +1332,71 @@ def _subspace_roots(ctx: _ExtCtx, g: np.ndarray, k: int) -> list[np.ndarray]:
     to f_j X^j, so u_j = X^-j (ell_j mod g) takes the value f_j in F_q at each
     root (Berlekamp's trace algorithm, Math. Comp. 24, 1970, with coordinates
     in place of traces).  ell_j mod g is an F_q-combination of the Y^(q^i) mod g,
-    i <= k, from a ``FrobeniusReducer`` on g.  Coordinate by coordinate, each
-    factor is split by the values of u_j (``_value_classes``; a factor on which
-    u_j is constant is left as it is), and its roots' common coordinates are
-    kept.  The last coordinate takes one pass over the q candidates that the
-    others leave (``_roots_among``); at k = 0 that pass is all there is.  A
-    linear factor is a root at once.
+    i <= k, from a ``FrobeniusReducer`` on g; u_j is made once, when a factor
+    first reaches coordinate j.
 
+    One worklist holds entries (f, j, t, u_j mod f, reducer on f), a factor f
+    of g at coordinate j and round t, from (g, 0, 0).  A linear factor is a
+    root.  For any other factor, u_j mod f is
+    * constant: if it is in F_q, every root of f has coordinate j equal to it,
+      and f moves to coordinate j + 1 at round 0;
+    * linear, a Y + b with a != 0: the roots of f are among the (c - b) / a,
+      c in F_q, and come out in one pass (``_roots_among``);
+    * otherwise: f splits by the quadratic character of u_j + t.
+      gcd(f, (u_j + t)^((q-1)/2) - 1) collects the roots where u_j + t is a
+      nonzero square, and f, or its two parts, go on at round t + 1.
+    Two values c != c' share that class at every t in F_q only if
+    [x is a nonzero square] has period c' - c, that is, is constant, which it
+    is not (0 is not a nonzero square, 1 is).  So q rounds separate every value.
+
+    No coordinate needs a pass of its own.  The roots of a factor at
+    coordinate k share coordinates 0..k-1, as it has moved past each, so they
+    lie on an affine F_q-line a + c X^k, where u_k takes the value c.  So does
+    the linear residue X^-k (Y - a), and two residues mod a squarefree f that
+    agree at every root of f are equal: u_k mod f is X^-k (Y - a), and the
+    linear rule walks a + c X^k.  At k = 0, which covers every prime field,
+    u_0 = Y and that pass is one over F_q.
+
+    A factor left after coordinate k or after q rounds, or with a constant u_j
+    outside F_q, has a repeated root or a root outside V, and is dropped.
     Raises AssertionError unless it finds exactly deg g distinct roots, all in
     V: a root outside V or a repeated root fails loudly.
     """
     q, dim = ctx.q, ctx.dim
     g = _yp_trim(g)
     n = g.shape[0] - 1
-    roots = [(-g[0]) % q] if n == 1 else []
-    parts = [(g, np.zeros(dim, dtype=np.int64))] if n >= 2 else []  # factors, known coordinates
-    if parts and k:
-        powers = np.zeros((k + 1, n, dim), dtype=np.int64)
-        for i, u in enumerate(FrobeniusReducer(ctx, g).frobenius_powers(k)):
-            powers[i, : u.shape[0]] = u
+    if n >= 2:
+        powers = FrobeniusReducer(ctx, g).frobenius_powers(k)
         C = _coordinate_functionals(q, ctx.gamma, k)
-        inv_gamma = pow(ctx.gamma, -1, q)
-    for j in range(k):
-        if not parts:
-            break
-        u = np.roll(np.tensordot(C[j], powers, 1) % q, -j, axis=1)  # X^-j = X^(dim-j) / gamma
-        u[:, dim - j :] = u[:, dim - j :] * inv_gamma % q
-        todo, parts = parts, []
-        for h, known in todo:
-            found, classes = _value_classes(ctx, h, _yp_mod(ctx, u, h))
-            roots += found
-            for f, uf in classes:
-                if uf.shape[0] <= 1 and not uf[:, 1:].any():  # one value, in F_q
-                    coords = known.copy()
-                    coords[j] = uf[0, 0] if uf.shape[0] else 0
-                    parts.append((f, coords))
-    for h, known in parts:
-        roots += _roots_among(ctx, h, known, np.eye(1, dim, k, dtype=np.int64)[0])
+        one = np.eye(1, dim, dtype=np.int64)
+    roots, u = [], {}  # u[j]: u_j mod g
+    todo = [(g, 0, 0, None, None)] if n >= 1 else []  # (f, j, t, u_j mod f, reducer on f)
+    while todo:
+        f, j, t, uf, reducer = todo.pop()
+        if f.shape[0] == 2:
+            roots.append(-f[0] % q)
+            continue
+        if uf is None:
+            if j not in u:
+                u[j] = np.tensordot(C[j], powers, 1) % q
+                if j:  # X^-j = X^(dim-j) / gamma
+                    u[j] = np.roll(u[j], -j, axis=1)
+                    u[j][:, dim - j :] = u[j][:, dim - j :] * pow(ctx.gamma, -1, q) % q
+            uf = _yp_mod(ctx, u[j], f)
+        if uf.shape[0] <= 1:
+            if j < k and not uf[:, 1:].any():
+                todo.append((f, j + 1, 0, None, None))
+        elif uf.shape[0] == 2:
+            inv = _sc_inv(ctx, uf[1])
+            roots += _roots_among(ctx, f, _sc_mul(ctx, -uf[0] % q, inv), inv)
+        elif t < q:
+            reducer = reducer or FrobeniusReducer(ctx, f)
+            w = reducer.pow_mod(_yp_add(ctx, uf, t * one), (q - 1) // 2)
+            b = _yp_gcd(ctx, f, _yp_add(ctx, w, -one % q))
+            if 0 < b.shape[0] - 1 < f.shape[0] - 1:
+                todo += [(p, j, t + 1, _yp_mod(ctx, uf, p), None) for p in (b, _yp_divmod(ctx, f, b)[0])]
+            else:
+                todo.append((f, j, t + 1, uf, reducer))
     distinct = {r.tobytes() for r in roots}
     if len(roots) != n or len(distinct) != n or any(r[k + 1 :].any() for r in roots):
         raise AssertionError(

@@ -144,6 +144,13 @@ def test_recovery_sets_size_limit():
     assert rs.l == 2
 
 
+@pytest.mark.parametrize("l", [0, -1])
+def test_recovery_sets_refuse_l_below_1(l):
+    # a list size below 1 is refused by name, also when every set is empty
+    for sets in ([], [[]], [[(1, 2)]]):
+        with pytest.raises(ValueError, match=rf"list size l = {l} must be at least 1"):
+            RecoverySets.from_iterables(sets, l)
+
 def test_message_and_word_files(tmp_path):
     p = FRSParams(q=13, m=3, k=2)
     msg = UniPoly.from_ints(p.field, [5, 0, 7])

@@ -295,6 +295,16 @@ def test_cli_recover_with_an_erased_position(tmp_path, capsys):
     assert "4 9" in capsys.readouterr().out.splitlines()
 
 
+@pytest.mark.parametrize("l", ["0", "-1"])
+def test_cli_recover_refuses_l_below_1(tmp_path, capsys, l):
+    # exit 2, as for --s 0, with a message that names l
+    setsf = tmp_path / "sets.txt"
+    setsf.write_text("1,2,3\n" * 3)
+    rc = run_cli(["recover", "--q", "13", "--m", "3", "--k", "1", "--s", "2", "--r", "2",
+                  "--l", l, "--in", str(setsf)])
+    assert rc == 2
+    assert f"list size l = {l} must be at least 1" in capsys.readouterr().err
+
 def test_cli_simulate_and_bounds_files(tmp_path):
     simf = tmp_path / "trials.csv"
     rc = run_cli(["simulate", "--q", "13", "--m", "3", "--k", "2", "--s", "2", "--r", "3",

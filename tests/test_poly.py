@@ -255,6 +255,16 @@ def test_multipoly_validation():
     assert Q.weighted_degree() == 5
 
 
+def test_multipoly_sum_needs_equal_k():
+    # the weight k is part of the polynomial (__eq__ compares it), so a sum of
+    # two weights has no k to take: a + b and b + a are refused alike
+    a = MultiPoly(F5, s=2, k=1, terms={(0, 1, 0): 1})
+    b = MultiPoly(F5, s=2, k=2, terms={(0, 0, 1): 1})
+    for x, y in [(a, b), (b, a)]:
+        with pytest.raises(ValueError, match="incompatible"):
+            x + y
+    assert (a + a).k == 1 and (b + b).k == 2
+
 def _ref_terms(pairs, q):
     """The dict semantics of a terms argument: the last pair per exponent vector
     wins, coefficients are reduced mod q, and zeros are dropped."""

@@ -318,13 +318,65 @@ def test_subspace_roots_fail_loudly(case):
             _subspace_roots(ctx, _product_of_linears(ctx, [outside]), k)
 
 
+# (field, k, planted roots as coordinates 0..k, the coordinate of each pass over
+# q candidates, whether the quadratic character splits a factor)
+_RULE_CASES = {
+    # the roots share coordinate 0, so g moves on to coordinate 1 and its pass
+    "one value moves on": (13, 2, [(3, 1, 4), (3, 5, 9)], [1], False),
+    # three roots on the line c (1, 2, 3) + (0, 7, 11): u_0 mod g is linear
+    "linear pass at j = 0": (31, 2, [(2, 11, 17), (5, 17, 26), (30, 5, 8)], [0], False),
+    # the roots differ only in the last coordinate: u_k mod g is linear
+    "linear pass at j = k": (31, 2, [(4, 9, c) for c in (0, 1, 17, 30)], [2], False),
+    # five distinct coordinate-0 values, not on a line: u_0 mod g has degree >= 2
+    "quadratic-character split": (13, 1, [(0, 1), (1, 5), (2, 3), (7, 7), (11, 2)], None, True),
+    "k = 0 over a prime field": ("F_31", 0, [(3,), (7,), (11,), (30,)], [0], False),
+}
+
+
+@pytest.mark.parametrize("case", list(_RULE_CASES))
+def test_subspace_roots_reach_each_rule(case):
+    # counters on _roots_among and on the (q-1)/2-th powers of pow_mod show which
+    # rule ran.  A pass at coordinate j walks a line whose step has coordinates
+    # below j equal to 0 and coordinate j equal to 1, as the roots of a factor
+    # at coordinate j share the coordinates below it
+    q, k, planted, pass_coordinates, splits = _RULE_CASES[case]
+    ctx = PrimeField(31).ctx if q == "F_31" else standard_extension(q).ctx
+    planted = {root + (0,) * (ctx.dim - k - 1) for root in planted}
+    g = _product_of_linears(ctx, sorted(planted))
+    passes, powers = [], []
+    roots_among, pow_mod = poly._roots_among, FrobeniusReducer.pow_mod
+
+    def counted_roots_among(ctx, h, base, step):
+        j = int(np.flatnonzero(step)[0])
+        assert step[j] == 1
+        passes.append(j)
+        return roots_among(ctx, h, base, step)
+
+    def counted_pow_mod(self, u, e):
+        powers.append(e)
+        return pow_mod(self, u, e)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "_roots_among", counted_roots_among)
+        mp.setattr(FrobeniusReducer, "pow_mod", counted_pow_mod)
+        roots = {tuple(r.tolist()) for r in _subspace_roots(ctx, g, k)}
+    assert roots == planted
+    subspace = np.zeros((ctx.q ** (k + 1), ctx.dim), dtype=np.int64)
+    subspace[:, : k + 1] = np.indices((ctx.q,) * (k + 1)).reshape(k + 1, -1).T
+    assert _reference_zeros(ctx, g, subspace) == roots
+    assert (powers.count((ctx.q - 1) // 2) > 0) == splits
+    if pass_coordinates is None:
+        assert set(passes) <= {0}
+    else:
+        assert passes == pass_coordinates
+
 @pytest.mark.parametrize("coordinate", [0, 2])
 def test_quadratic_extraction_at_q_257_in_bounded_memory(coordinate):
-    # a deg-2 g takes one pass over q candidates, through its first coordinate's
-    # value classes or the last coordinate's pass; their dim x dim matrices take
-    # 257 * 256^2 * 16 bytes, ~270 MB, at once, and well under 64 MB in slices.
-    # In the last coordinate's pass the roots are candidates 4 and 256, in the
-    # first and the last slice
+    # a deg-2 g takes one pass over q candidates, by the linear rule at its first
+    # coordinate, or at its last once it has moved past the shared coordinates
+    # 0 and 1; their dim x dim matrices take 257 * 256^2 * 16 bytes, ~270 MB, at
+    # once, and well under 64 MB in slices.  In the pass at the last coordinate
+    # the roots are candidates 4 and 256, in the first and the last slice
     q, k = 257, 2
     ctx = standard_extension(q).ctx
     planted = [[3, 1, 4] + [0] * (ctx.dim - 3) for _ in range(2)]
