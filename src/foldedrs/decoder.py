@@ -51,8 +51,8 @@ from .rootfind import strip_E_power  # noqa: F401
 
 def agreement_threshold(D: int, m: int, s: int, r: int) -> int:
     """Smallest integer t with t > D / ((m - s + 1) r)."""
-    if not 1 <= s <= m:
-        raise ValueError("need 1 <= s <= m")
+    if not 1 <= s <= m or r < 1:
+        raise ValueError("need 1 <= s <= m and r >= 1")
     return D // ((m - s + 1) * r) + 1
 
 

@@ -45,19 +45,6 @@ def _check_float_exact(terms: int, q: int, what: str) -> None:
         )
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def _prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n by trial division."""
     out = []
@@ -79,7 +66,7 @@ class PrimeField:
     __slots__ = ("q",)
 
     def __init__(self, q: int):
-        if not _is_prime(q):
+        if _prime_factors(q) != [q]:
             raise ValueError(f"field modulus {q} is not prime")
         if q < 3 or q % 2 == 0:
             raise ValueError(f"field modulus must be an odd prime >= 3, got {q}")
@@ -257,10 +244,6 @@ class _ExtCtx:
     def __post_init__(self):
         # _sc_mul and the products of poly's _yp_* sum dim products per entry
         _check_float_exact(self.dim, self.q, "extension-field arithmetic")
-
-    @property
-    def size(self) -> int:
-        return self.q**self.dim
 
 
 @functools.lru_cache(maxsize=None)

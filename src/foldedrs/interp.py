@@ -51,8 +51,6 @@ _PLANS = 4  # codes whose interpolation plans stay cached; see _plan
 
 def _integer_root(value: int, degree: int) -> int:
     """floor(value ** (1/degree)) by integer binary search, no floating point."""
-    if value < 0:
-        raise ValueError("negative radicand")
     lo, hi = 0, 1
     while hi**degree <= value:
         hi *= 2

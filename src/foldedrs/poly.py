@@ -312,6 +312,8 @@ def enumerate_weighted_monomials(k: int, D: int, s: int) -> Sequence[Monomial]:
 
 def count_weighted_monomials(k: int, D: int, s: int) -> int:
     """Number of monomials with (1,k,...,k)-weighted degree at most D."""
+    if k < 1 or s < 1:
+        raise ValueError("need k >= 1, s >= 1")
     if D < 0:
         return 0
     total = 0
@@ -322,6 +324,10 @@ def count_weighted_monomials(k: int, D: int, s: int) -> int:
 
 def trivariate_monomial_count(k: int, D: int) -> int:
     """Closed form for s=2: k*C(a+2,3) + (D - a*k + 1)*C(a+2,2) with a = floor(D/k)."""
+    if k < 1:
+        raise ValueError("need k >= 1")
+    if D < 0:
+        return 0
     a = D // k
     return k * math.comb(a + 2, 3) + (D - a * k + 1) * math.comb(a + 2, 2)
 
@@ -459,6 +465,8 @@ def hasse_coefficient(Q: MultiPoly, point, target) -> FieldElem:
     b = target.exponents if isinstance(target, Monomial) else tuple(target)
     if len(b) != Q.s + 1:
         raise ValueError(f"target monomial has {len(b)} exponents, expected {Q.s + 1}")
+    if any(e < 0 for e in b):
+        raise ValueError("negative target exponent")
     table = _pascal_mod(q, max(len(Q.M) - 1, int(Q.jvecs.max(initial=0)), *b))
     acc = 0
     for exps, c in Q.terms.items():
@@ -539,18 +547,13 @@ def _yp_pad(a: np.ndarray, rows: int) -> np.ndarray:
     return out
 
 
-def _yp_monomial(ctx: _ExtCtx, e: int, c: np.ndarray | None = None) -> np.ndarray:
+def _yp_monomial(ctx: _ExtCtx, e: int) -> np.ndarray:
     arr = np.zeros((e + 1, ctx.dim), dtype=np.int64)
-    if c is None:
-        arr[e, 0] = 1
-    else:
-        arr[e] = c % ctx.q
+    arr[e, 0] = 1
     return arr
 
 
 def _yp_scalar_mul(ctx: _ExtCtx, arr: np.ndarray, c: np.ndarray) -> np.ndarray:
-    if arr.shape[0] == 0:
-        return arr
     out = arr.astype(np.float64) @ _sc_matrix(ctx, c).astype(np.float64)
     return _yp_trim(out.astype(np.int64) % ctx.q)
 
@@ -1410,8 +1413,6 @@ def _roots_arr(ctx: _ExtCtx, arr: np.ndarray) -> list[np.ndarray]:
     """All roots in the field of a nonzero polynomial given as a coefficient array:
     those of representative degree <= dim - 1, so the field is the subspace."""
     arr = _yp_trim(arr % ctx.q)
-    if arr.shape[0] == 0:
-        raise ValueError("root finding needs a nonzero polynomial")
     if arr.shape[0] == 1:
         return []
     g = _yp_gcd(ctx, *_subspace_residue(ctx, arr, ctx.dim - 1))

@@ -265,3 +265,30 @@ def test_suggest_params_examples():
     assert sp.m == 48
     assert sp.r == 60
     assert sp.radius >= 1 - 0.5 - 0.25 - 1e-9
+
+
+def test_agreement_threshold_refuses_r_below_1():
+    # a negative r gave a negative threshold and r = 0 a ZeroDivisionError
+    for r in (0, -1):
+        with pytest.raises(ValueError, match="need 1 <= s <= m and r >= 1"):
+            agreement_threshold(10, 3, 2, r)
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: agreement_threshold(10, 3, 0, 3), "need 1 <= s <= m"),
+        (lambda: agreement_threshold(10, 3, 4, 3), "need 1 <= s <= m"),
+        (lambda: suggest_params(0.0, 0.1), "rate must lie strictly between 0 and 1"),
+        (lambda: suggest_params(1.0, 0.1), "rate must lie strictly between 0 and 1"),
+        (lambda: suggest_params(0.5, 0.0), "eps must be positive"),
+    ],
+)
+def test_decoder_refusals(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()
+
+
+def test_decoding_bounds_at_m_1_mark_rho_a_vacuous():
+    row = decoding_bounds(0.25, 1, 1, 2)
+    assert row.rho_a == 0.0 and "rho_a" in row.vacuous

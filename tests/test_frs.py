@@ -16,6 +16,8 @@ from foldedrs.frs import (
     read_message,
     read_word,
     unfold,
+    validate_recovery_sets,
+    validate_word,
     write_message,
     write_word,
 )
@@ -173,3 +175,31 @@ def test_message_file_validation(tmp_path):
     bad.write_text("1 2 99\n")
     with pytest.raises(ValueError):
         read_message(str(bad), p)
+
+
+P13 = FRSParams(q=13, m=3, k=2, s=2, r=3)
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda: FRSParams(q=13, m=0, k=2), ValueError, "folding parameter must be positive"),
+        (lambda: FRSParams(q=13, m=3, k=0), ValueError, "k must be at least 1"),
+        (lambda: FRSParams(q=13, m=3, k=2, variant="other"), ValueError, "unknown variant 'other'"),
+        (lambda: encode(P13, UniPoly.from_ints(FRSParams(q=31, m=3, k=2).field, [1])), ValueError,
+         "not over the code's field"),
+        (lambda: validate_word(P13, [(0, 0, 13)] + [(0, 0, 0)] * 3), ShapeError, "outside [0, 13)"),
+        (lambda: fold(P13, [0] * 11), ShapeError, "length 11, expected n = 12"),
+        (lambda: interpolation_points(P13, [0] * 13), ShapeError, "length 13, expected n = 12"),
+        (lambda: validate_recovery_sets(P13, RecoverySets.from_iterables([[]] * 3, 1)), ShapeError,
+         "3 sets given, expected N = 4"),
+        (lambda: validate_recovery_sets(P13, RecoverySets.from_iterables([[(0, 0)]] * 4, 1)),
+         ShapeError, "does not have width m = 3"),
+        (lambda: validate_recovery_sets(P13, RecoverySets.from_iterables([[(0, -1, 0)]] * 4, 1)),
+         ShapeError, "outside [0, 13)"),
+    ],
+)
+def test_frs_refusals(call, error, fragment):
+    with pytest.raises(error) as info:
+        call()
+    assert fragment in str(info.value)

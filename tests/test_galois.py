@@ -459,3 +459,35 @@ def test_extension_too_large_for_the_kernels_still_builds():
     assert a + a == ext.element([2, 4])
     with pytest.raises(ParameterError):
         a * a
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda: PrimeField(0), ValueError, "field modulus 0 is not prime"),
+        (lambda: PrimeField(1), ValueError, "field modulus 1 is not prime"),
+        (lambda: PrimeField(2), ValueError, "field modulus must be an odd prime >= 3, got 2"),
+        (lambda: PrimeField(9), ValueError, "field modulus 9 is not prime"),
+        (lambda: PrimeField(15), ValueError, "field modulus 15 is not prime"),
+        (lambda: PrimeField(7).zero().inverse(), ZeroDivisionError, "inverse of zero field element"),
+        (lambda: ExtField(PrimeField(5), PrimeField(7).element(3)), ValueError,
+         "gamma must live in the base field"),
+        (lambda: standard_extension(5).embed(PrimeField(7).one()), ValueError,
+         "element is not in the base field"),
+        (lambda: standard_extension(5).one() + standard_extension(7).one(), ValueError,
+         "cannot mix elements of different fields"),
+        (lambda: is_irreducible(UniPoly.x(standard_extension(5))), TypeError,
+         "irreducibility test is defined over prime fields"),
+    ],
+)
+def test_galois_refusals(call, error, fragment):
+    with pytest.raises(error) as info:
+        call()
+    assert fragment in str(info.value)
+
+
+def test_scalars_mix_with_ints_and_base_field_elements():
+    F = PrimeField(7)
+    ext = standard_extension(7)
+    assert F.element(5) + 4 == F.element(2)
+    assert ext.element([1, 2]) + F.element(6) == ext.element([0, 2])

@@ -395,3 +395,64 @@ def test_cli_decode_and_recover_take_no_seed():
     code = ["--q", "13", "--m", "3", "--k", "2", "--s", "2", "--r", "3", "--in", "rx.txt"]
     assert run_cli(["decode", *code, "--seed", "1"]) == 64
     assert run_cli(["recover", *code, "--l", "1", "--seed", "1"]) == 64
+
+
+ZERO13 = encode(P13, UniPoly.zero(P13.field))
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: ChannelSpec(kind="erasure", e=1), "unknown channel kind 'erasure'"),
+        (lambda: ChannelSpec(kind="uniform", e=-1), "error count must be nonnegative"),
+        (lambda: apply_channel(ZERO13, ChannelSpec(kind="fixed-positions", e=1)),
+         "needs an explicit position list"),
+        (lambda: apply_channel(ZERO13, ChannelSpec(kind="fixed-positions", e=1, positions=(4,))),
+         "error position out of range"),
+        (lambda: apply_channel(ZERO13, ChannelSpec(kind="fixed-positions", e=2, positions=(0, 1),
+                                                   values=((1, 1, 1),))),
+         "need one replacement tuple per position"),
+        (lambda: emit_bound_curves([3], [2], 3, 0.0), "grid step must be positive"),
+    ],
+)
+def test_harness_refusals(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()
+
+
+def test_cli_writes_lists_to_file_and_stdout(tmp_path, capsys):
+    # decode, recover and oracle with --out write the list to the file and to stdout
+    msgf, cwf = tmp_path / "msg.txt", tmp_path / "cw.txt"
+    msgf.write_text("7 3 11\n")
+    code = ["--q", "13", "--m", "3", "--k", "2"]
+    assert run_cli(["encode", *code, "--in", str(msgf), "--out", str(cwf)]) == 0
+    setsf = tmp_path / "sets.txt"
+    setsf.write_text(cwf.read_text().replace(" ", ","))  # one tuple a set
+    for command, infile, extra in [("decode", cwf, []), ("recover", setsf, ["--l", "1"]),
+                                   ("oracle", cwf, [])]:
+        outf = tmp_path / f"{command}.txt"
+        capsys.readouterr()
+        argv = [command, *code, "--s", "2", "--r", "3", *extra, "--in", str(infile), "--out", str(outf)]
+        assert run_cli(argv) == 0
+        assert outf.read_text() == capsys.readouterr().out == "7 3 11\n"
+
+
+def test_cli_simulate_and_bounds_write_to_stdout(capsys):
+    assert run_cli(["simulate", "--q", "13", "--m", "3", "--k", "2", "--s", "2", "--r", "3",
+                    "--errors", "1", "--trials", "2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == SIMULATE_HEADER and len(out) == 3
+    assert run_cli(["bounds", "--m", "3", "--r", "3", "--step", "0.25"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == BOUNDS_HEADER and len(out) == 4
+
+
+def test_cli_corrupt_at_fixed_positions(tmp_path):
+    msgf, cwf, rxf = tmp_path / "msg.txt", tmp_path / "cw.txt", tmp_path / "rx.txt"
+    msgf.write_text("1 0 12\n")
+    code = ["--q", "13", "--m", "3", "--k", "2"]
+    assert run_cli(["encode", *code, "--in", str(msgf), "--out", str(cwf)]) == 0
+    assert run_cli(["corrupt", *code, "--errors", "2", "--channel", "fixed-positions",
+                    "--positions", "0,2", "--in", str(cwf), "--out", str(rxf)]) == 0
+    cw, rx = read_word(str(cwf), P13), read_word(str(rxf), P13)
+    assert [j for j in range(P13.N) if cw[j] != rx[j]] == [0, 2]

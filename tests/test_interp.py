@@ -663,3 +663,20 @@ def test_vanished_Q_raises_the_named_invariant(monkeypatch):
     )
     with pytest.raises(AssertionError, match="Q vanished"):
         interpolate(problem)
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: degree_bound_formula(0, 8, 3, 2), "all parameters must be at least 1"),
+        (lambda: degree_bound_formula(2, 8, 3, 0), "all parameters must be at least 1"),
+        (lambda: InterpolationProblem(PrimeField(13), ((1, 2),), r=1, k=2, s=2, D=5),
+         "(1, 2) does not have s + 1 = 3 coordinates"),
+        (lambda: InterpolationProblem(PrimeField(13), ((1, 2, 13),), r=1, k=2, s=2, D=5),
+         "(1, 2, 13) has entries outside [0, 13)"),
+    ],
+)
+def test_interp_refusals(call, fragment):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert fragment in str(info.value)

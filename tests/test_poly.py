@@ -1414,3 +1414,45 @@ def test_compose_message_matches_pointwise():
         y2 = f(field.element(xv * gamma % q))
         rhs = Q.evaluate((x, y1, y2))
         assert lhs == rhs.value
+
+
+def test_hasse_coefficient_refuses_negative_target_exponents():
+    # a negative b_t read the Pascal table from its end: F7(1) for (-1, 0)
+    F = PrimeField(7)
+    Q = MultiPoly(F, 1, 1, {(2, 1): 1, (0, 0): 3})
+    for target in [(-1, 0), (0, -1)]:
+        with pytest.raises(ValueError, match="negative target exponent"):
+            hasse_coefficient(Q, (1, 1), target)
+
+
+def test_count_weighted_monomials_refuses_k_or_s_below_1():
+    # k = -1 counted 0 monomials, k = 0 raised ZeroDivisionError and s = 0
+    # math.comb's error
+    for k, s in [(-1, 2), (0, 2), (2, 0)]:
+        with pytest.raises(ValueError, match="need k >= 1, s >= 1"):
+            count_weighted_monomials(k, 5, s)
+
+
+def test_trivariate_monomial_count_refuses_k_below_1_and_counts_0_below_degree_0():
+    # k = 0 raised ZeroDivisionError and D = -5 math.comb's error
+    with pytest.raises(ValueError, match="need k >= 1"):
+        trivariate_monomial_count(0, 5)
+    assert trivariate_monomial_count(2, -5) == 0 == count_weighted_monomials(2, -5, 2)
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda: frobenius_pow_mod(UniPoly.x(standard_extension(5)), 1, UniPoly.x(standard_extension(5))),
+         TypeError, "frobenius powering is defined over prime fields"),
+        (lambda: frobenius_pow_mod(UniPoly.x(PrimeField(5)), -1, UniPoly.x(PrimeField(5))),
+         ValueError, "power index must be nonnegative"),
+        (lambda: enumerate_weighted_monomials(0, 5, 2), ValueError, "need k >= 1, D >= 0, s >= 1"),
+        (lambda: MultiPoly(PrimeField(5), 1, 1, {(0, -1): 1}), ValueError, "negative exponent"),
+        (lambda: MultiPoly(PrimeField(5), 1, 1, {(0, 1): 1}).evaluate((1, 2, 3)), ValueError,
+         "point has wrong dimension"),
+    ],
+)
+def test_poly_refusals(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()
