@@ -82,10 +82,6 @@ class PrimeField:
         return FieldElem(1, self)
 
     @property
-    def size(self) -> int:
-        return self.q
-
-    @property
     def ctx(self) -> _ExtCtx:
         """The scalar-kernel context of F_q, the case dim = 1."""
         return _ext_ctx(self.q, 1, 0)
@@ -261,27 +257,23 @@ def _gamma_pows(q: int, dim: int, gamma: int) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _window_index(dim: int) -> np.ndarray:
-    # row u, column t of the multiplication matrix reads entry dim - u + t of
-    # the doubled vector (gamma * c, c): the wrapped part lands in the low
-    # columns already scaled by gamma
-    u = np.arange(dim)[:, None]
-    t = np.arange(dim)[None, :]
-    index = dim - u + t
-    index.flags.writeable = False
-    return index
+def _window(v: np.ndarray, dim: int) -> np.ndarray:
+    """An owned copy of the dim rows over a C-contiguous v of shape (..., dim + w) whose
+    row u reads v[..., dim - u : dim - u + w]: a strided view, each row one entry left of the last."""
+    item = v.itemsize
+    shape = v.shape[:-1] + (dim, v.shape[-1] - dim)
+    return np.ndarray(shape, v.dtype, v, dim * item, v.strides[:-1] + (-item, item)).copy()
 
 
 def _sc_matrix(ctx: _ExtCtx, c: np.ndarray) -> np.ndarray:
     """Multiplication-by-c matrix M: (a @ M) is the coefficient vector of a*c.
 
-    Scalars of shape (..., dim) give stacked matrices of shape (..., dim, dim).
+    Row u is X^u c, the window of the doubled vector (gamma c, c) mod q that
+    starts at entry dim - u: the part that wraps past X^dim lands in the low
+    columns already scaled by gamma.  Scalars of shape (..., dim) give stacked
+    matrices of shape (..., dim, dim), of c's dtype.
     """
-    v = np.concatenate(((ctx.gamma * c) % ctx.q, c % ctx.q), axis=-1)
-    # take() is markedly faster than fancy indexing v[..., idx] here, and the
-    # method skips the dispatch cost of np.take (this runs per quotient row)
-    return v.take(_window_index(ctx.dim), axis=-1)
+    return _window(np.concatenate(((ctx.gamma * c) % ctx.q, c % ctx.q), axis=-1), ctx.dim)
 
 
 def _sc_fold(ctx: _ExtCtx, v: np.ndarray) -> np.ndarray:

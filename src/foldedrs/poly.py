@@ -61,6 +61,7 @@ from .galois import (
     _sc_is_one,
     _sc_matrix,
     _sc_mul,
+    _window,
 )
 
 
@@ -856,56 +857,57 @@ def _yp_gcd(ctx: _ExtCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     q1 = lc a_n and q0 = lc a_(n-1) - a_n b_(n-2) (von zur Gathen & Gerhard,
     Modern Computer Algebra, §6.12): rows 0..n-2 of a, b and Y b times M(lc^2),
     M(q0) and M(q1), two subtractions and one _fmod; rows n-1 and n of r vanish
-    by the choice of q1 and q0.  The heads come from one convolution of lc with
-    (lc, a_n, a_(n-1)) laid end to end, padded so the products do not overlap,
-    and one of a_n with b_(n-2), folded with X^dim = gamma and left unreduced:
-    each lies within top = (q-1)^2 (1 + gamma (dim - 1)) of 0, and
-    ``_sc_matrix`` multiplies them by gamma before it reduces them.  Each
-    product has entries in [0, dim (q-1)^2], so -2 dim (q-1)^2 <= r <=
-    dim (q-1)^2 before the _fmod.  max(2 dim (q-1)^2, gamma top) + q <= 2^53 is
-    checked once per call; it holds for prime fields up to q ~ 6.7e7 (gamma = 0),
-    for extensions up to q ~ 1.3e5 at gamma = 2 and for every gamma up to
-    q ~ 1550.  Past it every step goes through the long division ``_yp_divide``,
-    which reduces after each quotient row, and so do all other steps
-    (deg a - deg b != 1, or deg b = 0).
+    by the choice of q1 and q0.  The heads come from one product: the rows
+    (a_(n-1), a_n, lc) times W(lc), the dim x 2 dim window of lc's tripled
+    vector (gamma^2 lc, gamma lc, lc) mod q whose row u starts at entry dim - u.
+    x W(c) is (gamma x c, x c), the doubled vector of x c, so once b_(n-2) W(a_n)
+    is taken from the first row, one _fmod and one ``_window`` give M(q0), M(q1)
+    and M(lc^2), as in ``_sc_matrix``.  W(a_n) is the last step's W(lc) when
+    that step was normal: a_n was its lc.  Each head entry is a sum of dim
+    products of residues, within dim (q-1)^2 of 0, and each product of the step
+    has entries in [0, dim (q-1)^2], so -2 dim (q-1)^2 <= r <= dim (q-1)^2
+    before the _fmod.  2 dim (q-1)^2 + q <= 2^53 is checked once per call; it
+    holds for prime fields up to q ~ 6.7e7 and for extensions with dim = q - 1
+    up to q ~ 1.65e5, whatever gamma.  Past it every step goes through the long
+    division ``_yp_divide``, which reduces after each quotient row, and so do
+    all other steps (deg a - deg b != 1, or deg b = 0).
 
     Width: where also 2 dim (q-1)^2 + q <= 2^24 (checked once per call: prime
     fields up to q = 2897, extensions with dim = q - 1 up to q = 199), the
-    remainders, the matrices M(.) and the normal step's three products, two
+    remainders, the windows, the heads and the normal step's products,
     subtractions and _fmod run in float32, whose sums of such integers are
     exact in any order below 2^24 (FFLAS-FFPACK's rule, Dumas, Giorgi & Pernet,
-    ACM TOMS 35, 2008), and _fmod is exact on |x| <= 2^24 - q.  The heads
-    and ``_sc_matrix`` stay in float64 (a_n b_(n-2), at most dim (q-1)^2, is
-    exact in either width), its residues are cast, and the long division runs
-    on float64 copies.  Past the bound all of it runs in float64.  Both widths
-    give the same integers, so the same g.
+    ACM TOMS 35, 2008), and _fmod is exact on |x| <= 2^24 - q.  The long
+    division runs on float64 copies.  Past the bound all of it runs in float64.
+    Both widths give the same integers, so the same g.
 
     r is lc times the remainder of ``_yp_divide``'s two rows when its second
     head q0 vanishes, and equal to it otherwise; a unit factor leaves the
     monic gcd as it is.
     """
     q, dim = ctx.q, ctx.dim
-    fused = max(2 * dim, ctx.gamma * (1 + ctx.gamma * (dim - 1))) * (q - 1) ** 2 + q <= 2**53
+    fused = 2 * dim * (q - 1) ** 2 + q <= 2**53
     width = np.float32 if fused and 2 * dim * (q - 1) ** 2 + q <= 2**24 else np.float64
+    scale = np.array([[ctx.gamma**2 % q], [ctx.gamma], [1]], dtype=width)
     a = _yp_trim((a % q).astype(width))
     b = _yp_trim((b % q).astype(width))
-    pad = np.zeros((3, 2 * dim - 1))  # lc, a_n, a_(n-1) in the first dim columns
+    prev = None  # lc's window from the last step when it was normal: a_n's now
     while b.shape[0] > 0:
         n = b.shape[0]
         if not (fused and a.shape[0] == n + 1 and n >= 2):
             rem = _yp_divide(ctx, a.astype(np.float64, copy=False), b.astype(np.float64, copy=False))
-            a, b = b, rem.astype(width, copy=False)
+            a, b, prev = b, rem.astype(width, copy=False), None
             continue
-        lc, an = b[-1], a[-1]
-        pad[0, :dim], pad[1, :dim], pad[2, :dim] = lc, an, a[-2]
-        heads = np.convolve(lc, pad.ravel())[: pad.size].reshape(pad.shape)
-        heads[2] -= np.convolve(an, b[-2])
-        heads[:, : dim - 1] += ctx.gamma * heads[:, dim:]
-        lc2, q1, q0 = _sc_matrix(ctx, heads[:, :dim]).astype(width, copy=False)
+        if prev is None:
+            prev = _window(_fmod(scale * a[-1], q).reshape(-1), dim)
+        w = _window(_fmod(scale * b[-1], q).reshape(-1), dim)
+        heads = np.concatenate((a[-2:], b[-1:])) @ w
+        heads[0] -= b[-2] @ prev
+        q0, q1, lc2 = _window(_fmod(heads, q), dim)
         r = a[: n - 1] @ lc2
         r -= b[: n - 1] @ q0
         r[1:] -= b[: n - 2] @ q1
-        a, b = b, _yp_trim(_fmod(r, q))
+        a, b, prev = b, _yp_trim(_fmod(r, q)), w
     return _yp_monic(ctx, a.astype(np.int64))
 
 

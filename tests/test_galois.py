@@ -9,6 +9,7 @@ from foldedrs.galois import (
     ParameterError,
     PrimeField,
     _sc_fold,
+    _sc_matrix,
     ext_invert,
     find_primitive_element,
     is_irreducible,
@@ -380,6 +381,32 @@ def test_sc_fold_of_a_matrix_folds_each_column(q):
     for c, col in enumerate(cols):
         M[: len(col), c] = col
     assert not _sc_fold(ctx, M).any()
+
+
+@pytest.mark.parametrize("dim", [1, 12, 30, 100, 256])
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+def test_sc_matrix_rows_are_shifted_products(dim, dtype):
+    # row u of M(c) is X^u c mod X^dim - gamma, built by multiplying by X one
+    # row at a time, over F_7 itself (dim 1) and over F_(dim+1)^dim; one scalar
+    # and a (2, 3) stack of them
+    ctx = PrimeField(7).ctx if dim == 1 else standard_extension(dim + 1).ctx
+    q = ctx.q
+    gen = np.random.default_rng(dim)
+    for shape in ((dim,), (2, 3, dim)):
+        c = gen.integers(0, q, shape).astype(dtype)
+        c_before = c.copy()
+        m = _sc_matrix(ctx, c)
+        assert m.shape == shape + (dim,) and m.dtype == dtype
+        for index in np.ndindex(shape[:-1]):
+            row = c[index].astype(np.int64)
+            for u in range(dim):
+                assert np.array_equal(m[index][u], row)
+                row = np.concatenate(([ctx.gamma * row[-1] % q], row[:-1]))
+        # the rows are an owned copy: writing one changes neither c nor another row
+        expect = m.copy()
+        m[..., 0, :] = -1
+        assert np.array_equal(c, c_before)
+        assert np.array_equal(m[..., 1:, :], expect[..., 1:, :])
 
 
 def test_numpy_integers_become_python_ints():

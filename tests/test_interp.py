@@ -641,14 +641,13 @@ def test_cached_arrays_refuse_writes():
     arrays = [
         poly._pascal_mod(13, 6),
         galois._gamma_pows(13, 12, 2),
-        galois._window_index(5),
         poly._weights(12, 2),
         poly._coordinate_functionals(13, 2, 2),
     ]
     for name in interp._Plan.__slots__:
         value = getattr(plan, name)
         arrays += [a for a in (value if isinstance(value, tuple) else (value,)) if isinstance(a, np.ndarray)]
-    assert len(arrays) == 5 + 5 + 2 * constraints_per_point(3, 2)  # w and gidx per shift
+    assert len(arrays) == 4 + 5 + 2 * constraints_per_point(3, 2)  # w and gidx per shift
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = 0

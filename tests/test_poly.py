@@ -706,6 +706,34 @@ def test_gcd_past_the_fused_bound_reduces_every_quotient_row():
         assert np.array_equal(_ref_gcd(ctx, a, b), _yp_monic(ctx, g))
 
 
+# F_q[X]/(X^2 + 1) at q = 30000023 = 3 mod 4: gamma = -1 is a non-square, and
+# the gamma-scaling of _sc_frobenius is then the q-th power (X^q = -X), which
+# _sc_inv needs; gamma^2 (q-1)^2 > 2^53, while 2 dim (q-1)^2 + q <= 2^53
+_DIM2_CTX = _ExtCtx(30000023, 2, 30000022)
+
+
+def test_gcd_fuses_normal_steps_whatever_gamma(monkeypatch):
+    # every head is a sum of dim products of residues, so the fused bound has
+    # no gamma in it: a remainder sequence of degree-1 quotients ending in a
+    # g of degree 2 takes no row-by-row step
+    ctx = _DIM2_CTX
+    q = ctx.q
+    assert 2 * ctx.dim * (q - 1) ** 2 + q <= 2**53 < ctx.gamma**2 * (q - 1) ** 2
+    divide = poly._yp_divide
+    for seed in range(10):
+        rng = random.Random(seed)
+        g = _shaped_yp(rng, ctx, 3, "random")
+        a, b = _euclid_pair(rng, ctx, g, [1] * 12)
+        expect = _ref_gcd(ctx, a, b)
+        assert np.array_equal(expect, _yp_monic(ctx, g))
+        calls = []
+        monkeypatch.setattr(poly, "_yp_divide", lambda *args: calls.append(1) or divide(*args))
+        got = _yp_gcd(ctx, a, b)
+        monkeypatch.undo()
+        assert not calls
+        assert np.array_equal(got, expect)
+
+
 # the float32 bound of _yp_gcd, 2 dim (q-1)^2 + q <= 2^24: over F_q the largest
 # prime inside it and the next prime, and the extensions (dim = q - 1) of the
 # largest prime inside it and of the next prime
