@@ -299,8 +299,13 @@ def _sc_mul(ctx: _ExtCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _sc_frobenius(ctx: _ExtCtx, c: np.ndarray, i: int) -> np.ndarray:
-    """c^(q^i): X^q = gamma X when dim = q-1, so coefficient j scales by gamma^(i j)."""
-    return c * _gamma_pows(ctx.q, ctx.dim, pow(ctx.gamma, i, ctx.q)) % ctx.q
+    """c^(q^i): X^q = X (X^dim)^((q-1)/dim) = zeta X with zeta = gamma^((q-1)/dim) in F_q,
+    so X^(q^i) = zeta^i X and coefficient j scales by zeta^(i j).  Raises ValueError
+    where dim does not divide q - 1: there X^q is no multiple of X."""
+    q, dim = ctx.q, ctx.dim
+    if (q - 1) % dim:
+        raise ValueError(f"dim = {dim} does not divide q - 1 = {q - 1}: the q-th power is no scaling")
+    return c * _gamma_pows(q, dim, pow(ctx.gamma, i * ((q - 1) // dim), q)) % q
 
 
 def _sc_inv(ctx: _ExtCtx, c: np.ndarray) -> np.ndarray:
@@ -482,7 +487,7 @@ class ExtFieldElem:
         return result
 
     def frobenius(self) -> "ExtFieldElem":
-        """The q-th power map; on representatives it scales coefficient i by gamma^i."""
+        """The q-th power map; on representatives (dim = q - 1) it scales coefficient i by gamma^i."""
         return self.field._wrap(_sc_frobenius(self.field.ctx, self._vec(), 1))
 
     def __eq__(self, other):

@@ -16,11 +16,19 @@ substituted degree as small as the system allows; this both fixes
 reproducibility and keeps the root-finding step cheap.
 
 Because x does not depend on the pivot rows, it is found by blocked,
-left-looking elimination and back-substitution on a float64 copy of the
-matrix, with the delayed modular reduction of Dumas, Giorgi and Pernet
-(FFLAS-FFPACK, 2008): an entry is reduced by ``poly._fmod`` only before it
-could hold more than T = floor((2^53 - q) / (q-1)^2) products of residues,
-so |x| <= T (q-1)^2 <= 2^53 - q and every float64 sum is exact.
+left-looking elimination and back-substitution in place on the system, with
+the delayed modular reduction of Dumas, Giorgi and Pernet (FFLAS-FFPACK,
+2008) on balanced residues, |r| <= h = q // 2.  Each pivot's multipliers are
+scaled by its inverse and its row is left unscaled, so an entry is reduced
+only before it could hold more than T = floor((L - q) / h^2) products of two
+balanced residues, and a multiplier column holds at most one panel's
+products when it is scaled: h (h + 63 h^2) at the 64-column panel.  With
+L = 2^23 in float32 and 2^52 in float64 every sum is then an exact integer
+and the reduction x - q rint(x / q) is exact.  The column bound picks the
+dtype: float32 for q <= 103, float64 above, where past q ~ 83000 the column
+is also reduced before it is scaled (``_residue_kernel_vector``).  The
+decoder checks the result: A x = 0 (mod q) on a copy of the system taken
+before the elimination (``_Plan.kernel_vector``).
 
 Half of the system belongs to the code, not to the word.  An entry is a
 binomial-and-X-power factor, fixed by q, k, r, s, D and the points' distinct
@@ -31,7 +39,8 @@ first factor of every entry, one row per distinct X-coordinate.  Per word
 there remain the Y-powers, one product and one reduction per entry, the
 elimination and Q.  Every product of residues is reduced whenever its next
 factor could take it past 2^53 - q, so each is exact; the plan stores
-residues below q <= 2^24 (checked) in float32, which holds them exactly.
+residues below q <= 2^24 (checked) in float32, which holds them exactly, and
+emits the system's residues in [0, q) in the elimination's dtype.
 """
 
 from __future__ import annotations
@@ -178,8 +187,9 @@ class _Plan:
     order the rows form a staircase along the columns, and the elimination
     meets fewer zero diagonal entries and stops each column at the staircase.
     Row order does not change the kernel vector (see _residue_kernel_vector).
-    Entries are float64 residues: the plan's factor times the word's Y-power
-    factor, reduced once (see the module docstring).
+    Entries are residues in [0, q), in the kernel's dtype (``_kernel_dtype``):
+    the plan's factor times the word's Y-power factor, reduced once (see the
+    module docstring).
 
     Shift i has its rows zero left of column ``starts[i]``; from there ``w[i]``
     holds the binomials and X-powers of its entries, one row per X-coordinate
@@ -235,10 +245,10 @@ class _Plan:
                 G, bound = _fmod(G, q), q - 1
             G *= ypow[:, t].take(self.ydeg[t], axis=1)
             bound *= q - 1
-        _fmod(G, q)
+        G = _fmod(G, q).astype(_kernel_dtype(q), copy=False)
         # where no X-coordinate repeats, the points' X-coordinates are xs in order
         rows = np.array([self.row[int(pt[0])] for pt in points]) if len(ys) > len(self.row) else None
-        A = np.zeros((len(self.w), len(ys), len(self.exps)))
+        A = np.zeros((len(self.w), len(ys), len(self.exps)), dtype=G.dtype)
         for i, (w, start, gidx) in enumerate(zip(self.w, self.starts, self.gidx)):
             np.multiply(w if rows is None else w.take(rows, axis=0), G.take(gidx, axis=1),
                         out=A[i, :, start:])
@@ -246,8 +256,26 @@ class _Plan:
         return A.reshape(-1, len(self.exps))
 
     def kernel_vector(self, points) -> tuple[np.ndarray, int]:
-        """(x, c0) of the system at points (see ``matrix``)."""
-        return _residue_kernel_vector(self.matrix(points), self.q, len(points) * self.stair)[:2]
+        """(x, c0) of the system A at points (see ``matrix``), certified: A x = 0
+        (mod q) is checked on a float64 copy of A taken before the elimination,
+        which runs in place.
+
+        The check is one product A[:, :c0+1] x[:c0+1] of residues below q, taken in
+        column chunks of at most floor((2^53 - q) / (q-1)^2) products per sum, so
+        each chunk's sum is exact and ``_fmod`` reduces it exactly; the reduced
+        chunks add up in int64.  Raises AssertionError, naming the invariant,
+        when the check fails.
+        """
+        q, A = self.q, self.matrix(points)
+        kept = A.astype(np.float64)
+        x, c0 = _residue_kernel_vector(A, q, len(points) * self.stair)[:2]
+        step = (2**53 - q) // (q - 1) ** 2
+        kept, xs = kept[:, : c0 + 1], x[: c0 + 1].astype(np.float64)
+        residue = sum(_fmod(kept[:, c : c + step] @ xs[c : c + step], q).astype(np.int64)
+                      for c in range(0, c0 + 1, step))
+        if (residue % q).any():
+            raise AssertionError("kernel certificate failed: A x != 0 (mod q) for the interpolation system")
+        return x, c0
 
     def poly(self, field: PrimeField, s: int, k: int, x: np.ndarray) -> MultiPoly:
         """Q with coefficient x[c] on column c, from one scatter."""
@@ -271,52 +299,80 @@ def _plan(problem: InterpolationProblem) -> _Plan:
     return _code_plan(problem.field.q, problem.k, problem.r, problem.s, problem.D, xs)
 
 
+def _kernel_dtype(q: int) -> type:
+    """float32 where a full panel's scaled multiplier column, h (h + (_PANEL - 1) h^2)
+    with h = q // 2, stays below 2^23 (q <= 103), float64 otherwise; see
+    ``_residue_kernel_vector``."""
+    h = q // 2
+    return np.float32 if h * (h + (_PANEL - 1) * h * h) < 2**23 else np.float64
+
+
+def _balance(x: np.ndarray, q: int) -> np.ndarray:
+    """x reduced in place to the balanced residue |x| <= q // 2, exact for integer-valued
+    float32 x with |x| < 2^23 and float64 x with |x| < 2^52.
+
+    With x = n q + r, |r| <= (q-1)/2 for odd q: fl(x / q) is within
+    2^-24 |x / q| < 1/(2q) of x / q in float32 (2^-53 |x / q| in float64),
+    and the nearest half-integer is at least 1/(2q) away, so rint gives n;
+    |q n| <= |x| + q/2 stays exact.  For q = 2, x / q is exact.
+    """
+    x -= q * np.rint(x / q)
+    return x
+
+
 def _forward_eliminate(
     A: np.ndarray, q: int, width: int, budget: int, scale_first: bool, row_end: np.ndarray
-) -> int:
-    """Blocked forward elimination of float64 residues A in place, up to the first free column.
+) -> list[int]:
+    """Blocked forward elimination of residues A in place, up to the first free column.
 
-    Returns the first free column c0.  Rows from row_end[j] on must vanish on
-    columns 0..j, row_end nondecreasing (a staircase).  Afterwards rows
-    0..c0-1 of A hold the pivot rows, each scaled by its pivot's inverse:
-    their entries in columns i+1..c0 (row i) form the strictly upper part of
-    the unit upper-triangular block U and the column of c0, as residues.
+    Returns the inverses of the pivots mod q, one per column before the first
+    free column c0, so c0 is their count.  Rows from row_end[j] on must vanish
+    on columns 0..j, row_end nondecreasing (a staircase).  Afterwards rows
+    0..c0-1 of A hold the pivot rows, unscaled: their entries in columns
+    i+1..c0 (row i) form the strictly upper part of the upper-triangular block
+    U, whose diagonal holds the pivots, and the column of c0, as balanced
+    residues.
 
     Panels of ``width`` columns are left-looking: column j takes the updates
-    of the panel's earlier pivots as one gemv and is reduced, and its first
-    nonzero entry is the pivot; the multipliers below it stay unscaled.  The
-    pivot row takes the same updates over the rest of its row as one gemv, is
-    scaled by the pivot's inverse and is reduced once; where ``scale_first`` is
-    off it is also reduced before the scaling.  The rows below the panel then
-    take its updates on the trailing columns as one gemm: a multiplier times a
-    scaled row is the scaled multiplier times the row.  The panel's columns are
-    reduced at its start, the trailing block only when the panel would take its
-    count of subtracted products past ``budget``.  Column updates, pivot
-    searches and gemms stop at the staircase: rows from row_end[j] on take no
-    update of column j, and no row swap.
+    of the panel's earlier pivots as one gemv, and its first entry that is
+    nonzero mod q is the pivot.  The multipliers below it are scaled by the
+    pivot's inverse and reduced once; where ``scale_first`` is off they are
+    also reduced before the scaling.  The pivot row takes the same updates
+    over the rest of its row as one gemv and is reduced.  The rows below the
+    panel then take its updates on the trailing columns as one gemm: a scaled
+    multiplier times an unscaled row.  The panel's columns are reduced at its
+    start, the trailing block only when the panel would take its count of
+    subtracted products past ``budget``.  Column updates, pivot searches and
+    gemms stop at the staircase: rows from row_end[j] on take no update of
+    column j, and no row swap.
     """
     nrows, ncols = A.shape
+    h = q // 2
+    inverses = []
     pending = 0  # products subtracted from the trailing block since it was last reduced
     for j0 in range(0, ncols, width):
         pe = min(j0 + width, ncols)
         if pending + width > budget:
-            _fmod(A[j0 : row_end[j0 - 1], pe:], q)
+            _balance(A[j0 : row_end[j0 - 1], pe:], q)
             pending = 0
-        _fmod(A[j0 : row_end[pe - 1], j0:pe], q)
+        _balance(A[j0 : row_end[pe - 1], j0:pe], q)
         for j in range(j0, pe):
             col = A[j : row_end[j], j]
             col -= A[j : row_end[j], j0:j] @ A[j0:j, j]
-            if not len(col) or not _fmod(col, q)[0]:  # no pivot in place: search below
-                nz = np.flatnonzero(col)
+            if not scale_first:
+                _balance(col, q)
+            if not len(col) or not int(col[0]) % q:  # no pivot in place: search below
+                nz = np.flatnonzero(_balance(col, q))
                 if len(nz) == 0:
-                    return j
+                    return inverses
                 A[[j, j + nz[0]]] = A[[j + nz[0], j]]
+            inverse = pow(int(col[0]), -1, q)
+            inverses.append(inverse)
+            col *= inverse - q if inverse > h else inverse
+            _balance(col, q)
             row = A[j, j + 1 :]
             row -= A[j, j0:j] @ A[j0:j, j + 1 :]
-            if not scale_first:
-                _fmod(row, q)
-            row *= pow(int(col[0]), q - 2, q)
-            _fmod(row, q)
+            _balance(row, q)
         if pe < min(nrows, ncols):
             A[pe : row_end[pe - 1], pe:] -= A[pe : row_end[pe - 1], j0:pe] @ A[j0:pe, pe:]
             pending += width
@@ -325,15 +381,16 @@ def _forward_eliminate(
 
 def _kernel_vector(matrix: np.ndarray, q: int) -> tuple[np.ndarray, int, int]:
     """First-free-column kernel vector of an integer matrix (|v| <= 2^53 - q) over F_q:
-    ``_residue_kernel_vector`` of a float64 copy reduced mod q."""
+    ``_residue_kernel_vector`` of a copy reduced mod q."""
     return _residue_kernel_vector(_fmod(np.array(matrix, dtype=np.float64), q), q)
 
 
 def _residue_kernel_vector(
     A: np.ndarray, q: int, row_end: np.ndarray | None = None
 ) -> tuple[np.ndarray, int, int]:
-    """First-free-column kernel vector of a float64 matrix A of residues mod q,
-    eliminated in place (``_Plan.matrix`` emits such a matrix).
+    """First-free-column kernel vector of a float matrix A of residues mod q,
+    eliminated in place when its dtype is ``_kernel_dtype(q)`` (``_Plan.matrix``
+    emits such a matrix) and in a copy otherwise.
 
     Let c0 be the first column that lies in the span of the columns before
     it.  Columns 0..c0-1 are then linearly independent, so there is exactly
@@ -346,37 +403,47 @@ def _residue_kernel_vector(
     columns.  Returns (x, c0, c0): the rank of the columns before c0, which is
     c0, and c0 itself.
 
-    Every entry starts as a residue, and is a residue minus at most a budget
-    of products of residues before each _fmod.  A pivot row is scaled by its
-    pivot's inverse (at most q - 1) before its one _fmod, so its products are
-    bounded by T1 = floor(((2^53 - q) / (q-1) - (q-1)) / (q-1)^2), which keeps
-    (q-1) (T1 (q-1)^2 + q - 1) <= 2^53 - q: T1 is 9.0e9 at q = 101 and 256 at
-    q = 32749.  Where T1 leaves no room for a full panel (T1 < _PANEL, q above
-    about 52000; T1 = 32 at q = 65521), the row is reduced before it is
-    scaled and the budget is T = floor((2^53 - q) / (q-1)^2), so
-    -T (q-1)^2 <= x <= q - 1.  Either way every sum is exact.  Panels are
-    min(_PANEL, budget) wide; q above 2^24 (T < _PANEL // 2) raises
-    ParameterError.  U has a unit diagonal, so back-substitution takes no
-    inverse.  Raises AssertionError when every column is a pivot.
+    Exactness, with h = q // 2 and the delayed reduction of Dumas, Giorgi and
+    Pernet (FFLAS-FFPACK, ACM TOMS 35, 2008).  Every reduction is ``_balance``,
+    so every multiplier and every entry of U is a balanced residue, |r| <= h,
+    and every product of two is at most h^2.  An entry starts below q and takes
+    at most T = floor((L - q) / h^2) products before each reduction, so it
+    stays below L, with L = 2^23 in float32 and 2^52 in float64, where
+    ``_balance`` is exact: the trailing budget T is 3355 products at q = 101,
+    64 at q = 16777213.  A multiplier column is reduced at its panel's start
+    and takes at most width - 1 products, so scaled by its pivot's balanced
+    inverse it is at most h (h + (width - 1) h^2) before its one reduction.
+    That column bound picks the dtype (``_kernel_dtype``): at the full width
+    _PANEL = 64 it stays below 2^23 for q <= 103, which run in float32, and
+    below 2^52 up to q ~ 83000 in float64.  Above that the column is reduced
+    before it is scaled as well (``scale_first`` off), which keeps it below h^2.
+    Panels are min(_PANEL, T) wide; q above 2^24, where float32 would not hold
+    the plan's residues and _PANEL // 2 (q-1)^2 + q passes 2^53, raises
+    ParameterError.  Sums of integers below L are exact in any order, so BLAS
+    may split them as it likes.  The back-substitution sums the same products,
+    reduces after each block, and multiplies by each pivot's inverse as one
+    Python int.  Raises AssertionError when every column is a pivot.
     """
     _check_float_exact(_PANEL // 2, q, "interpolation kernel")
-    budget = ((2**53 - q) // (q - 1) - (q - 1)) // (q - 1) ** 2
-    scale_first = budget >= _PANEL
-    if not scale_first:
-        budget = (2**53 - q) // (q - 1) ** 2
+    dtype, h = _kernel_dtype(q), q // 2
+    limit = 2**23 if dtype is np.float32 else 2**52
+    budget = (limit - q) // h**2
     width = min(_PANEL, budget)
+    scale_first = h * (h + (width - 1) * h * h) < limit
+    A = A.astype(dtype, copy=False)
     if row_end is None:
         row_end = np.full(A.shape[1], A.shape[0])
-    c0 = _forward_eliminate(A, q, width, budget, scale_first, row_end)
-    y = np.zeros(A.shape[1])  # y = -x, so each sum below is a residue minus products
+    inverses = _forward_eliminate(A, q, width, budget, scale_first, row_end)
+    c0 = len(inverses)
+    y = np.zeros(A.shape[1], dtype=dtype)  # y = -x, so each sum below is a residue minus products
     rhs = A[:c0, c0].copy()
     for b0 in range(c0 - 1 - (c0 - 1) % width, -1, -width):
         b1 = min(b0 + width, c0)
         for i in range(b1 - 1, b0 - 1, -1):
-            y[i] = int(rhs[i] - A[i, i + 1 : b1] @ y[i + 1 : b1]) % q
+            y[i] = (int(rhs[i] - A[i, i + 1 : b1] @ y[i + 1 : b1]) * inverses[i] + h) % q - h
         rhs[:b0] -= A[:b0, b0:b1] @ y[b0:b1]
-        _fmod(rhs[:b0], q)
-    y[c0] = q - 1
+        _balance(rhs[:b0], q)
+    y[c0] = -1
     return (-y % q).astype(np.int64), c0, c0
 
 

@@ -8,8 +8,12 @@ from foldedrs.galois import (
     FieldElem,
     ParameterError,
     PrimeField,
+    _ExtCtx,
     _sc_fold,
+    _sc_frobenius,
+    _sc_inv,
     _sc_matrix,
+    _sc_mul,
     ext_invert,
     find_primitive_element,
     is_irreducible,
@@ -346,6 +350,35 @@ def test_ext_element_frobenius_matches_power():
     ext = standard_extension(7)
     a = ext.element([3, 1, 0, 4, 0, 2])
     assert a.frobenius() == a**7
+
+
+def test_sc_frobenius_is_the_q_th_power_for_a_dim_dividing_q_minus_1():
+    # over F_13[X]/(X^3 - 2) the q-th power scales X by 2^((13-1)/3) = 3, not by
+    # gamma = 2; c^13 comes from twelve products
+    ctx = _ExtCtx(13, 3, 2)
+    for c in ([1, 2, 3], [0, 1, 0], [5, 0, 7]):
+        c = np.array(c)
+        power = c
+        for _ in range(12):
+            power = _sc_mul(ctx, power, c)
+        assert _sc_frobenius(ctx, c, 1).tolist() == power.tolist()
+        assert _sc_frobenius(ctx, c, 2).tolist() == _sc_frobenius(ctx, power, 1).tolist()
+    assert _sc_frobenius(ctx, np.array([1, 2, 3]), 1).tolist() == [1, 6, 1]
+
+
+def test_sc_inv_over_a_dim_2_field():
+    # X^2 - 5 over F_30000023: the inverse goes through q-th powers, which scale
+    # X by 5^((q-1)/2) = -1 (5 is a non-square), not by 5
+    ctx = _ExtCtx(30000023, 2, 5)
+    for c in ([1, 1], [2, 29999999], [0, 7]):
+        c = np.array(c)
+        assert _sc_mul(ctx, c, _sc_inv(ctx, c)).tolist() == [1, 0]
+
+
+def test_sc_frobenius_refuses_a_dim_not_dividing_q_minus_1():
+    # over F_13[X]/(X^5 - 2), X^13 = 2^2 X^3 is no multiple of X
+    with pytest.raises(ValueError, match="dim = 5 does not divide q - 1 = 12"):
+        _sc_frobenius(_ExtCtx(13, 5, 2), np.array([1, 2, 3, 4, 5]), 1)
 
 
 def test_ext_element_folds_long_representatives():

@@ -345,15 +345,19 @@ def test_kernel_vector_rejects_inexact_field_size():
 
 
 def _largest_products_matrix(
-    q: int, nrows: int, ncols: int, c0: int, pivot: int = 1, entry: int | None = None
+    q: int, nrows: int, ncols: int, c0: int, pivot: int = 1, entry: int | None = None,
+    upper: int | None = None,
 ) -> np.ndarray:
-    """L U mod q where U has `pivot` on its diagonal and every multiplier, unscaled,
-    and every entry of U above its diagonal, scaled by the row's pivot inverse,
-    is `entry` (q - 1 by default), so each elimination update subtracts entry^2;
-    column c0 of U stops at row c0 - 1, which makes c0 the first free column."""
+    """L U mod q where L is unit lower triangular with entry / pivot below its
+    diagonal and U has `pivot` on its diagonal and `upper` above it (entry * pivot
+    by default; `entry` is q - 1 by default); column c0 of U stops at row c0 - 1,
+    which makes c0 the first free column.  An elimination without row swaps meets
+    L's entries as its multipliers scaled by their pivot's inverse and U's as its
+    pivot rows, so each update subtracts (entry / pivot) * upper, entry^2 by default."""
     entry = q - 1 if entry is None else entry
+    upper = entry * pivot if upper is None else upper
     L = np.tril(np.full((nrows, nrows), entry * pow(pivot, q - 2, q) % q), -1)
-    U = np.triu(np.full((nrows, ncols), entry * pivot % q), 1)
+    U = np.triu(np.full((nrows, ncols), upper % q), 1)
     L += np.eye(nrows, dtype=np.int64)
     U += pivot * np.eye(nrows, ncols, dtype=np.int64)
     U[c0:, c0] = 0
@@ -387,6 +391,119 @@ def test_kernel_vector_reduces_the_trailing_block_at_the_scaled_row_budget():
     for nrows, ncols, c0 in [(330, 340, 330), (340, 345, 321)]:
         M = _largest_products_matrix(q, nrows, ncols, c0, pivot=(q - 1) // 2, entry=q - 2)
         assert _assert_kernel_matches_reference(M, q) == c0
+
+
+def _balanced_worst_case(q: int, nrows: int, ncols: int, c0: int) -> np.ndarray:
+    """Every multiplier and every entry of U above the diagonal is h = q // 2, every
+    pivot is 2, whose balanced inverse is -h, and column c0 of U makes the kernel
+    vector h on every column before c0: each update of the elimination and of
+    the back-substitution subtracts h^2, all of one sign, and each scaled
+    column is -h times its updates, at the bounds of _residue_kernel_vector."""
+    h = q // 2
+    M = _largest_products_matrix(q, nrows, ncols, c0, pivot=2, upper=h)
+    u = np.zeros(nrows, dtype=np.int64)  # U[:c0, c0] = -(U[:c0, :c0] @ (h, ..., h))
+    u[:c0] = -(2 * h + (c0 - 1 - np.arange(c0)) * h * h) % q
+    M[:, c0] = (u + h * (np.cumsum(u) - u)) % q  # L u, L unit lower with h below
+    return M
+
+
+@pytest.mark.parametrize("q", [103, 107, 83003, 83009])
+def test_kernel_vector_at_the_column_bound(q):
+    # a full-panel multiplier column scaled by its pivot's inverse is at most
+    # h (h + 63 h^2): below 2^23 up to q = 103, which runs in float32, and
+    # q = 107 is the first in float64; below 2^52 up to q = 83003, and from
+    # q = 83009 on the column is reduced before it is scaled.  On the worst
+    # case every panel's last column takes 63 updates of h^2 and is scaled by
+    # -h, and four panels show that each panel's columns are reduced at its
+    # start
+    h = q // 2
+    column = h * (h + (_PANEL - 1) * h * h)
+    assert (column < 2**23) == (q == 103) and (column < 2**52) == (q < 83009)
+    assert interp._kernel_dtype(q) == (np.float32 if q == 103 else np.float64)
+    for nrows, ncols, c0 in [(4 * _PANEL + 9, 4 * _PANEL + 20, 4 * _PANEL + 9),
+                             (4 * _PANEL + 9, 4 * _PANEL + 20, 3 * _PANEL),
+                             (_PANEL, _PANEL + 1, _PANEL)]:
+        M = _balanced_worst_case(q, nrows, ncols, c0)
+        assert _assert_kernel_matches_reference(M, q) == c0
+        assert (_kernel_vector(M, q)[0][:c0] == h).all()
+
+
+def test_kernel_vector_reduces_the_trailing_block_at_the_float32_budget():
+    # at q = 103 (float32) an entry may take T = floor((2^23 - q) / h^2) = 3225
+    # products of balanced residues, fifty 64-wide panels: the system has
+    # 3331 pivots, one free column c0 = 3331 in their span and one after it;
+    # the last row's multipliers are all h and the pivot rows hold h in
+    # columns c0 and c0 + 1, so those two entries of the last row take
+    # 64 h^2 a panel, all of one sign, and would pass T with the fifty-first
+    # panel: the trailing block is reduced before it; the other rows keep the
+    # reference elimination cheap
+    q, h = 103, 51
+    assert (2**23 - q) // h**2 == 3225 < 51 * _PANEL
+    c0 = 52 * _PANEL + 3
+    M = np.zeros((c0 + 2, c0 + 2), dtype=np.int32)
+    M[np.arange(c0), np.arange(c0)] = 2
+    M[:c0, c0:] = h
+    M[-1, :c0] = 2 * h  # L's last row is h: h times the pivot 2
+    M[-1, c0:] = c0 * h * h % q
+    x_ref, rank, c0_ref = _reference_kernel_vector(M, q)
+    assert rank == c0_ref == c0
+    x, rank, free = _residue_kernel_vector(M.astype(np.float32), q)
+    assert (rank, free) == (c0, c0)
+    assert np.array_equal(x, x_ref)
+
+
+def test_kernel_vector_reduces_balanced_products_at_the_float64_budget():
+    # q = 16777213 allows T = floor((2^52 - q) / h^2) = 64 products of balanced
+    # residues, one 64-wide panel, so the trailing block is reduced before
+    # every panel after the first, and its columns are reduced before they are
+    # scaled, as h (h + 63 h^2) passes 2^52; on the worst case two panels'
+    # updates without the reduction reach 128 h^2 > 2^53, in the elimination
+    # and in the back-substitution alike
+    q = 16777213
+    h = q // 2
+    assert (2**52 - q) // h**2 == _PANEL and h * (h + (_PANEL - 1) * h * h) > 2**52
+    for nrows, ncols, c0 in [(3 * _PANEL + 5, 3 * _PANEL + 9, 3 * _PANEL + 5),
+                             (3 * _PANEL + 5, 3 * _PANEL + 9, 2 * _PANEL + 1)]:
+        M = _balanced_worst_case(q, nrows, ncols, c0)
+        assert _assert_kernel_matches_reference(M, q) == c0
+
+
+def test_kernel_takes_float32_up_to_q_103(monkeypatch):
+    # the plan emits its system in the dtype the elimination runs in: float32
+    # where the column bound allows (q <= 103), float64 from q = 107 on
+    seen = []
+    eliminate = interp._forward_eliminate
+    monkeypatch.setattr(interp, "_forward_eliminate", lambda A, *args: seen.append(A.dtype) or eliminate(A, *args))
+    rng = random.Random(30)
+    for q, dtype in [(13, np.float32), (31, np.float32), (101, np.float32), (103, np.float32),
+                     (107, np.float64), (65521, np.float64)]:
+        problem = None
+        while problem is None:
+            problem = _random_problem(rng, q)
+        assert interp._plan(problem).matrix(problem.points).dtype == dtype
+        seen.clear()
+        Q, report = interpolate_with_report(problem)
+        assert seen == [dtype]
+        matrix = interp._plan(problem).matrix(problem.points).astype(np.int64)
+        assert report.pivot_cols == _reference_kernel_vector(matrix, q)[2]
+
+
+def test_flipped_kernel_entry_fails_the_certificate(monkeypatch):
+    # one entry of x moved by one breaks A x = 0 (mod q), and list_decode raises
+    # the named invariant instead of decoding from a wrong Q
+    p = FRSParams(q=13, m=3, k=2, s=2, r=3)
+    call = _benchmark_call(p, "decode-small/1")
+    solve = interp._residue_kernel_vector
+
+    def flipped(A, q, *args):
+        x, rank, c0 = solve(A, q, *args)
+        x[c0 // 2] = (x[c0 // 2] + 1) % q
+        return x, rank, c0
+
+    call()
+    monkeypatch.setattr(interp, "_residue_kernel_vector", flipped)
+    with pytest.raises(AssertionError, match="kernel certificate failed"):
+        call()
 
 
 # ---------------------------------------------------------------------------
