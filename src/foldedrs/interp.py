@@ -27,8 +27,8 @@ L = 2^23 in float32 and 2^52 in float64 every sum is then an exact integer
 and the reduction x - q rint(x / q) is exact.  The column bound picks the
 dtype: float32 for q <= 103, float64 above, where past q ~ 83000 the column
 is also reduced before it is scaled (``_residue_kernel_vector``).  The
-decoder checks the result: A x = 0 (mod q) on a copy of the system taken
-before the elimination (``_Plan.kernel_vector``).
+decoder checks the result: the elimination runs on a copy of the system, and
+A x = 0 (mod q) is checked on the system itself (``_Plan.kernel_vector``).
 
 Half of the system belongs to the code, not to the word.  An entry is a
 binomial-and-X-power factor, fixed by q, k, r, s, D and the points' distinct
@@ -236,6 +236,12 @@ class _Plan:
     def matrix(self, points) -> np.ndarray:
         """The system at points whose distinct X-coordinates, in order of first
         appearance, are the plan's xs."""
+        A = np.zeros((len(self.w) * len(points), len(self.exps)), dtype=_kernel_dtype(self.q))
+        return self._fill(A, points)
+
+    def _fill(self, A: np.ndarray, points) -> np.ndarray:
+        """A, contiguous zeros of the system's shape and dtype, with the system at
+        points written in."""
         q = self.q
         ys = np.array(points, dtype=np.float64).reshape(-1, len(self.ydeg) + 1)[:, 1:]
         ypow = _powers(ys, self.top, q)
@@ -245,33 +251,37 @@ class _Plan:
                 G, bound = _fmod(G, q), q - 1
             G *= ypow[:, t].take(self.ydeg[t], axis=1)
             bound *= q - 1
-        G = _fmod(G, q).astype(_kernel_dtype(q), copy=False)
+        G = _fmod(G, q).astype(A.dtype, copy=False)
         # where no X-coordinate repeats, the points' X-coordinates are xs in order
         rows = np.array([self.row[int(pt[0])] for pt in points]) if len(ys) > len(self.row) else None
-        A = np.zeros((len(self.w), len(ys), len(self.exps)), dtype=G.dtype)
+        shifts = A.reshape(len(self.w), len(ys), len(self.exps))  # a view, as A is contiguous
         for i, (w, start, gidx) in enumerate(zip(self.w, self.starts, self.gidx)):
             np.multiply(w if rows is None else w.take(rows, axis=0), G.take(gidx, axis=1),
-                        out=A[i, :, start:])
-            _fmod(A[i, :, start:], q)  # shift by shift, while its rows are in cache
-        return A.reshape(-1, len(self.exps))
+                        out=shifts[i, :, start:])
+            _fmod(shifts[i, :, start:], q)  # shift by shift, while its rows are in cache
+        return A
 
     def kernel_vector(self, points) -> tuple[np.ndarray, int]:
-        """(x, c0) of the system A at points (see ``matrix``), certified: A x = 0
-        (mod q) is checked on a float64 copy of A taken before the elimination,
-        which runs in place.
+        """(x, c0) of the system A at points (see ``matrix``), certified: the
+        elimination runs on a copy, and A x = 0 (mod q) is checked on A itself.
 
-        The check is one product A[:, :c0+1] x[:c0+1] of residues below q, taken in
-        column chunks of at most floor((2^53 - q) / (q-1)^2) products per sum, so
-        each chunk's sum is exact and ``_fmod`` reduces it exactly; the reduced
-        chunks add up in int64.  Raises AssertionError, naming the invariant,
-        when the check fails.
+        A and the copy are the halves of one allocation, and A is written in
+        place: at 600 x 612, two separate arrays made the allocator return its
+        heap after every word and fault it back in (~850 minor faults, ~1 ms a
+        word), and stacking a built A with its copy raised peak RSS.  The check
+        is one product A[:, :c0+1] x[:c0+1] of residues below q, taken in column
+        chunks of at most floor((L - q) / (q-1)^2) products per sum, with
+        L = 2^24 in float32 and 2^53 in float64, so each chunk's sum is exact
+        and ``_fmod`` reduces it exactly; the reduced chunks add up in int64.
+        Raises AssertionError, naming the invariant, when the check fails.
         """
-        q, A = self.q, self.matrix(points)
-        kept = A.astype(np.float64)
-        x, c0 = _residue_kernel_vector(A, q, len(points) * self.stair)[:2]
-        step = (2**53 - q) // (q - 1) ** 2
-        kept, xs = kept[:, : c0 + 1], x[: c0 + 1].astype(np.float64)
-        residue = sum(_fmod(kept[:, c : c + step] @ xs[c : c + step], q).astype(np.int64)
+        q = self.q
+        A, work = np.zeros((2, len(self.w) * len(points), len(self.exps)), dtype=_kernel_dtype(q))
+        work[:] = self._fill(A, points)
+        x, c0 = _residue_kernel_vector(work, q, len(points) * self.stair)[:2]
+        step = ((2**24 if A.dtype == np.float32 else 2**53) - q) // (q - 1) ** 2
+        A, xs = A[:, : c0 + 1], x[: c0 + 1].astype(A.dtype)
+        residue = sum(_fmod(A[:, c : c + step] @ xs[c : c + step], q).astype(np.int64)
                       for c in range(0, c0 + 1, step))
         if (residue % q).any():
             raise AssertionError("kernel certificate failed: A x != 0 (mod q) for the interpolation system")
@@ -331,7 +341,7 @@ def _forward_eliminate(
     0..c0-1 of A hold the pivot rows, unscaled: their entries in columns
     i+1..c0 (row i) form the strictly upper part of the upper-triangular block
     U, whose diagonal holds the pivots, and the column of c0, as balanced
-    residues.
+    residues; A's diagonal holds 1, each pivot times its inverse.
 
     Panels of ``width`` columns are left-looking: column j takes the updates
     of the panel's earlier pivots as one gemv, and its first entry that is
@@ -361,12 +371,14 @@ def _forward_eliminate(
             col -= A[j : row_end[j], j0:j] @ A[j0:j, j]
             if not scale_first:
                 _balance(col, q)
-            if not len(col) or not int(col[0]) % q:  # no pivot in place: search below
-                nz = np.flatnonzero(_balance(col, q))
+            pivot = int(col[0]) % q if len(col) else 0
+            if not pivot:  # no pivot in place: search below (fmod of floats is exact)
+                nz = np.flatnonzero(np.fmod(col, q))
                 if len(nz) == 0:
                     return inverses
                 A[[j, j + nz[0]]] = A[[j + nz[0], j]]
-            inverse = pow(int(col[0]), -1, q)
+                pivot = int(col[0])
+            inverse = pow(pivot, -1, q)
             inverses.append(inverse)
             col *= inverse - q if inverse > h else inverse
             _balance(col, q)
