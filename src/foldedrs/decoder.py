@@ -3,8 +3,11 @@
 The decoding pipeline is: unfold the received word, build the interpolation
 point set, pick the weighted-degree bound D, interpolate a vanishing Q
 (E = X^(q-1) - gamma does not divide Q: proved, and checked by Q mod E != 0),
-recover candidate messages by extension-field root finding, and keep those
-whose encoding agrees with the received word on at least t folded positions.
+recover the candidate messages by X-adic lifting over F_q
+(``rootfind.lifted_candidates``; the paper's extension-field root finding,
+``rootfind.candidates_from_Q``, is its reference and its fallback), and keep
+those whose encoding agrees with the received word on at least t folded
+positions.
 The agreement threshold t is the smallest integer with t > D / ((m-s+1) r),
 computed from the D actually used, which is the tightest threshold the
 vanishing argument supports.
@@ -43,10 +46,11 @@ from .interp import (
     interpolate_with_report,
 )
 from .poly import UniPoly
-from .rootfind import candidates_from_Q
-# unused: perfbench's layer_bindings takes decoder.strip_E_power on every traced
-# run; ROADMAP item 2c removes that binding, and this import with it
-from .rootfind import strip_E_power  # noqa: F401
+from .rootfind import lifted_candidates_with_report
+# unused: perfbench's layer_bindings takes decoder.candidates_from_Q and
+# decoder.strip_E_power on every traced run; ROADMAP item 2c removes those
+# bindings, and this import with them
+from .rootfind import candidates_from_Q, strip_E_power  # noqa: F401
 
 
 def agreement_threshold(D: int, m: int, s: int, r: int) -> int:
@@ -71,6 +75,9 @@ class DecodeStats:
     t: int
     candidates_found: int
     candidates_kept: int
+    lift_nodes: int  # polynomials Q^(n) the lift searched (see rootfind.LiftReport)
+    full_branches: int  # among them, those with P_n = 0, where every y in F_q branches
+    root_step: str  # "lift", or "reference" past rootfind.LIFT_NODE_BUDGET
 
 
 @dataclass(frozen=True)
@@ -92,7 +99,7 @@ def _run_pipeline(params: FRSParams, points, n0: int, D: int, t: int, keep) -> D
         D=D,
     )
     Q, report = interpolate_with_report(problem)
-    found = candidates_from_Q(Q, params)
+    found, lift = lifted_candidates_with_report(Q, params)
     kept = tuple(f for f in found if keep(f))
     stats = DecodeStats(
         D=D,
@@ -106,6 +113,9 @@ def _run_pipeline(params: FRSParams, points, n0: int, D: int, t: int, keep) -> D
         t=t,
         candidates_found=len(found),
         candidates_kept=len(kept),
+        lift_nodes=lift.nodes,
+        full_branches=lift.full_branches,
+        root_step=lift.root_step,
     )
     return DecodeResult(messages=kept, t=t, stats=stats)
 

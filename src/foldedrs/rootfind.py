@@ -2,28 +2,42 @@
 
 Given Q(X, Y_1, ..., Y_s) vanishing on the interpolation data, every message
 f of degree at most k whose encoding agrees often enough satisfies
-Q(X, f(X), f(gamma X), ..., f(gamma^(s-1) X)) = 0.  Working modulo
-E(X) = X^(q-1) - gamma turns the shifts into Frobenius powers: reducing Q's
-coefficients mod E gives T(Y_1, ..., Y_s) over the extension field, and the
-messages appear among the roots of R(Y) = T(Y, Y^q, ..., Y^(q^(s-1))).
+Q(X, f(X), f(gamma X), ..., f(gamma^(s-1) X)) = 0.  The candidates are all
+such f, found two ways that give the same list.
 
-Recovery therefore runs: reduce Q mod E (E does not divide Q: proved, and
-checked by Q mod E != 0), substitute, intersect the root set with the
-subspace of elements whose representative has degree at most k (the kernel of
-an explicit q-linearized polynomial, so the intersection is a gcd g), read the
-roots of g coordinate by coordinate with no randomness
-(``poly._subspace_roots``), and keep the ones that satisfy the original
-identity exactly.
+The decode lifts (``lifted_candidates``): it reads f coefficient by
+coefficient over F_q, as Roth and Ruckenstein read the roots of a bivariate
+polynomial, with one substitution and division by a power of X per
+coefficient.  Its cost does not grow with the degree of R below.
+
+The reference (``candidates_from_Q``) is the paper's: working modulo
+E(X) = X^(q-1) - gamma turns the shifts into Frobenius powers, reducing Q's
+coefficients mod E gives T(Y_1, ..., Y_s) over the extension field, and the
+messages appear among the roots of R(Y) = T(Y, Y^q, ..., Y^(q^(s-1))).  It
+reduces Q mod E (E does not divide Q: proved, and checked by Q mod E != 0),
+substitutes, intersects the root set with the subspace of elements whose
+representative has degree at most k (the kernel of an explicit q-linearized
+polynomial, so the intersection is a gcd g), reads the roots of g coordinate
+by coordinate with no randomness (``poly._subspace_roots``), and keeps the
+ones that satisfy the original identity exactly.  Tests and CI check the
+lift against it; the decode falls back to it past the lift's node budget.
 """
 
 from __future__ import annotations
 
+import functools
+from dataclasses import dataclass
+
 import numpy as np
 
-from .galois import _sc_fold, standard_extension
+from .galois import _check_float_exact, _sc_fold, standard_extension
+from .interp import _powers
 from .poly import (
     MultiPoly,
     UniPoly,
+    _compositions,
+    _fmod,
+    _pascal_mod,
     _subspace_residue,
     _subspace_roots,
     _yp_divmod,
@@ -36,6 +50,7 @@ from .poly import (
 from .poly import low_degree_vanishing_coeffs, roots_in_field  # noqa: F401
 
 CANDIDATE_CAP = 2**16
+LIFT_NODE_BUDGET = 2**10  # polynomials Q^(n) a lift may search; see lifted_candidates
 
 
 class CandidateOverflowError(RuntimeError):
@@ -150,6 +165,151 @@ def candidates_from_Q(Q0: MultiPoly, params) -> tuple[UniPoly, ...]:
             out.append(UniPoly.from_ints(params.field, msg_coeffs))
     out.sort(key=lambda f: f.int_coeffs(pad_to=k + 1))
     return tuple(out)
+
+
+@dataclass(frozen=True)
+class LiftReport:
+    """What a root step did: ``nodes`` polynomials Q^(n) whose P_n was searched,
+    ``full_branches`` among them with P_n = 0, and ``root_step``, "lift", or
+    "reference" when the lift passed LIFT_NODE_BUDGET and
+    ``candidates_from_Q`` answered instead."""
+
+    nodes: int
+    full_branches: int
+    root_step: str
+
+
+class _LiftTables:
+    """What the lift takes from its code: the field, gamma, s and the top total
+    Y-degree, as read-only arrays.
+
+    Columns are J = {j : |j| <= top} in lexicographic order (the order of
+    ``MultiPoly.jvecs``), found by ``keys``.  ``K[j, b]`` is
+    prod_t C(j_t, b_t) gamma^(t b_t) (t < s indexing the Y's from 0), zero
+    unless b <= j, so substituting Y_t <- y + gamma^t X Z_t in sum_j M_j Y^j
+    gives Z^b the coefficient X^|b| sum_j M_j K[j, b] y^(|j| - |b|).  For
+    y != 0 that is y^-top X^|b| y^(top - |b|) sum_j (M_j y^|j|) K[j, b], and for
+    y = 0 only j = b is left: X^|b| M_b gamma^(sum_t t b_t), with the gamma
+    power in ``diag``.  ``ypow[y, e]`` is y^e and ``bydeg`` sums the columns of
+    one total degree, so (M bydeg) ypow^T evaluates sum_j M_j y^|j| at every y
+    in F_q.  Every product sums at most len(J) products of residues, which
+    ``_check_float_exact`` admits.
+    """
+
+    __slots__ = ("top", "keys", "radix", "deg", "K", "diag", "ypow", "bydeg")
+
+    def __init__(self, q: int, s: int, top: int, gamma: int):
+        J = np.array([j for d in range(top + 1) for j in _compositions(d, s)], dtype=np.int64)
+        J = J[np.lexsort(J.T[::-1])]
+        _check_float_exact(len(J), q, "lifted candidates")
+        self.top = top
+        self.radix = (top + 1) ** np.arange(s - 1, -1, -1, dtype=np.int64)
+        self.keys = J @ self.radix
+        self.deg = J.sum(axis=1)
+        pascal = _pascal_mod(q, top)
+        K = np.ones((len(J), len(J)), dtype=np.int64)
+        for t in range(s):
+            K = K * pascal[J[:, t, None], J[None, :, t]] % q
+        gpow = np.array([pow(gamma, int(e), q) for e in J @ np.arange(s)], dtype=np.int64)
+        self.K = (K * gpow % q).astype(np.float64)
+        self.diag = gpow.astype(np.float64)
+        self.ypow = _powers(np.arange(q, dtype=np.float64), top, q)
+        self.bydeg = (self.deg[:, None] == np.arange(top + 1)).astype(np.float64)
+        for a in (self.radix, self.keys, self.deg, self.K, self.diag, self.ypow, self.bydeg):
+            a.flags.writeable = False
+
+
+_lift_tables = functools.lru_cache(maxsize=8)(_LiftTables)  # Qs of one code differ in top
+
+
+def _shift_and_strip(kids: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """Column b of each kid times X^|b|, divided by the kid's largest power of X.
+
+    An entry (i, b) moves to row i + |b| - mu, where mu is the kid's least
+    i + |b| over its nonzero entries.  Zero entries with i + |b| < mu wrap to
+    rows past every nonzero one, which stay zero, and trailing zero rows are
+    cut.
+    """
+    n, rows, cols = kids.shape
+    nonzero = kids != 0
+    first = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), rows)
+    mu = (first + deg).min(axis=1)
+    out = np.zeros((n, rows + int(deg.max()), cols))
+    target = np.arange(rows)[:, None] + deg - mu[:, None, None]
+    out[np.arange(n)[:, None, None], target, np.arange(cols)] = kids
+    return out[:, : np.flatnonzero(out.any(axis=(0, 2)))[-1] + 1]
+
+
+def lifted_candidates_with_report(Q0: MultiPoly, params) -> tuple[tuple[UniPoly, ...], LiftReport]:
+    """``lifted_candidates`` and a LiftReport of its search."""
+    if Q0.is_zero:
+        raise ValueError("Q0 = 0 holds for every message")
+    q, k, gamma = params.q, params.k, params.gamma.value
+    tab = _lift_tables(q, Q0.s, Q0.y_total_degree(), gamma)
+    M = np.zeros((Q0.M.shape[0], len(tab.keys)))
+    M[:, np.searchsorted(tab.keys, Q0.jvecs @ tab.radix)] = Q0.M
+    Ms = M[None, np.flatnonzero(M.any(axis=1))[0] :]
+    prefix = np.zeros((1, 0), dtype=np.int64)
+    nodes, full = 1, 0
+    for level in range(k + 1):
+        # P_n(y) = Q^(n)(0, y, ..., y) at every y in F_q
+        vals = _fmod(_fmod(Ms[:, 0] @ tab.bydeg, q) @ tab.ypow.T, q)
+        full += int((~vals.any(axis=1)).sum())
+        parent, ys = np.nonzero(vals == 0)
+        if level == k:  # keep f_k where the Y-free column of Q^(k+1) vanishes; its row 0 is P_k
+            free = np.einsum("prd,pd->pr", _fmod(Ms @ tab.bydeg, q)[parent], tab.ypow[ys])
+            keep = ~_fmod(free, q).any(axis=1)
+            parent, ys = parent[keep], ys[keep]
+        prefix = np.column_stack([prefix[parent], ys])
+        if level == k or not len(parent):
+            break
+        if nodes + len(parent) > LIFT_NODE_BUDGET:
+            return candidates_from_Q(Q0, params), LiftReport(nodes, full, "reference")
+        nodes += len(parent)
+        kids = Ms[parent]
+        live = ys != 0
+        up = tab.ypow[ys[live]]  # y^|j| in, y^(top - |b|) out: the kid times y^top
+        prod = _fmod(_fmod(kids[live] * up[:, None, tab.deg], q) @ tab.K, q)
+        kids[live] = prod * up[:, None, tab.top - tab.deg]
+        kids[~live] *= tab.diag
+        Ms = _shift_and_strip(_fmod(kids, q), tab.deg)
+    out = []
+    for coeffs in prefix.tolist():  # lexicographic: nodes go by prefix, and each node's y ascend
+        if len(compose_message(Q0, coeffs, gamma)):
+            raise AssertionError("a lifted candidate fails Q0(X, f(X), ..., f(gamma^(s-1) X)) = 0")
+        out.append(UniPoly.from_ints(params.field, coeffs))
+    return tuple(out), LiftReport(nodes, full, "lift")
+
+
+def lifted_candidates(Q0: MultiPoly, params) -> tuple[UniPoly, ...]:
+    """The messages of ``candidates_from_Q``, by X-adic lifting over F_q.
+
+    Roth and Ruckenstein's root step ("Efficient decoding of Reed-Solomon codes
+    beyond half the minimum distance", IEEE Trans. IT 46(1), 2000), carried
+    over to the folded identity.  Write f = f_0 + X f', so that
+    f(gamma^t X) = f_0 + gamma^t X f'(gamma^t X).  Substituting
+    Y_(t+1) <- f_0 + gamma^t X Z_(t+1) (t < s) in Q^(n) and dividing by the
+    largest power of X gives Q^(n+1), of the same shape, for f', with
+    Q^(0) = Q0 over its power of X.  At X = 0 the identity leaves P_n(f_n) = 0
+    with P_n(y) = Q^(n)(0, y, ..., y), so f_n ranges over the zeros of P_n,
+    found by evaluation at all of F_q; when P_n = 0 every y is one (a full
+    branch).  Q0(X, f(X), ..., f(gamma^(s-1) X)) is X^e Q^(k+1)(X, 0, ..., 0),
+    so after k + 1 levels f satisfies the identity exactly when the Y-free
+    column of Q^(k+1) is zero: the search is complete and sound with no
+    extension field, no bound on deg R and no FFT.  Each kept f is re-verified
+    by ``compose_message``, and a failure raises AssertionError.
+
+    A kid is scaled by y^top (each Q^(n) matters only up to a unit), so its
+    product needs no inverse.  The levels go one at a time, each as one stack
+    of polynomials with |J| = C(top + s, s) columns, for the total Y-degree top
+    of Q0, and at most D + 1 rows, for its (1, k)-weighted degree D: the
+    substitution and the division keep the weighted degree of Q^(n) in the
+    weights (1, k - n) at most D.  The tree has no bound from the paper: past
+    LIFT_NODE_BUDGET searched polynomials, ``candidates_from_Q`` answers, with
+    the same list and its own refusals.  Messages come in the order of
+    ``candidates_from_Q``.
+    """
+    return lifted_candidates_with_report(Q0, params)[0]
 
 
 def exhaustive_candidates(Q0: MultiPoly, params) -> tuple[UniPoly, ...]:

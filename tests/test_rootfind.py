@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import random
 import tracemalloc
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foldedrs import poly, rootfind
+from foldedrs import decoder, poly, rootfind
 from foldedrs.decoder import _threshold_plan, list_decode, list_recover
 from foldedrs.frs import SHIFTED, STANDARD, FRSParams, RecoverySets, encode, interpolation_points
 from foldedrs.galois import ParameterError, PrimeField, standard_extension
@@ -25,8 +26,11 @@ from foldedrs.poly import (
 )
 from foldedrs.rootfind import (
     CandidateOverflowError,
+    LiftReport,
     candidates_from_Q,
     exhaustive_candidates,
+    lifted_candidates,
+    lifted_candidates_with_report,
     low_degree_vanishing_coeffs,
     strip_E_power,
 )
@@ -572,18 +576,39 @@ _CHAIN_DIGESTS = [
 ]
 
 
+class _Captured(Exception):
+    pass
+
+
+def _captured_Q(monkeypatch, call) -> MultiPoly:
+    """The Q the decoder hands to its root step inside call()."""
+    seen = []
+
+    def grab(Q, params):
+        seen.append(Q)
+        raise _Captured
+
+    with monkeypatch.context() as patch:
+        patch.setattr(decoder, "lifted_candidates_with_report", grab)
+        with pytest.raises(_Captured):
+            call()
+    return seen[0]
+
+
 @pytest.mark.parametrize("params, seed, deg, l_digest, g_digest", _CHAIN_DIGESTS)
 def test_chain_answers_match_recorded_digests(monkeypatch, params, seed, deg, l_digest, g_digest):
-    # L mod R and g = gcd(R, L mod R) inside candidates_from_Q, bit for bit
+    # L mod R and g = gcd(R, L mod R) inside candidates_from_Q, bit for bit, on
+    # the Q of the decode
     seen = {}
 
     def recording_gcd(ctx, R, l_mod_r):
         seen.update(deg=R.shape[0] - 1, L=_digest(l_mod_r), g=_digest(_yp_gcd(ctx, R, l_mod_r)))
         raise _GcdReached
 
+    Q = _captured_Q(monkeypatch, _benchmark_call(params, seed))
     monkeypatch.setattr(rootfind, "_yp_gcd", recording_gcd)
     with pytest.raises(_GcdReached):
-        _benchmark_call(params, seed)()
+        candidates_from_Q(Q, params)
     assert seen == {"deg": deg, "L": l_digest, "g": g_digest}
 
 
@@ -594,3 +619,162 @@ def test_vanished_substitution_raises_the_named_invariant(monkeypatch):
     monkeypatch.setattr(rootfind, "_substituted_poly", lambda T, jvecs, q: np.zeros((0, EXT5.dim), np.int64))
     with pytest.raises(AssertionError, match="R vanished"):
         candidates_from_Q(Q0, P5)
+
+
+# ---------------------------------------------------------------------------
+# The lift (the decode's root step) against candidates_from_Q (its reference)
+# and exhaustive_candidates
+# ---------------------------------------------------------------------------
+
+def _message(params, rng):
+    return UniPoly.from_ints(params.field, [rng.randrange(params.q) for _ in range(params.k + 1)])
+
+
+def _words(params, t, rng):
+    """A planted uniform and a planted burst word at e = N - t, a mixture of two
+    and one of three codewords, position by position, and a random word."""
+    words = [
+        apply_channel(encode(params, _message(params, rng)), ChannelSpec(kind=kind, e=params.N - t), rng,
+                      q=params.q)
+        for kind in ("uniform", "burst")
+    ]
+    for count in (2, 3):
+        cws = [encode(params, _message(params, rng)) for _ in range(count)]
+        words.append(tuple(cws[rng.randrange(count)][j] for j in range(params.N)))
+    words.append(tuple(tuple(rng.randrange(params.q) for _ in range(params.m)) for _ in range(params.N)))
+    return words
+
+
+def _recovery_sets(params, rng, l):
+    """Sets holding the symbols of l codewords, with junk in place of one of them
+    at a random half of the positions."""
+    cws = [encode(params, _message(params, rng)) for _ in range(l)]
+    sets = [{cw[j] for cw in cws} for j in range(params.N)]
+    for j in rng.sample(range(params.N), params.N // 2):
+        sets[j] = set(list(sets[j])[1:]) | {tuple(rng.randrange(params.q) for _ in range(params.m))}
+    return RecoverySets.from_iterables(sets, l)
+
+
+def _assert_lift_matches_reference(monkeypatch, params, call) -> LiftReport:
+    Q = _captured_Q(monkeypatch, call)
+    got, report = lifted_candidates_with_report(Q, params)
+    assert got == candidates_from_Q(Q, params) and report.root_step == "lift"
+    return report
+
+
+def test_lift_equals_the_reference_on_grid_and_benchmark_codes(monkeypatch):
+    # criterion 5's 48 grid codes and the four benchmark codes: planted, burst,
+    # mixed and random words, and list recovery with two and three codewords
+    from test_acceptance import _pick_k
+
+    codes = []
+    for q in [13, 31]:
+        for m in [2, 3, 4]:
+            for s in range(1, min(m, 3) + 1):
+                for r in [1, 2, 3]:
+                    codes.append(_pick_k(q, m, s, r))
+    codes += [(p.values[0], pipeline_threshold(p.values[0])) for p in _CHAIN_DIGESTS[:4]]  # the benchmark's
+    rng = random.Random(31)
+    reports = []
+    for params, t in codes:
+        for word in _words(params, t, rng):
+            call = functools.partial(list_decode, params, word)
+            reports.append(_assert_lift_matches_reference(monkeypatch, params, call))
+    for params, l in [(FRSParams(q=31, m=5, k=2, s=2, r=3), 2), (FRSParams(q=31, m=5, k=2, s=2, r=3), 3),
+                      (FRSParams(q=13, m=3, k=1, s=2, r=2), 2)]:
+        for _ in range(3):
+            call = functools.partial(list_recover, params, _recovery_sets(params, rng, l))
+            reports.append(_assert_lift_matches_reference(monkeypatch, params, call))
+    assert sum(r.full_branches > 0 for r in reports) > 0
+    assert max(r.nodes for r in reports) < rootfind.LIFT_NODE_BUDGET
+
+
+def test_lift_equals_exhaustive_candidates_on_decoded_words(monkeypatch):
+    rng = random.Random(32)
+    for params in [FRSParams(q=13, m=3, k=2, s=2, r=3), FRSParams(q=13, m=4, k=2, s=3, r=2)]:
+        for word in _words(params, pipeline_threshold(params), rng)[1:4]:
+            Q = _captured_Q(monkeypatch, lambda: list_decode(params, word))
+            assert lifted_candidates(Q, params) == exhaustive_candidates(Q, params)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    q=st.sampled_from([7, 11]),
+    s=st.integers(1, 3),
+    k=st.integers(1, 2),
+    terms=st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * 4), st.integers(1, 6), min_size=1, max_size=6
+    ),
+)
+def test_lift_equals_exhaustive_candidates_on_any_Q(q, s, k, terms):
+    # no bound on the Y-degrees here, so P_n may vanish on F_q without being 0
+    params = FRSParams(q=q, m=s, k=k, s=s, r=1)
+    Q0 = MultiPoly(params.field, s, k, {e[: s + 1]: c % q for e, c in terms.items()})
+    if Q0.is_zero:
+        return
+    assert lifted_candidates(Q0, params) == exhaustive_candidates(Q0, params)
+
+
+def _constants_and_multiples_of_X():
+    """(Y2 - Y1)(Y2 - gamma Y1) over F_31 with k = 2, solved by the constants and
+    the multiples of X (as in ``test_candidates_of_a_degree_61_g``)."""
+    params = FRSParams(q=31, m=2, k=2, s=2, r=1)
+    gamma = params.gamma.value
+    terms = {(0, 0, 2): 1, (0, 1, 1): -(1 + gamma), (0, 2, 0): gamma}
+    return params, MultiPoly(params.field, s=2, k=2, terms=terms)
+
+
+def test_lift_takes_full_branches():
+    # Q0 = Y2 - 3 Y1 over F_7 (gamma = 3): P_0(y) = -2y has the one zero 0, and
+    # Y_t <- 3^(t-1) X Z_t gives 3 X (Z2 - Z1), so Q^(1) = 3 (Z2 - Z1), whose P_1
+    # vanishes: every y in F_7 branches
+    params = FRSParams(q=7, m=2, k=1, s=2, r=1)
+    Q0 = MultiPoly(params.field, s=2, k=1, terms={(0, 0, 1): 1, (0, 1, 0): -3})
+    cands, report = lifted_candidates_with_report(Q0, params)
+    assert [f.int_coeffs(pad_to=2) for f in cands] == [(0, c) for c in range(7)]
+    assert report == LiftReport(nodes=2, full_branches=1, root_step="lift")
+    # (Y2 - Y1)(Y2 - gamma Y1): P_0 = 0 at once
+    params, Q0 = _constants_and_multiples_of_X()
+    cands, report = lifted_candidates_with_report(Q0, params)
+    assert cands == candidates_from_Q(Q0, params)
+    assert {f.int_coeffs(pad_to=3) for f in cands} == {(c, 0, 0) for c in range(31)} | {(0, c, 0) for c in range(31)}
+    assert report.full_branches >= 2
+
+
+def test_lift_falls_back_to_the_reference_past_its_node_budget(monkeypatch):
+    params, Q0 = _constants_and_multiples_of_X()
+    expected = lifted_candidates(Q0, params)
+    monkeypatch.setattr(rootfind, "LIFT_NODE_BUDGET", 31)
+    cands, report = lifted_candidates_with_report(Q0, params)
+    assert cands == expected and report == LiftReport(nodes=1, full_branches=1, root_step="reference")
+    # the reference's refusals stand
+    monkeypatch.setattr(rootfind, "CANDIDATE_CAP", 60)
+    with pytest.raises(CandidateOverflowError):
+        lifted_candidates(Q0, params)
+    # and a decode past the budget reports it, with the same list
+    monkeypatch.undo()
+    params = FRSParams(q=13, m=3, k=2, s=2, r=3)
+    word = _planted_word(params, random.Random(4))
+    lifted = list_decode(params, word)
+    monkeypatch.setattr(rootfind, "LIFT_NODE_BUDGET", 1)
+    fallback = list_decode(params, word)
+    assert fallback.messages == lifted.messages and fallback.stats.root_step == "reference"
+
+
+def test_lift_refuses_the_zero_polynomial():
+    with pytest.raises(ValueError, match="every message"):
+        lifted_candidates(MultiPoly(P5.field, s=2, k=1, terms={}), P5)
+
+
+# candidates found and kept on the first words of the benchmark at seed 1 and
+# the large-modulus decodes of CI, as the reference root step gives them
+_FOUND_KEPT = {"deg-39": (1, 1), "deg-125": (1, 1), "deg-189": (2, 2), "deg-10-dim-100": (1, 1),
+               "deg-404": (1, 1), "deg-1023": (1, 1), "deg-1922": (1, 1), "deg-250-dim-82": (1, 1)}
+
+
+@pytest.mark.parametrize("params, seed, deg, l_digest, g_digest", _CHAIN_DIGESTS)
+def test_decode_stats_report_the_lift(request, params, seed, deg, l_digest, g_digest):
+    st = _benchmark_call(params, seed)().stats
+    assert (st.candidates_found, st.candidates_kept) == _FOUND_KEPT[request.node.callspec.id]
+    # a found message has one searched polynomial at each of the k + 1 levels
+    assert st.root_step == "lift" and st.lift_nodes >= params.k + 1 and st.full_branches >= 0
