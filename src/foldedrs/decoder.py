@@ -77,7 +77,7 @@ class DecodeStats:
     candidates_kept: int
     lift_nodes: int  # polynomials Q^(n) the lift searched (see rootfind.LiftReport)
     full_branches: int  # among them, those with P_n = 0, where every y in F_q branches
-    root_step: str  # "lift", or "reference" past rootfind.LIFT_NODE_BUDGET
+    root_step: str  # "lift", or "reference" past rootfind.LIFT_LEVEL_ENTRIES
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ representative has degree at most k (the kernel of an explicit q-linearized
 polynomial, so the intersection is a gcd g), reads the roots of g coordinate
 by coordinate with no randomness (``poly._subspace_roots``), and keeps the
 ones that satisfy the original identity exactly.  Tests and CI check the
-lift against it; the decode falls back to it past the lift's node budget.
+lift against it; the decode falls back to it past the lift's memory budget.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .poly import (
 from .poly import low_degree_vanishing_coeffs, roots_in_field  # noqa: F401
 
 CANDIDATE_CAP = 2**16
-LIFT_NODE_BUDGET = 2**10  # polynomials Q^(n) a lift may search; see lifted_candidates
+LIFT_LEVEL_ENTRIES = 2**20  # float64 entries one level of a lift may stack; see lifted_candidates
 
 
 class CandidateOverflowError(RuntimeError):
@@ -170,12 +170,14 @@ def candidates_from_Q(Q0: MultiPoly, params) -> tuple[UniPoly, ...]:
 @dataclass(frozen=True)
 class LiftReport:
     """What a root step did: ``nodes`` polynomials Q^(n) whose P_n was searched,
-    ``full_branches`` among them with P_n = 0, and ``root_step``, "lift", or
-    "reference" when the lift passed LIFT_NODE_BUDGET and
-    ``candidates_from_Q`` answered instead."""
+    ``full_branches`` among them with P_n = 0, ``entries``, the float64 entries
+    of the largest stack of kids a level built (or would have built), and
+    ``root_step``, "lift", or "reference" when that stack passed
+    LIFT_LEVEL_ENTRIES and ``candidates_from_Q`` answered instead."""
 
     nodes: int
     full_branches: int
+    entries: int
     root_step: str
 
 
@@ -250,7 +252,7 @@ def lifted_candidates_with_report(Q0: MultiPoly, params) -> tuple[tuple[UniPoly,
     M[:, np.searchsorted(tab.keys, Q0.jvecs @ tab.radix)] = Q0.M
     Ms = M[None, np.flatnonzero(M.any(axis=1))[0] :]
     prefix = np.zeros((1, 0), dtype=np.int64)
-    nodes, full = 1, 0
+    nodes, full, entries = 1, 0, 0
     for level in range(k + 1):
         # P_n(y) = Q^(n)(0, y, ..., y) at every y in F_q
         vals = _fmod(_fmod(Ms[:, 0] @ tab.bydeg, q) @ tab.ypow.T, q)
@@ -263,8 +265,9 @@ def lifted_candidates_with_report(Q0: MultiPoly, params) -> tuple[tuple[UniPoly,
         prefix = np.column_stack([prefix[parent], ys])
         if level == k or not len(parent):
             break
-        if nodes + len(parent) > LIFT_NODE_BUDGET:
-            return candidates_from_Q(Q0, params), LiftReport(nodes, full, "reference")
+        entries = max(entries, len(parent) * Ms.shape[1] * len(tab.keys))
+        if entries > LIFT_LEVEL_ENTRIES:
+            return candidates_from_Q(Q0, params), LiftReport(nodes, full, entries, "reference")
         nodes += len(parent)
         kids = Ms[parent]
         live = ys != 0
@@ -278,7 +281,7 @@ def lifted_candidates_with_report(Q0: MultiPoly, params) -> tuple[tuple[UniPoly,
         if len(compose_message(Q0, coeffs, gamma)):
             raise AssertionError("a lifted candidate fails Q0(X, f(X), ..., f(gamma^(s-1) X)) = 0")
         out.append(UniPoly.from_ints(params.field, coeffs))
-    return tuple(out), LiftReport(nodes, full, "lift")
+    return tuple(out), LiftReport(nodes, full, entries, "lift")
 
 
 def lifted_candidates(Q0: MultiPoly, params) -> tuple[UniPoly, ...]:
@@ -304,10 +307,11 @@ def lifted_candidates(Q0: MultiPoly, params) -> tuple[UniPoly, ...]:
     of polynomials with |J| = C(top + s, s) columns, for the total Y-degree top
     of Q0, and at most D + 1 rows, for its (1, k)-weighted degree D: the
     substitution and the division keep the weighted degree of Q^(n) in the
-    weights (1, k - n) at most D.  The tree has no bound from the paper: past
-    LIFT_NODE_BUDGET searched polynomials, ``candidates_from_Q`` answers, with
-    the same list and its own refusals.  Messages come in the order of
-    ``candidates_from_Q``.
+    weights (1, k - n) at most D.  The tree has no bound from the paper, and a
+    level's arrays take up to about 64 bytes an entry of its stack: past
+    LIFT_LEVEL_ENTRIES entries in one stack (64 MB), ``candidates_from_Q``
+    answers, with the same list and its own refusals.  Messages come in the
+    order of ``candidates_from_Q``.
     """
     return lifted_candidates_with_report(Q0, params)[0]
 

@@ -686,7 +686,7 @@ def test_lift_equals_the_reference_on_grid_and_benchmark_codes(monkeypatch):
             call = functools.partial(list_recover, params, _recovery_sets(params, rng, l))
             reports.append(_assert_lift_matches_reference(monkeypatch, params, call))
     assert sum(r.full_branches > 0 for r in reports) > 0
-    assert max(r.nodes for r in reports) < rootfind.LIFT_NODE_BUDGET
+    assert max(r.entries for r in reports) <= rootfind.LIFT_LEVEL_ENTRIES
 
 
 def test_lift_equals_exhaustive_candidates_on_decoded_words(monkeypatch):
@@ -732,7 +732,7 @@ def test_lift_takes_full_branches():
     Q0 = MultiPoly(params.field, s=2, k=1, terms={(0, 0, 1): 1, (0, 1, 0): -3})
     cands, report = lifted_candidates_with_report(Q0, params)
     assert [f.int_coeffs(pad_to=2) for f in cands] == [(0, c) for c in range(7)]
-    assert report == LiftReport(nodes=2, full_branches=1, root_step="lift")
+    assert report == LiftReport(nodes=2, full_branches=1, entries=3, root_step="lift")
     # (Y2 - Y1)(Y2 - gamma Y1): P_0 = 0 at once
     params, Q0 = _constants_and_multiples_of_X()
     cands, report = lifted_candidates_with_report(Q0, params)
@@ -741,12 +741,13 @@ def test_lift_takes_full_branches():
     assert report.full_branches >= 2
 
 
-def test_lift_falls_back_to_the_reference_past_its_node_budget(monkeypatch):
+def test_lift_falls_back_to_the_reference_past_its_entry_budget(monkeypatch):
+    # P_0 = 0 stacks 31 kids of one row and |J| = 6 columns
     params, Q0 = _constants_and_multiples_of_X()
     expected = lifted_candidates(Q0, params)
-    monkeypatch.setattr(rootfind, "LIFT_NODE_BUDGET", 31)
+    monkeypatch.setattr(rootfind, "LIFT_LEVEL_ENTRIES", 31 * 6 - 1)
     cands, report = lifted_candidates_with_report(Q0, params)
-    assert cands == expected and report == LiftReport(nodes=1, full_branches=1, root_step="reference")
+    assert cands == expected and report == LiftReport(nodes=1, full_branches=1, entries=31 * 6, root_step="reference")
     # the reference's refusals stand
     monkeypatch.setattr(rootfind, "CANDIDATE_CAP", 60)
     with pytest.raises(CandidateOverflowError):
@@ -756,9 +757,42 @@ def test_lift_falls_back_to_the_reference_past_its_node_budget(monkeypatch):
     params = FRSParams(q=13, m=3, k=2, s=2, r=3)
     word = _planted_word(params, random.Random(4))
     lifted = list_decode(params, word)
-    monkeypatch.setattr(rootfind, "LIFT_NODE_BUDGET", 1)
+    monkeypatch.setattr(rootfind, "LIFT_LEVEL_ENTRIES", 0)
     fallback = list_decode(params, word)
     assert fallback.messages == lifted.messages and fallback.stats.root_step == "reference"
+
+
+def _mixture(params, seed):
+    """Three messages and a word taking each position from one of their codewords."""
+    rng = random.Random(seed)
+    msgs = [_message(params, rng) for _ in range(3)]
+    cws = [encode(params, f) for f in msgs]
+    return msgs, tuple(cws[rng.randrange(3)][j] for j in range(params.N))
+
+
+def test_lift_memory_stays_under_64_bytes_an_entry_of_its_budget(monkeypatch):
+    # the ladder's widest stacks (deg R 6727 code, |J| = 220 columns): a mixture
+    # whose level 1 stacks 263 340 entries lifts at that budget under 64 bytes
+    # an entry, so LIFT_LEVEL_ENTRIES bounds a lift's memory; and a mixture
+    # with two full levels, 961 kids of 2 748 460 entries (the lift alone took
+    # 103 MB there), falls back to the reference, which keeps all three
+    params = FRSParams(q=31, m=6, k=2, s=3, r=5)
+    Q = _captured_Q(monkeypatch, lambda: list_decode(params, _mixture(params, 5)[1]))
+    found, report = lifted_candidates_with_report(Q, params)  # the tables are cached now
+    assert report.entries == 263340 and report.full_branches > 0
+    monkeypatch.setattr(rootfind, "LIFT_LEVEL_ENTRIES", report.entries)
+    tracemalloc.start()
+    try:
+        assert lifted_candidates_with_report(Q, params) == (found, report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * report.entries
+    monkeypatch.undo()
+    msgs, word = _mixture(params, 9)
+    res = list_decode(params, word)
+    assert res.stats.root_step == "reference" and res.stats.full_branches == 32
+    assert all(f in res.messages for f in msgs)
 
 
 def test_lift_refuses_the_zero_polynomial():
