@@ -47,9 +47,10 @@ from .interp import (
 )
 from .poly import UniPoly
 from .rootfind import lifted_candidates_with_report
-# unused: perfbench's layer_bindings takes decoder.candidates_from_Q and
-# decoder.strip_E_power on every traced run; ROADMAP item 2c removes those
-# bindings, and this import with them
+# unused here, but perfbench's layer_bindings names decoder.candidates_from_Q
+# and decoder.strip_E_power, and its Tracer reads every binding (getattr) when
+# it is built, on plain runs too: without them every benchmark run fails.
+# ROADMAP item 2c removes those bindings, and this import with them
 from .rootfind import candidates_from_Q, strip_E_power  # noqa: F401
 
 

@@ -199,9 +199,10 @@ def is_irreducible(p) -> bool:
 
     Uses the distinct-degree criterion: p of degree n is irreducible iff
     gcd(X^(q^d) - X, p) is constant for every d <= n/2 and X^(q^n) = X mod p.
-    Accepts a UniPoly over a PrimeField.  The powers X^(q^d) mod p are the
-    Frobenius steps of ``poly.FrobeniusReducer`` and the gcds come from
-    ``poly._yp_gcd``, on coefficient arrays over ``PrimeField.ctx``.
+    Accepts a UniPoly over a PrimeField.  Each power X^(q^d) mod p is a q-th
+    power of the previous one by square-and-multiply (``poly.FrobeniusReducer.step``)
+    and the gcds come from ``poly._yp_gcd``, on coefficient arrays over
+    ``PrimeField.ctx``.
 
     Raises ValueError for zero or constant input, and ParameterError where the
     FFT products mod p would not be exact (``poly._check_fft_exact``).
@@ -216,7 +217,6 @@ def is_irreducible(p) -> bool:
         raise ValueError("irreducibility is undefined for zero or constant polynomials")
     ctx = field.ctx
     reducer = FrobeniusReducer(ctx, _uni_array(p))
-    reducer.plan(deg)
     x = _yp_mod(ctx, _yp_monomial(ctx, 1), reducer.R)
     u = x
     for d in range(1, deg + 1):

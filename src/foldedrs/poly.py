@@ -27,9 +27,9 @@ Three layers live here:
   of g = gcd(R, L_k mod R) (``_subspace_residue``), where L_k is the q-linearized
   polynomial that vanishes exactly on V_k (``low_degree_vanishing_coeffs``).
   L_k mod R is one combination of the powers Y^(q^i) mod R, which come as one
-  array (``FrobeniusReducer.frobenius_powers``: steps through a precomputed
-  table, or squarings up from Y and square-and-multiply q-th powers, chosen by
-  a stated cost rule), and g comes from an inverse-free Euclid.  Its roots are
+  array (``FrobeniusReducer.frobenius_powers``: squarings up from Y, or a q-th
+  power of the previous one by square-and-multiply, whichever takes fewer
+  products), and g comes from an inverse-free Euclid.  Its roots are
   read coordinate by coordinate from one worklist of factors, where every
   coordinate, the last included, splits by the same rules
   (``_subspace_roots``).  With k = dim - 1, L_k is the field equation
@@ -54,9 +54,7 @@ from .galois import (
     FieldElem,
     ParameterError,
     PrimeField,
-    _check_float_exact,
     _ExtCtx,
-    _sc_frobenius,
     _sc_inv,
     _sc_is_one,
     _sc_matrix,
@@ -587,9 +585,9 @@ def _weights(dim: int, gamma: int) -> np.ndarray:
 
 # the longest X-transform that runs as one matrix product (``_x_dft``).  On one
 # BLAS thread the product beat pocketfft's rfft and irfft at dim 12, 30 and 60
-# on 16 to 256 rows, and at dim 100 on up to 64 (table steps and builds 9-24 %
-# faster, mulmods within 5 %); at 128, 160 and 256 it lost from 64 rows on, as
-# its O(dim^2) flops per row overtake O(dim log dim)
+# on 16 to 256 rows, and at dim 100 on up to 64 (mulmods within 5 %); at 128,
+# 160 and 256 it lost from 64 rows on, as its O(dim^2) flops per row overtake
+# O(dim log dim)
 _X_MATMUL_DIM = 100
 
 
@@ -676,16 +674,6 @@ def _x_transform_error(dim: int) -> float:
     return 0.0 if dim == 1 else 3 * math.sqrt(2 * dim) * (dim + 10)
 
 
-def _rounding_error(ctx: _ExtCtx, norms: float, top: float, kappa: float) -> float:
-    """2^53 times the bound of ``_check_fft_exact`` on the distance of a computed
-    coefficient from its integer: `norms` bounds ||a||_2 ||b||_2 before weighting,
-    `top` every coefficient, `kappa` the transforms' error growth."""
-    if ctx.dim == 1:  # w = [1.0]: weighting and unweighting are exact
-        return norms * kappa
-    growth = ctx.gamma ** (2 * (ctx.dim - 1) / ctx.dim)
-    return growth * norms * kappa + (3 * math.log(ctx.gamma) + 9) * top
-
-
 def _check_fft_exact(ctx: _ExtCtx, la: int, lb: int, n: int) -> None:
     """Refuse (ParameterError) a product of la- and lb-row residues that the FFT,
     of length n along Y, may round wrong.
@@ -737,13 +725,18 @@ def _check_fft_exact(ctx: _ExtCtx, la: int, lb: int, n: int) -> None:
     weighting and the division round once each (in the matrix path, inside the
     entries' 7), and those errors move each term of c_k relatively, by at most
     (3 ln gamma + 9) 2^-53 together; so they add (3 ln gamma + 9) top 2^-53.
-    Products are refused where the sum reaches 1/4 (``_rounding_error``);
-    ``_fft_round`` checks the rest at run time.
+    Products are refused where the sum reaches 1/4; ``_fft_round`` checks the
+    rest at run time.
     """
     norms = math.sqrt(la * lb) * ctx.dim * (ctx.q - 1) ** 2
-    top = min(la, lb) * (ctx.q - 1) ** 2 * (1 + ctx.gamma * (ctx.dim - 1))
     kappa = _transform_error(n) + _x_transform_error(ctx.dim) + 3
-    if 4 * _rounding_error(ctx, norms, top, kappa) >= 2**53:
+    if ctx.dim == 1:  # w = [1.0]: weighting and unweighting are exact
+        err = norms * kappa  # 2^53 times the bound
+    else:
+        top = min(la, lb) * (ctx.q - 1) ** 2 * (1 + ctx.gamma * (ctx.dim - 1))
+        growth = ctx.gamma ** (2 * (ctx.dim - 1) / ctx.dim)
+        err = growth * norms * kappa + (3 * math.log(ctx.gamma) + 9) * top
+    if 4 * err >= 2**53:
         raise ParameterError(
             f"FFT product: {la} x {lb} rows over q = {ctx.q}, dim = {ctx.dim}, "
             f"gamma = {ctx.gamma}, N = {n} x {ctx.dim}: the rounding bound reaches 1/4, "
@@ -920,95 +913,40 @@ class FrobeniusReducer:
     """Arithmetic modulo a fixed monic R of degree d over F_q[X]/(X^dim - gamma):
     products, powers, the Frobenius step u -> u^q, and the residue sum
     a_i Y^(q^i) mod R of ``linearized_residue`` that both root-finding entry
-    points take a gcd with.  Three rules choose how it works.
+    points take a gcd with.  Two rules choose how it works.
 
     Long division or Barrett (``_reduce``, the one remainder mod R).  A
     quotient of fewer than _BARRETT_ROWS rows, or of more than d rows, comes
     from long division (``_yp_mod``).  Otherwise (a of at most 2d rows: a
-    product of residues, or a square times Y, which is reduced once) the m-row
-    quotient is the reversal of rev(a) * inv mod Y^m (von zur Gathen & Gerhard,
-    Modern Computer Algebra, ch. 9), where inv = rev(R)^-1 mod Y^d comes from
-    Newton iteration once per reducer.  That product runs at the cached length
-    N_inv = 2^ceil(log2(2d - 2)) >= d, where only row 0 can take a wrapped
-    term (m = d and N_inv = 2d - 2), and row 0 is the top row of a, as
-    inv_0 = 1.  The quotient of a start power Y^e, d <= e < 2d, needs no
-    product: rev(Y^e) = 1, so it is the reversal of inv mod Y^(e-d+1), a
-    prefix of the stored coefficients of inv.  a - quotient * R is then taken
-    mod Y^N - 1 for N >= d + 1, a cyclic product of half the length, where a
-    folds at most once.  The weighted transforms of inv and R are cached, and
-    every product checks the float64 bound of ``_check_fft_exact``.  The Newton
-    round from precision p to 2p needs only rows p..2p-1 of e = rev(R) * inv - 1,
-    which vanishes below p: they are rows of the product mod Y^N - 1 for
-    N >= 2p, whose rows past N wrap below p.  The correction, the (2p-1)-row
-    product inv * e[p:2p], does not wrap at that N either, so it reuses the
-    transform of inv and checks its own size.  A coefficient of a cyclic product of la
+    product of residues, a square times Y, which is reduced once, or a start
+    power Y^e0, e0 <= 2d - 2) the m-row quotient is the reversal of
+    rev(a) * inv mod Y^m (von zur Gathen & Gerhard, Modern Computer Algebra,
+    ch. 9), where inv = rev(R)^-1 mod Y^d comes from Newton iteration once per
+    reducer.  That product runs at the cached length
+    N_inv = 2^ceil(log2(2d - 2)) >= d, where only row 0 can take a wrapped term
+    (m = d and N_inv = 2d - 2), and row 0 is the top row of a, as inv_0 = 1.
+    a - quotient * R is then taken mod Y^N - 1 for N >= d + 1, a cyclic
+    product of half the length, where a folds at most once.  The weighted
+    transforms of inv and R are cached, and every product checks the float64
+    bound of ``_check_fft_exact``, so a modulus too large for exact products
+    is refused (ParameterError) at its first product.  The Newton round from
+    precision p to 2p needs only rows p..2p-1 of e = rev(R) * inv - 1, which
+    vanishes below p: they are rows of the product mod Y^N - 1 for N >= 2p,
+    whose rows past N wrap below p.  The correction, the (2p-1)-row product
+    inv * e[p:2p], does not wrap at that N either, so it reuses the transform
+    of inv and checks its own size.  A coefficient of a cyclic product of la
     and lb <= N rows is still a sum of at most min(la, lb) * dim products of
     residues, so the sizes of the final inverse and of R, checked before the
     iteration, bound every round.
 
     Square from Y or step from the previous power (``frobenius_powers``).
-    With the table T[j] = Y^(q j) mod R, j < d, ``step`` takes u^q as
-    sum_j sigma(c_j) T[j] for u = sum c_j Y^j, sigma the coefficientwise q-th
-    power (the gamma-scaling map), in the weighted X-transform domain
-    (``_fourier_sum``); without the table, by square-and-multiply over
-    ``mulmod``: floor(log2 q) squarings plus popcount(q) - 1 products.
-    ``_power_of_y`` squares up to Y^e from Y^e0, e0 the longest binary prefix of
-    e with e0 <= 2d - 2, reduced once: a squaring per remaining bit of e,
-    shifted one row (times Y) for a 1-bit before its one reduction.  Without
-    the table each Y^(q^i) takes whichever makes fewer mulmods; at q = 31 and
-    d = 125 squaring up takes 0, 2 and 7 squarings for i = 1, 2, 3 against 8
-    mulmods a step.
-
-    Table or not (``plan(steps, products)``).  The table is built when it is
-    exact (see below) and T_build + steps * T_table < products * T_mul + T_setup,
-    where `products` is the mulmod count of the chain without a table (by
-    default, steps q-th power steps) and T_setup is the Newton set-up when it
-    has not run yet and products reach Barrett at all.  The costs are in
-    seconds, with M(n) = 2^ceil(log2 n) * dim the points of a product transform:
-    T_build = 6.1e-10 d^2 q dim + 2.0e-5 (d + q), the table build below on a
-    fresh reducer (with Y^q from ``_power_of_y`` where d < q);
-    T_table = 6.3e-10 d^2 dim + 2.6e-10 d dim^2 + 2.3e-5, one step, whose two
-    X-transforms are products with dim x dim matrices;
-    t(n) = 3.4e-9 M(n) log2 M(n) + 9.3e-5, a mulmod whose product has n rows,
-    so T_mul = t(2d - 1), and T_setup = sum of t(2p - 1) over the Newton
-    precisions p = 2, 4, ..., d.  Each formula is a least-squares fit, in
-    relative error, to the minimum of 15 interleaved timings on a 2-vCPU x86 VM
-    with one BLAS thread, over q in {13, 31, 47, 61, 83, 101} and d from 10 to
-    600 (125 for the table): within 0.72-1.20x of every mulmod timing,
-    0.75-1.25x of every step and 0.69-1.19x of every build.  For k + 1 = 3
-    steps the rule keeps the table up to d 46, 56, 46 and 26 at q = 13, 31, 61
-    and 101; timed, the crossovers lie at d 48-52, 52-56 (a tie up to 80),
-    40-44 and 40-44.  M(n) doubles where n passes a power of two, but a
-    mulmod's time rises ~25 % there (its X-transforms and the reduction run on
-    the unpadded rows), so the rule misplaces a few d just past one: it keeps
-    the table at q = 61, d 66 and drops it at q = 101, d 28-32.
-
-    The table is built in two parts.  First P[i] = Y^(d+i) mod R for
-    lo <= i < q, lo = max(q - d, 0), the only ones that row j-1 can reach:
-    P[lo] is P[0] = Y^d - R when lo = 0 and Y^q mod R (``_power_of_y``)
-    otherwise, and each next one is a one-row shift plus a multiple of P[0].
-    Then row j comes from row j-1, sum(c_t Y^t), in one pass: of Y^q times it,
-    the terms c_t Y^(t+q) with t + q < d stay as they are, and the high
-    coefficients h_i = c_(d-q+i) (the ones that reach Y^(d+i)) add
-    sum_i h_i P[i].  That sum runs in the Fourier domain along X:
-    gamma-weighted real DFTs of length dim (``_x_forward``), one (1 x q) @ (q x d)
-    complex product per frequency, dim // 2 + 1 of them, and an unweighting
-    inverse (``_x_inverse``) that gives the coefficients of X^k mod
-    X^dim - gamma, rounded and reduced mod q.  Only the transforms of P and of
-    the rows, laid out (frequency, j, t), are kept.
-
-    Exactness: a coefficient of the build's sum adds min(q, d) pairs
-    (h_i, P[i]_t), and a step's at most d pairs (sigma(c_j), T[j]_t), of dim
-    products of residues, gamma times the ones that wrap.  So with
-    n = max(q, d) it lies in [0, top], top = n (q-1)^2 (1 + gamma (dim - 1)),
-    and B = n dim (q-1)^2 bounds the pairs' sum of ||.||_2 ||.||_2.  The bound
-    of ``_check_fft_exact`` carries over with kappa(N) + kappa_X(dim) + 3
-    replaced by kappa_X(dim) + 2n + 3: no transform along Y, and 2n for the
-    n-term complex sum; kappa_X(dim) is the matrix path's direct inner-product
-    bound up to _X_MATMUL_DIM (``_x_transform_error``).  ``plan``
-    never builds a table where that reaches 1/4 (``_build_table`` refuses it
-    with ParameterError), and every sum checks that each value lies within
-    1/4 of an integer before it is rounded.
+    ``step`` takes u^q by square-and-multiply over ``mulmod``: floor(log2 q)
+    squarings plus popcount(q) - 1 products.  ``_power_of_y`` squares up to
+    Y^e from Y^e0, e0 the longest binary prefix of e with e0 <= 2d - 2,
+    reduced once: a squaring per remaining bit of e, shifted one row (times Y)
+    for a 1-bit before its one reduction.  Each Y^(q^i) takes whichever makes
+    fewer mulmods; at q = 31 and d = 125 squaring up takes 0, 2 and 7
+    squarings for i = 1, 2, 3 against 8 mulmods a step.
     """
 
     def __init__(self, ctx: _ExtCtx, R: np.ndarray):
@@ -1016,88 +954,7 @@ class FrobeniusReducer:
         self.R = _yp_monic(ctx, R)
         if self.R.shape[0] < 2:
             raise ValueError("modulus must have degree at least 1")
-        # a table step sums deg R * dim products of residues (rounding: _table_error)
-        _check_float_exact((self.R.shape[0] - 1) * ctx.dim, ctx.q, "Frobenius step")
-        self._table: np.ndarray | None = None
         self._inv_hat: np.ndarray | None = None
-
-    def _table_error(self) -> float:
-        """2^53 times the error bound of the build's and a step's sums (see Exactness above)."""
-        ctx = self.ctx
-        q, dim = ctx.q, ctx.dim
-        n = max(q, self.R.shape[0] - 1)  # pairs in a build's sum (<= q) and a step's (<= deg R)
-        top = n * (q - 1) ** 2 * (1 + ctx.gamma * (dim - 1))
-        kappa = _x_transform_error(dim) + 2 * n + 3
-        return _rounding_error(ctx, n * dim * (q - 1) ** 2, top, kappa)
-
-    def plan(self, steps: int, products: int | None = None) -> None:
-        """Build the table if it is exact and pays for `steps` more steps that would
-        otherwise make `products` mulmods, by default `steps` q-th powers (the rule above)."""
-        if self._table is not None or 4 * self._table_error() >= 2**53:
-            return
-        q, dim = self.ctx.q, self.ctx.dim
-        d = self.R.shape[0] - 1
-        if products is None:
-            products = steps * self._step_mulmods()
-
-        def t_mul(rows):  # a mulmod whose product has `rows` rows
-            m = _fft_len(rows) * dim
-            return 3.4e-9 * m * math.log2(m) + 9.3e-5
-
-        t_direct = products * t_mul(2 * d - 1)
-        if products and d >= _BARRETT_ROWS and self._inv_hat is None:  # Barrett set-up
-            prec = 1
-            while prec < d:
-                prec = min(2 * prec, d)
-                t_direct += t_mul(2 * prec - 1)
-        t_build = 6.1e-10 * d * d * q * dim + 2.0e-5 * (d + q)
-        t_table = 6.3e-10 * d * d * dim + 2.6e-10 * d * dim * dim + 2.3e-5
-        if t_build + steps * t_table < t_direct:
-            self._build_table()
-
-    def _build_table(self):
-        ctx = self.ctx
-        q, dim = ctx.q, ctx.dim
-        lr = self.R.shape[0] - 1  # residues have at most lr rows
-        if 4 * self._table_error() >= 2**53:
-            raise ParameterError(
-                f"Frobenius table: q = {q}, dim = {dim}, gamma = {ctx.gamma}: the rounding "
-                f"bound of the Fourier-domain sum reaches 1/4, it would not be exact"
-            )
-        lo = max(q - lr, 0)  # Y^q * (row j-1) reaches Y^(lr+i) only for i >= lo
-        p_hat = np.empty((dim // 2 + 1, q - lo, lr), dtype=np.complex128)
-        p0 = (-self.R[:lr] % q).astype(np.float64)
-        p = _yp_pad(self._power_of_y(q), lr).astype(np.float64) if lo else p0
-        for i in range(lo, q):
-            p_hat[:, i - lo, :] = _x_forward(ctx, p).T
-            top = p[-1]
-            p = np.concatenate((np.zeros((1, dim)), p[:-1]))
-            if top.any():
-                p = _fmod(p + p0 @ _sc_matrix(ctx, top.astype(np.int64)).astype(np.float64), q)
-        keep = max(lr - q, 0)  # rows of row j-1 that stay below Y^lr after the shift
-        table = np.empty((dim // 2 + 1, lr, lr), dtype=np.complex128)
-        row = np.zeros((lr, dim))
-        row[0, 0] = 1
-        for j in range(lr):
-            row_hat = _x_forward(ctx, row)
-            table[:, j, :] = row_hat.T
-            if j + 1 < lr:  # row j+1: the high rows add sum_i h_i P[i], the low ones shift
-                low = row[:keep]
-                row = self._fourier_sum(row_hat[keep:], p_hat)
-                row[lr - keep :] += low
-                _fmod(row, q)  # below q + top < 2^51 (see the bound above): exact before it
-        self._table = table
-
-    def _fourier_sum(self, h_hat: np.ndarray, p_hat: np.ndarray) -> np.ndarray:
-        """sum_i h_i P_i, rounded but not reduced, from the weighted X-transforms h_hat
-        (n, F) of scalars and p_hat (F, n, cols) of rows of cols residues: one
-        (1 x n) @ (n x cols) product per frequency and one inverse transform."""
-        s_hat = np.matmul(h_hat.T[:, None, :], p_hat)[:, 0, :]
-        s = _x_inverse(self.ctx, s_hat.T)
-        r = np.rint(s)
-        if not np.abs(s - r).max() <= 0.25:  # NaN fails too
-            raise FloatingPointError("Fourier-domain sum strayed from the integers")
-        return r
 
     def _setup_barrett(self):
         """inv = rev(R)^-1 mod Y^d by Newton iteration, kept with its transform, and R's.
@@ -1125,7 +982,6 @@ class FrobeniusReducer:
             _check_fft_exact(ctx, old, prec - old, length)
             corr = _fft_round(ctx, inv_hat * _fft(ctx, e, length), length, prec - old)
             inv = np.concatenate((inv, -corr % ctx.q))
-        self._inv = inv
         self._inv_hat = _fft(ctx, inv, self._inv_len)
         self._r_hat = _fft(ctx, self.R, self._r_len)
 
@@ -1179,19 +1035,7 @@ class FrobeniusReducer:
 
     def step(self, u: np.ndarray) -> np.ndarray:
         """u^q mod R for a residue u (shape (<= deg R, dim))."""
-        ctx = self.ctx
-        u = _yp_trim(u % ctx.q)
-        if u.shape[0] == 0:
-            return u
-        if self._table is None:
-            return self.pow_mod(u, ctx.q)
-        u_hat = _x_forward(ctx, _sc_frobenius(ctx, u, 1))
-        prod = self._fourier_sum(u_hat, self._table[:, : u.shape[0]])
-        return _yp_trim(_fmod(prod, ctx.q).astype(np.int64))
-
-    def _step_mulmods(self) -> int:
-        """The mulmods of a q-th power step without the table (class docstring)."""
-        return self.ctx.q.bit_length() + self.ctx.q.bit_count() - 2
+        return self.pow_mod(_yp_trim(u % self.ctx.q), self.ctx.q)
 
     def _squarings(self, e: int) -> int:
         """The squarings ``_power_of_y`` makes for Y^e: the bits of e after its
@@ -1200,20 +1044,13 @@ class FrobeniusReducer:
         drop = max(e.bit_length() - cap.bit_length(), 0)
         return drop + (e >> drop > cap)
 
-    def _monomial_mod(self, e: int) -> np.ndarray:
-        """Y^e mod R for e < 2d; a Barrett quotient is a reversed prefix of the
-        stored inverse (class docstring)."""
-        m = e - self.R.shape[0] + 2  # quotient rows
-        y = _yp_monomial(self.ctx, e)
-        return self._remainder(y, self._inv[m - 1 :: -1]) if self._barrett(m) else self._reduce(y)
-
     def _power_of_y(self, e: int) -> np.ndarray:
-        """Y^e mod R: Y^e0 reduced once (``_monomial_mod``), then for each remaining
-        bit of e a squaring, shifted one row (a multiplication by Y) for a 1-bit,
-        and reduced once."""
+        """Y^e mod R: Y^e0 reduced once, then for each remaining bit of e a
+        squaring, shifted one row (a multiplication by Y) for a 1-bit, and
+        reduced once."""
         ctx = self.ctx
         drop = self._squarings(e)
-        w = self._monomial_mod(e >> drop)
+        w = self._reduce(_yp_monomial(ctx, e >> drop))
         for bit in format(e, "b")[e.bit_length() - drop :]:
             w = _yp_mul(ctx, w, w)
             if bit == "1" and w.shape[0]:
@@ -1225,18 +1062,15 @@ class FrobeniusReducer:
         """Y^(q^i) mod R for i = 0..n, as an (n + 1, deg R, dim) array whose row i
         holds Y^(q^i) mod R padded with zero rows.
 
-        With the table, Y^(q^i) is a step from Y^(q^(i-1)); without it, it comes
-        from whichever route makes fewer mulmods: ``_power_of_y``, or a q-th power
-        of Y^(q^(i-1)) by ``step``."""
+        Y^(q^i) comes from whichever route makes fewer mulmods: ``_power_of_y``,
+        or a q-th power of Y^(q^(i-1)) by ``step``."""
         ctx = self.ctx
-        per_step = self._step_mulmods()
-        squarings = [self._squarings(ctx.q**i) for i in range(1, n + 1)]
-        self.plan(n, sum(min(s, per_step) for s in squarings))
+        per_step = ctx.q.bit_length() + ctx.q.bit_count() - 2  # a step's mulmods (class docstring)
         out = np.zeros((n + 1, self.R.shape[0] - 1, ctx.dim), dtype=np.int64)
         u = self._power_of_y(1)
         out[0, : u.shape[0]] = u
-        for i, s in enumerate(squarings, 1):
-            u = self._power_of_y(ctx.q**i) if self._table is None and s <= per_step else self.step(u)
+        for i in range(1, n + 1):
+            u = self._power_of_y(ctx.q**i) if self._squarings(ctx.q**i) <= per_step else self.step(u)
             out[i, : u.shape[0]] = u
         return out
 

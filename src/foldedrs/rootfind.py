@@ -46,7 +46,9 @@ from .poly import (
     _yp_trim,
     compose_message,
 )
-# re-exported; perfbench's traced run wraps roots_in_field under this name
+# re-exported: perfbench binds rootfind.roots_in_field, and its Tracer reads every
+# binding (getattr) when it is built, on plain runs too, so without this name
+# every benchmark run fails
 from .poly import low_degree_vanishing_coeffs, roots_in_field  # noqa: F401
 
 CANDIDATE_CAP = 2**16

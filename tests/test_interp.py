@@ -365,29 +365,38 @@ def _largest_products_matrix(
 
 
 def test_kernel_vector_reduces_the_trailing_block_at_the_product_budget():
-    # q = 16777213 allows T = floor((2^53 - q) / (q-1)^2) = 32 products per
-    # entry, so panels are 32 wide and the trailing block must be reduced
-    # before every panel after the first: on the largest-products matrices,
-    # two panels' updates without it reach 64 (q-1)^2 > 2^53 and round
+    # q = 16777213 runs in float64 and allows T = floor((2^52 - q) / h^2) = 64
+    # products of balanced residues, one 64-wide panel, so the trailing block
+    # is reduced before the second panel of these 110- and 120-row systems: on
+    # the balanced worst case (``_balanced_worst_case``) the 110-row system's
+    # updates reach 109 h^2 > 2^52 without it, past where ``_balance`` is
+    # exact.  A random system, a rank-deficient one and the largest-products
+    # matrices, whose entries q - 1 balance to -1 (products of 1), check the
+    # same shapes off the bound
     q = 16777213
-    assert (2**53 - q) // (q - 1) ** 2 == 32
+    h = q // 2
+    assert (2**52 - q) // h**2 == _PANEL and 109 * h**2 > 2**52
     rng = np.random.default_rng(q)
     assert _assert_kernel_matches_reference(rng.integers(0, q, size=(110, 130)), q) == 110
-    assert _assert_kernel_matches_reference(_largest_products_matrix(q, 110, 130, 110), q) == 110
-    assert _assert_kernel_matches_reference(_largest_products_matrix(q, 120, 130, 100), q) == 100
+    for nrows, ncols, c0 in [(110, 130, 110), (120, 130, 100)]:
+        assert _assert_kernel_matches_reference(_largest_products_matrix(q, nrows, ncols, c0), q) == c0
+        assert _assert_kernel_matches_reference(_balanced_worst_case(q, nrows, ncols, c0), q) == c0
     deficient = _matrix_with_free_col(rng, q, 120, 130, 100, duplicate=False)
     assert _assert_kernel_matches_reference(deficient, q) == 100
 
 
 def test_kernel_vector_reduces_the_trailing_block_at_the_scaled_row_budget():
-    # q = 32749 scales each pivot row by its inverse before the row's one
-    # reduction, which allows T1 = floor(((2^53 - q) / (q-1) - (q-1)) / (q-1)^2)
-    # = 256 products: four 64-wide panels, then the trailing block must be
-    # reduced.  Every pivot (q-1)/2 has the inverse q - 2 and every update
-    # subtracts (q-2)^2, all odd, so a fifth panel without the reduction would
-    # scale 320 (q-2)^2 by q - 2, past 2^53, and round
+    # q = 32749 runs in float64, where a full panel's scaled multiplier column
+    # h (h + 63 h^2) stays below 2^52, so each multiplier column is scaled by
+    # its pivot's balanced inverse without a reduction first, across five and
+    # six 64-wide panels, with the free column after the last pivot (330) and
+    # one row into the sixth panel (321).  Every pivot (q-1)/2 = h has the
+    # balanced inverse -2 and the entries q - 2 balance to -2, so the products
+    # stay small: the bounds themselves are met by the ``_balanced_worst_case``
+    # tests
     q = 32749
-    assert ((2**53 - q) // (q - 1) - (q - 1)) // (q - 1) ** 2 == 4 * _PANEL == 256
+    h = q // 2
+    assert h * (h + (_PANEL - 1) * h * h) < 2**52 and interp._kernel_dtype(q) == np.float64
     for nrows, ncols, c0 in [(330, 340, 330), (340, 345, 321)]:
         M = _largest_products_matrix(q, nrows, ncols, c0, pivot=(q - 1) // 2, entry=q - 2)
         assert _assert_kernel_matches_reference(M, q) == c0
