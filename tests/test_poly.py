@@ -884,32 +884,72 @@ def test_x_transform_fault_is_caught(monkeypatch, which):
         _fft_round(ctx, poly._fft(ctx, a, n) ** 2, n, 17)
 
 
-# (q, deg R) past the property contexts at deg R 1, 2, 5 and 9: decode-interp's
-# deg R 9 and 10, deg R 39 > q = 13, a deg-2 split at q = 31, and deg R on both
-# sides of q = 5 and 7, where Y^q mod R is one row once deg R > q
-_STEP_SHAPES = [(101, 9), (101, 10), (13, 39), (31, 2), (5, 3), (5, 7), (5, 12), (7, 9)]
-
-
 def test_frobenius_reducer_step_matches_generic_power():
     # u -> u^q mod R by square-and-multiply over mulmod must agree with
     # reference powering for monomial, single-row, top-row-only and general
     # residues, general rows of one row up to deg R rows, all-(q-1) rows, whose
     # products are largest, Y and Y^q mod R; and so must the chained residue
     # sum a_i Y^(q^i) mod R
-    cases = [(ctx, deg) for ctx in _PROPERTY_CTXS for deg in (1, 2, 5, 9)]
-    cases += [(standard_extension(q).ctx, deg) for q, deg in _STEP_SHAPES]
-    for ctx, deg in cases:
-        rng = random.Random(17 + ctx.q + 1000 * deg)
+    for ctx in _PROPERTY_CTXS:
         q = ctx.q
+        for deg in (1, 2, 5, 9):
+            rng = random.Random(17 + q + 1000 * deg)
+            reducer = FrobeniusReducer(ctx, _shaped_yp(rng, ctx, deg + 1, "random"))
+            inputs = [_yp_mod(ctx, _shaped_yp(rng, ctx, rng.randint(1, deg), kind), reducer.R) for kind in _KINDS]
+            inputs += [_shaped_yp(rng, ctx, rows, "random") for rows in sorted({1, max(deg // 2, 1), deg})]
+            inputs += [np.full((rows, ctx.dim), q - 1, dtype=np.int64) for rows in (1, deg)]
+            inputs += [_yp_monomial(ctx, 1), _ref_pow_mod(ctx, _yp_monomial(ctx, 1), q, reducer.R)]
+            for u in inputs:
+                assert np.array_equal(reducer.step(u), _ref_pow_mod(ctx, u, q, reducer.R))
+            a = [rng.randrange(q) for _ in range(4)]
+            assert np.array_equal(reducer.linearized_residue(a), _ref_residue(ctx, reducer.R, a))
+
+
+@pytest.mark.parametrize("q, deg", [(101, 9), (101, 10), (13, 39), (31, 2)])
+def test_fourier_domain_step_matches_reference_power(q, deg):
+    # the step's products are taken on weighted X-transforms (the Fourier
+    # domain): decode-interp's deg R 9 and 10 at dim 100, deg R 39 > q = 13,
+    # and a deg-2 split at q = 31; u of one row up to deg R rows, and
+    # all-(q-1) rows, whose products are largest
+    rng = random.Random(1000 * q + deg)
+    ctx = standard_extension(q).ctx
+    reducer = FrobeniusReducer(ctx, _shaped_yp(rng, ctx, deg + 1, "random"))
+    inputs = [_shaped_yp(rng, ctx, rows, "random") for rows in sorted({1, max(deg // 2, 1), deg})]
+    inputs += [np.full((rows, ctx.dim), q - 1, dtype=np.int64) for rows in (1, deg)]
+    for u in inputs:
+        assert np.array_equal(reducer.step(u), _ref_pow_mod(ctx, u, q, reducer.R))
+    # where the squarings reduce by Barrett, a fault in either stored transform
+    # (the inverse's or R's) moves the products off the integers
+    assert (reducer._inv_hat is not None) == (deg - 1 >= poly._BARRETT_ROWS)
+    if reducer._inv_hat is not None:
+        for name in ("_inv_hat", "_r_hat"):
+            faulty = FrobeniusReducer(ctx, reducer.R)
+            faulty.step(inputs[-1])
+            getattr(faulty, name)[1, 0] += 0.4
+            with pytest.raises(FloatingPointError):
+                faulty.step(inputs[-1])
+
+
+def test_frobenius_reducer_untabled_path_matches():
+    # the reducer keeps no table of the Frobenius map: each step is
+    # square-and-multiply, which must equal reference powering also on
+    # single-row inputs: Y, Y^q mod R (one row when deg R > q) and a
+    # top-row-only u, at deg R on both sides of q = 5 and 7
+    rng = random.Random(23)
+    for q, deg in [(5, 3), (5, 7), (5, 12), (7, 9)]:
+        ctx = standard_extension(q).ctx
         reducer = FrobeniusReducer(ctx, _shaped_yp(rng, ctx, deg + 1, "random"))
-        inputs = [_yp_mod(ctx, _shaped_yp(rng, ctx, rng.randint(1, deg), kind), reducer.R) for kind in _KINDS]
-        inputs += [_shaped_yp(rng, ctx, rows, "random") for rows in sorted({1, max(deg // 2, 1), deg})]
-        inputs += [np.full((rows, ctx.dim), q - 1, dtype=np.int64) for rows in (1, deg)]
-        inputs += [_yp_monomial(ctx, 1), _ref_pow_mod(ctx, _yp_monomial(ctx, 1), q, reducer.R)]
+        y_q = _yp_mod(ctx, _yp_monomial(ctx, q), reducer.R)
+        assert (np.count_nonzero(y_q.any(axis=1)) == 1) == (deg > q)
+        inputs = [
+            _yp_mod(ctx, _shaped_yp(rng, ctx, rng.randint(1, 2 * deg), "random"), reducer.R),
+            _yp_monomial(ctx, 1),
+            y_q,
+            _shaped_yp(rng, ctx, deg, "top-row"),
+        ]
         for u in inputs:
             assert np.array_equal(reducer.step(u), _ref_pow_mod(ctx, u, q, reducer.R))
-        a = [rng.randrange(q) for _ in range(4)]
-        assert np.array_equal(reducer.linearized_residue(a), _ref_residue(ctx, reducer.R, a))
+        assert not hasattr(reducer, "_table")
 
 
 @pytest.mark.parametrize("ctx", [standard_extension(q).ctx for q in (5, 7, 13, 31)] + _PRIME_CTXS[1:])
